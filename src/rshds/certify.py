@@ -164,9 +164,9 @@ def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> C
 
     Verifies |G| = |H|^2 and D disjoint from H, then that D intersect D^-1
     is a union of m cosets of H and that the complement of D union D^-1 is H
-    plus m further cosets, with m within its proven bound.  For m = 0 the
-    three-part partition is certified together with the difference-set
-    equation.
+    plus m further cosets, with m within its proven bound, and certifies
+    the difference-set equation for every m.  For m = 0 the three-part
+    partition is certified as well.
     """
     name = "rshds-structure"
     h = sub.order
@@ -225,15 +225,14 @@ def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> C
         return CertReport(name, False, params, witnesses)
     params = ParameterSet.from_subgroup_order(h, m=m)
     warns = _degenerate_warnings(h)
-    if m == 0:
-        if dset | dinv | sub.member_set != set(range(group.order)) or inter or overlap:
-            witnesses["partition"] = False
-            return CertReport(name, False, params, witnesses, warns)
-        eq = check_difference_set(group, sorted(dset))
-        witnesses["difference_equation"] = eq.passed
-        if not eq.passed:
-            witnesses["difference_equation_witness"] = eq.witnesses
-            return CertReport(name, False, params, witnesses, warns)
+    if m == 0 and (dset | dinv | sub.member_set != set(range(group.order)) or inter or overlap):
+        witnesses["partition"] = False
+        return CertReport(name, False, params, witnesses, warns)
+    eq = check_difference_set(group, sorted(dset))
+    witnesses["difference_equation"] = eq.passed
+    if not eq.passed:
+        witnesses["difference_equation_witness"] = eq.witnesses
+        return CertReport(name, False, params, witnesses, warns)
     return CertReport(name, True, params, witnesses, warns)
 
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks pass, 1 some check failed, 2 usage or
 file error, 3 search budget exceeded.  All output is deterministic: reruns
-(and any worker count) produce byte-identical bytes.
+produce byte-identical bytes.
 """
 from __future__ import annotations
 
@@ -280,10 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit reports as JSON")
     common.add_argument("--out", help="output file path")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count (results are identical for any value)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="node budget for searches")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", parents=[common], help="print (v,k,lambda) for an even h")
@@ -320,6 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exhaustively enumerate all partition difference sets")
     p.add_argument("spec")
     p.add_argument("subgroup")
+    p.add_argument("--budget", type=int, default=None, help="node budget for the search")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("quotient", parents=[common],
@@ -342,8 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -106,7 +106,8 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
     used: Dict[f2.Vector, f2.Vector] = {}
     elements: List[int] = []
     for e in f2.nonzero_vectors(n):
-        sq = group.square_vector(e)
+        rep = group.word_index[(e, zero)]
+        sq = group.h_vector(group.mul(rep, rep))
         if not any(sq):
             raise PairingInvariantError(
                 f"transversal word {e} has trivial square; cannot avoid any hyperplane"
@@ -121,7 +122,6 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
                 f"hyperplane {normal} assigned to both {used[normal]} and {e}"
             )
         used[normal] = e
-        rep = group.word_index[(e, zero)]
         for m in f2.hyperplane_members(normal):
             elements.append(group.mul(rep, group.word_index[(zero, m)]))
     params = ParameterSet.from_subgroup_order(1 << n, m=0)

@@ -5,7 +5,6 @@ tuple order on these tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Tuple
@@ -24,10 +23,6 @@ def xor(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return tuple(a ^ b for a, b in zip(u, v))
-
-
-def weight(v: Vector) -> int:
-    return sum(v)
 
 
 def zero(n: int) -> Vector:
@@ -100,27 +95,6 @@ def hyperplane_members(normal: Vector) -> Tuple[Vector, ...]:
     if not any(normal):
         raise ValueError("hyperplane normal must be nonzero")
     return tuple(u for u in all_vectors(len(normal)) if dot(u, normal) == 0)
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Index-2 subgroup of C_2^n, identified by its nonzero normal vector."""
-
-    normal: Vector
-
-    def __post_init__(self) -> None:
-        if not any(self.normal):
-            raise ValueError("hyperplane normal must be nonzero")
-
-    def members(self) -> Tuple[Vector, ...]:
-        return hyperplane_members(self.normal)
-
-    def __contains__(self, v: Vector) -> bool:
-        return dot(v, self.normal) == 0
-
-
-def all_hyperplanes(n: int) -> Tuple[Hyperplane, ...]:
-    return tuple(Hyperplane(v) for v in nonzero_vectors(n))
 
 
 def gf2_rank(rows: list[int]) -> int:

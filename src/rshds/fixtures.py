@@ -1,7 +1,6 @@
 """Built-in example groups: the order-36 screening survivor and permutation groups."""
 from __future__ import annotations
 
-from pathlib import Path
 from typing import List, Sequence, Tuple
 
 from .groups import CayleyTableGroup
@@ -71,8 +70,3 @@ def permutation_table_group(generators: Sequence[Tuple[int, ...]]) -> CayleyTabl
 def alternating_group_5() -> CayleyTableGroup:
     """A5 as a table group (order 60, simple)."""
     return permutation_table_group([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
-
-
-def fixture_path(name: str = "g36_1.json") -> Path:
-    """Filesystem path of a packaged fixture file."""
-    return Path(__file__).resolve().parent / "data" / name

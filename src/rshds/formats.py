@@ -17,7 +17,6 @@ from .groups import (
     CayleyTableGroup,
     FiniteGroup,
     GnkGroup,
-    GroupError,
     Subgroup,
     closure,
 )
@@ -29,6 +28,12 @@ HADAMARD_HEADER = "hadamard-v1"
 
 class FormatError(ValueError):
     pass
+
+
+def _index_list(value: object, field: str) -> List[int]:
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise FormatError(f"{field} field must be a list of integers")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +119,11 @@ def read_cayley(path: Union[str, Path]) -> CayleyTableGroup:
         if not isinstance(names, list) or len(names) != order:
             raise FormatError(f"names array has wrong length in {p}")
         names = [str(x) for x in names]
+    for row in table:
+        _index_list(row, "table row")
     try:
         return CayleyTableGroup(table, names=names, validate=True)
-    except GroupError as exc:
+    except ValueError as exc:  # GroupTableError, or rows of unequal length
         witness = getattr(exc, "witness", {})
         raise FormatError(f"invalid multiplication table in {p}: {exc} {witness}") from exc
 
@@ -174,13 +181,10 @@ def read_dset(
         if sub is None:
             raise FormatError(f"group {spec} has no distinguished subgroup")
     elif isinstance(sub_field, list):
-        sub = closure(group, [int(x) for x in sub_field])
+        sub = closure(group, _index_list(sub_field, "subgroup"))
     else:
         raise FormatError(f"invalid subgroup field {sub_field!r}")
-    elements = doc["elements"]
-    if not isinstance(elements, list):
-        raise FormatError("elements field must be a list")
-    elems = tuple(sorted(int(x) for x in elements))
+    elems = tuple(sorted(_index_list(doc["elements"], "elements")))
     if len(set(elems)) != len(elems):
         raise FormatError("duplicate element indices")
     for e in elems:
@@ -212,15 +216,15 @@ def read_hadamard(path: Union[str, Path]) -> List[List[int]]:
     if not lines:
         raise FormatError(f"empty hadamard-v1 file: {p}")
     header = lines[0].split()
-    if len(header) != 2 or header[0] != HADAMARD_HEADER:
+    if len(header) != 2 or header[0] != HADAMARD_HEADER or not header[1].isdigit():
         raise FormatError(f"bad hadamard-v1 header: {lines[0]!r}")
     n = int(header[1])
     if len(lines) < n + 1:
         raise FormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
     matrix = []
     for i in range(1, n + 1):
-        row = [int(x) for x in lines[i].split()]
-        if len(row) != n or any(x not in (1, -1) for x in row):
+        row = lines[i].split()
+        if len(row) != n or any(x not in ("1", "-1") for x in row):
             raise FormatError(f"bad hadamard-v1 row {i}")
-        matrix.append(row)
+        matrix.append([int(x) for x in row])
     return matrix

@@ -1,9 +1,10 @@
-"""Finite-group engines with canonical coset-aligned element indexing.
+"""Finite groups as one integer multiplication table, identity at index 0.
 
-Three backends share one index-based interface: generic Cayley tables, the
-two-parameter 2-group family behind the ``gnk:`` spec strings, and powers of
-the cyclic group of order 4.  Elements are always the integers
-``0..order-1`` with the identity at index 0; for the specialized backends the
+``FiniteGroup`` holds the table and answers every product and inverse by
+lookup.  The backends only supply the table: generic Cayley tables are given
+theirs, and the two-parameter 2-group family behind the ``gnk:`` spec strings
+and the powers of the cyclic group of order 4 (``c4n:``) both build theirs
+with ``_twisted_table``, C4^n being the untwisted case.  For these two the
 index order is (coset of the distinguished subgroup, then lexicographic
 normal form inside the coset), so matrices written in this order are block
 aligned with that subgroup.
@@ -83,21 +84,24 @@ class ParameterSet:
 
 
 class FiniteGroup:
-    """Base class: a finite group on indices 0..order-1, identity at 0."""
+    """Base class: a finite group on indices 0..order-1, identity at 0.
 
-    backend = "abstract"
+    Every product and inverse is a lookup in one integer table.  Subclasses
+    either set ``_table`` before calling ``__init__`` or supply
+    ``_build_table``, which the ``table`` property calls once.
+    """
+
     order: int
+    _table: Optional[List[List[int]]] = None
+
+    def __init__(self) -> None:
+        self._inv = [row.index(IDENTITY) for row in self.table]
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return self._table[a][b]
 
     def inv(self, a: int) -> int:
-        inv = self._inverses()
-        return inv[a]
-
-    def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        return self._inv[a]
 
     def elements(self) -> range:
         return range(self.order)
@@ -108,24 +112,12 @@ class FiniteGroup:
     @property
     def table(self) -> List[List[int]]:
         """Dense multiplication table, built once on first use."""
-        cached = getattr(self, "_table", None)
-        if cached is None:
-            n = self.order
-            cached = [[self.mul(a, b) for b in range(n)] for a in range(n)]
-            self._table = cached
-        return cached
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
 
-    def _inverses(self) -> List[int]:
-        cached = getattr(self, "_inv", None)
-        if cached is None:
-            cached = [0] * self.order
-            for a in range(self.order):
-                for b in range(self.order):
-                    if self.mul(a, b) == IDENTITY:
-                        cached[a] = b
-                        break
-            self._inv = cached
-        return cached
+    def _build_table(self) -> List[List[int]]:
+        raise NotImplementedError
 
     def element_order(self, a: int) -> int:
         k = 1
@@ -160,8 +152,6 @@ class FiniteGroup:
 class CayleyTableGroup(FiniteGroup):
     """Group given by an explicit multiplication table."""
 
-    backend = "cayley-table"
-
     def __init__(
         self,
         table: Sequence[Sequence[int]],
@@ -176,14 +166,40 @@ class CayleyTableGroup(FiniteGroup):
         self.names = list(names) if names is not None else None
         if self.names is not None and len(self.names) != self.order:
             raise GroupError("names length does not match group order")
-
-    def mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
+        super().__init__()
 
     def element_name(self, a: int) -> str:
         if self.names is not None:
             return self.names[a]
         return str(a)
+
+
+def _twisted_table(n: int, k: int) -> List[List[int]]:
+    """Table of (e1, f1)(e2, f2) = (e1 ^ e2, f1 ^ f2 ^ twist(e1, e2)).
+
+    e and f are GF(2) n-vectors read as bitmasks with the first coordinate
+    most significant, and the element index is e * 2^n + f.  The twist flips
+    coordinate (i + k) mod n for every i with e1_i = e2_i = 1 and, when
+    e2_0 = 1, coordinate j - 1 for every 1 <= j <= k with e1_j = 1.  At k = 0
+    only the squares remain, which is C4^n with a_i^2 = b_i.
+
+    Rows are built one at a time by indexing one object array of the ints
+    0..v-1, so all rows share those int objects and an order-4096 table
+    costs little more than its pointers.
+    """
+    m = 1 << n
+    e = np.arange(m, dtype=np.int64)
+    bit = [(e >> (n - 1 - j)) & 1 for j in range(n)]
+    twist = np.zeros((m, m), dtype=np.int64)
+    for j in range(1, k + 1):
+        twist ^= (bit[j][:, None] & bit[0][None, :]) << (n - j)
+    for i in range(n):
+        twist ^= (bit[i][:, None] & bit[i][None, :]) << (n - 1 - (i + k) % n)
+    # base[e1] is the row of (e1, 0); the row of (e1, f1) is base[e1] ^ f1
+    base = ((e[:, None] ^ e[None, :]) << n)[:, :, None] | (twist[:, :, None] ^ e)
+    base = base.reshape(m, m * m)
+    ints = np.arange(m * m).astype(object)
+    return [ints[base[e1] ^ f1].tolist() for e1 in range(m) for f1 in range(m)]
 
 
 class GnkGroup(FiniteGroup):
@@ -197,8 +213,6 @@ class GnkGroup(FiniteGroup):
     pairs commute.  Requires 0 <= k < n-1: at k = n-1 the word squares are no
     longer pairwise distinct and the difference-set construction breaks down.
     """
-
-    backend = "gnk"
 
     def __init__(self, n: int, k: int):
         if n < 2:
@@ -215,34 +229,10 @@ class GnkGroup(FiniteGroup):
         self.word_index: Dict[Tuple[f2.Vector, f2.Vector], int] = {
             w: i for i, w in enumerate(self.words)
         }
+        super().__init__()
 
-    def word_mul(
-        self, w1: Tuple[f2.Vector, f2.Vector], w2: Tuple[f2.Vector, f2.Vector]
-    ) -> Tuple[f2.Vector, f2.Vector]:
-        n, k = self.n, self.k
-        (e1, f1), (e2, f2v) = w1, w2
-        c = [x ^ y for x, y in zip(f1, f2v)]
-        if e2[0]:
-            for j in range(1, k + 1):
-                if e1[j]:
-                    c[j - 1] ^= 1
-        for i in range(n):
-            if e1[i] and e2[i]:
-                c[(i + k) % n] ^= 1
-        return (f2.xor(e1, e2), tuple(c))
-
-    def mul(self, a: int, b: int) -> int:
-        return self.word_index[self.word_mul(self.words[a], self.words[b])]
-
-    def inv(self, a: int) -> int:
-        e, f = self.words[a]
-        _, s = self.word_mul((e, f2.zero(self.n)), (e, f2.zero(self.n)))
-        return self.word_index[(e, f2.xor(f, s))]
-
-    def square_vector(self, e: f2.Vector) -> f2.Vector:
-        """f-part of the square of the transversal word with a-exponents e."""
-        _, s = self.word_mul((e, f2.zero(self.n)), (e, f2.zero(self.n)))
-        return s
+    def _build_table(self) -> List[List[int]]:
+        return _twisted_table(self.n, self.k)
 
     def element_name(self, a: int) -> str:
         e, f = self.words[a]
@@ -262,29 +252,28 @@ class GnkGroup(FiniteGroup):
 
 
 class C4PowerGroup(FiniteGroup):
-    """Direct power of the cyclic group of order 4, written additively."""
+    """Direct power of the cyclic group of order 4, written additively.
 
-    backend = "c4n"
+    The word with parity vector e and halves f (word = e + 2f) has index
+    e * 2^n + f, so words are ordered by (parity vector, word).
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise GroupError(f"c4n group needs n >= 1, got n={n}")
         self.n = n
         self.order = 4**n
-        self.words: List[Tuple[int, ...]] = sorted(
-            itertools.product(range(4), repeat=n),
-            key=lambda x: (tuple(v % 2 for v in x), x),
-        )
+        vectors = list(f2.all_vectors(n))
+        self.words: List[Tuple[int, ...]] = [
+            tuple(x + 2 * y for x, y in zip(e, f)) for e in vectors for f in vectors
+        ]
         self.word_index: Dict[Tuple[int, ...], int] = {
             w: i for i, w in enumerate(self.words)
         }
+        super().__init__()
 
-    def mul(self, a: int, b: int) -> int:
-        wa, wb = self.words[a], self.words[b]
-        return self.word_index[tuple((x + y) % 4 for x, y in zip(wa, wb))]
-
-    def inv(self, a: int) -> int:
-        return self.word_index[tuple((-x) % 4 for x in self.words[a])]
+    def _build_table(self) -> List[List[int]]:
+        return _twisted_table(self.n, 0)
 
     def element_name(self, a: int) -> str:
         return "(" + ",".join(str(x) for x in self.words[a]) + ")"
@@ -416,32 +405,17 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, (IDENTITY,), validate=False)
-
-
 def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the generators (breadth-first closure)."""
-    gens = sorted(set(int(g) for g in generators))
+    """Smallest subgroup containing the generators."""
+    gens = [int(g) for g in generators]
     for g in gens:
         if not (0 <= g < group.order):
             raise GroupError(f"generator index {g} out of range")
-    members = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(group, members, validate=False)
+    return Subgroup(group, closure_members(group, gens), validate=False)
 
 
 def closure_members(group: FiniteGroup, generators: Iterable[int]) -> frozenset:
-    """Member set of the generated subgroup, without building a Subgroup."""
+    """Member set of the generated subgroup, by breadth-first closure."""
     members = {IDENTITY}
     frontier = [IDENTITY]
     gens = list(set(generators))

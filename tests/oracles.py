@@ -5,9 +5,30 @@ naive double loops, counts come from closed formulas computed on the spot.
 """
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from rshds.groups import FiniteGroup
+
+Word = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def word_mul(n: int, k: int, w1: Word, w2: Word) -> Word:
+    """Product of two gnk:n,k normal-form words (e, f), one coordinate at a time.
+
+    In 0-based coordinates the f-part is f1 + f2, plus coordinate j - 1 for
+    every 1 <= j <= k with e1_j = e2_0 = 1 (the twist), plus coordinate
+    (i + k) mod n for every i with e1_i = e2_i = 1 (the squares).
+    """
+    (e1, f1), (e2, f2) = w1, w2
+    c = [x ^ y for x, y in zip(f1, f2)]
+    if e2[0]:
+        for j in range(1, k + 1):
+            if e1[j]:
+                c[j - 1] ^= 1
+    for i in range(n):
+        if e1[i] and e2[i]:
+            c[(i + k) % n] ^= 1
+    return (tuple(x ^ y for x, y in zip(e1, e2)), tuple(c))
 
 
 def naive_difference_tally(group: FiniteGroup, elements: Sequence[int]) -> Dict[int, int]:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_difference_tally, naive_product_tally
 from rshds import constructions
@@ -141,6 +143,25 @@ def test_convolution_matches_naive_tally():
         oracle2 = naive_product_tally(group, support, other)
         for g in range(group.order):
             assert prod2.coeffs[g] == oracle2.get(g, 0)
+
+
+_PROPERTY_GROUPS = (GnkGroup(2, 0), GnkGroup(3, 1), C4PowerGroup(2), cyclic_group(12))
+
+
+@st.composite
+def _subset_pairs(draw):
+    group = draw(st.sampled_from(_PROPERTY_GROUPS))
+    subset = st.sets(st.integers(0, group.order - 1), max_size=group.order)
+    return group, sorted(draw(subset)), sorted(draw(subset))
+
+
+@settings(deadline=None)
+@given(_subset_pairs())
+def test_convolve_matches_naive_product_tally(case):
+    group, left, right = case
+    prod = convolve(from_set(group, left), from_set(group, right))
+    tally = naive_product_tally(group, left, right)
+    assert prod.coeffs == [tally.get(g, 0) for g in range(group.order)]
 
 
 def test_regular_matrix_is_faithful(cand20):

@@ -26,6 +26,7 @@ from rshds.constructions import (
     find_hyperplane_assignment,
     gnk_difference_set,
 )
+from rshds.formats import build_group
 from rshds.groups import (
     C4PowerGroup,
     GroupError,
@@ -123,6 +124,28 @@ def test_check_rshds_rejects_m1_at_h4(gnk20):
     assert not report.passed
     assert report.witnesses["m"] == 1
     assert report.witnesses["m_bound"] == 0
+
+
+def _m1_coset_set(group):
+    """28 elements: coset 1 whole, coset 2 none, one of each inverse pair elsewhere."""
+    dec = cosets(group, group.distinguished_subgroup())
+    d = list(dec.coset_members(1))
+    for i in range(3, dec.num_cosets):
+        d += [g for g in dec.coset_members(i) if g < group.inv(g)]
+    return sorted(d)
+
+
+@pytest.mark.parametrize("spec", ["gnk:3,0", "gnk:3,1", "c4n:3"])
+def test_check_rshds_runs_difference_equation_for_m1(spec):
+    # the coset conditions hold with m = 1, but the set is no difference set
+    group = build_group(spec)
+    d = _m1_coset_set(group)
+    assert len(d) == 28
+    report = check_rshds(group, group.distinguished_subgroup(), d)
+    assert not report.passed
+    assert report.witnesses["m"] == 1 and report.params.m == 1
+    assert report.witnesses["difference_equation"] is False
+    assert not check_difference_set(group, d).passed
 
 
 def test_check_rshds_wrong_group_order(gnk20):

@@ -101,14 +101,6 @@ def test_hyperplanes_are_subgroups_and_injective():
             seen[key] = normal
 
 
-def test_hyperplane_dataclass():
-    hp = f2.Hyperplane((1, 0, 1))
-    assert (0, 1, 0) in hp
-    assert (1, 0, 0) not in hp
-    with pytest.raises(ValueError):
-        f2.Hyperplane((0, 0))
-
-
 def test_square_map_nonsingular_examples():
     assert f2.square_map_nonsingular(3, 1) is True
     assert f2.square_map_nonsingular(3, 2) is False

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from oracles import NONASSOCIATIVE_LOOP_5, gaussian_binomial
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import NONASSOCIATIVE_LOOP_5, gaussian_binomial, word_mul
 from rshds import f2, fixtures
 from rshds.groups import (
     C4PowerGroup,
@@ -109,7 +113,8 @@ def test_gnk_square_law_and_distinctness():
             g = GnkGroup(n, k)
             seen = {}
             for e in f2.all_vectors(n):
-                sq = g.square_vector(e)
+                t = word(g, e)
+                sq = g.h_vector(g.mul(t, t))
                 expected = list(f2.zero(n))
                 if e[0]:
                     for j in range(1, k + 1):
@@ -124,6 +129,41 @@ def test_gnk_square_law_and_distinctness():
                 seen[sq] = e
             ones = [sq for sq, e in seen.items() if e[0]]
             assert len(set(ones)) == 2 ** (n - 1)
+
+
+_gnk = lru_cache(maxsize=None)(GnkGroup)
+_c4n = lru_cache(maxsize=None)(C4PowerGroup)
+
+
+@st.composite
+def _gnk_products(draw):
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(0, n - 2))
+    a, b = draw(st.lists(st.integers(0, 4**n - 1), min_size=2, max_size=2))
+    return n, k, a, b
+
+
+@settings(deadline=None)
+@given(_gnk_products())
+def test_gnk_table_follows_the_word_product(case):
+    n, k, a, b = case
+    g = _gnk(n, k)
+    assert g.mul(a, b) == g.word_index[word_mul(n, k, g.words[a], g.words[b])]
+
+
+@st.composite
+def _c4n_products(draw):
+    n = draw(st.integers(1, 4))
+    a, b = draw(st.lists(st.integers(0, 4**n - 1), min_size=2, max_size=2))
+    return n, a, b
+
+
+@settings(deadline=None)
+@given(_c4n_products())
+def test_c4n_table_adds_coordinates_mod_4(case):
+    n, a, b = case
+    g = _c4n(n)
+    assert g.words[g.mul(a, b)] == tuple((x + y) % 4 for x, y in zip(g.words[a], g.words[b]))
 
 
 def test_gnk_k0_isomorphic_to_c4_power():
