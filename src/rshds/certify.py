@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, convolve, from_set, full_sum, poly_eval, unit
+from .algebra import AlgebraElement, convolve, from_set, full_sum, poly_eval, regular_matrix, unit
 from .groups import (
     IDENTITY,
     FiniteGroup,
@@ -524,12 +524,10 @@ def check_hadamard(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -
 
 def hadamard_matrix(group: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:
     """The +-1 matrix 2D - J in the canonical element order."""
-    d = from_set(group, elements)
-    inv = group.inv
-    return [
-        [2 * d.coeffs[group.mul(a, inv(b))] - 1 for b in group.elements()]
-        for a in group.elements()
-    ]
+    matrix = regular_matrix(from_set(group, elements))
+    for row in matrix:  # in place, so only one v x v matrix is ever alive
+        row[:] = [2 * x - 1 for x in row]
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +579,6 @@ def quotient_check(
     fingerprint list of H-swallowing shapes: H must lie in N.  Anything
     else: the profile is reported without judgment.
     """
-    if not is_normal(group, normal_sub):
-        raise GroupError("quotient distribution requires a normal subgroup")
     q, proj = quotient(group, normal_sub)
     u = q.order
     xs = [0] * u

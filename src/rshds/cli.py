@@ -13,7 +13,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import certify, constructions, formats
-from .algebra import from_set
 from .certify import CertReport, PreconditionError
 from .constructions import BudgetExceededError, ConstructionError
 from .formats import FormatError, GroupSpec

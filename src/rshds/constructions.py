@@ -28,7 +28,6 @@ from .groups import (
     CosetDecomposition,
     FiniteGroup,
     GnkGroup,
-    GroupError,
     ParameterSet,
     Subgroup,
     coordinatize_elementary_abelian,
@@ -224,24 +223,18 @@ class _AssignmentContext:
         return self.normal_of_set.get(conj)
 
 
-def find_hyperplane_assignment(
-    group: FiniteGroup,
-    sub: Subgroup,
-    *,
-    all_solutions: bool = False,
-):
+def find_hyperplane_assignment(group: FiniteGroup, sub: Subgroup) -> Optional[HyperplaneAssignment]:
     """Search for a valid hyperplane-to-coset matching by backtracking.
 
     Cosets are coupled in inverse pairs: assigning H_i to coset i forces
     ``H_j = t_i^-1 H_i t_i`` on its partner j, and ``t_i t_j in H_i`` prunes
     candidates.  Normals are tried in increasing lexicographic order and
     blocks in increasing coset order, so the first solution found is the
-    lexicographically least; with ``all_solutions=True`` every valid matching
-    is returned instead.
+    lexicographically least.
 
-    Returns a :class:`HyperplaneAssignment`, or None when no matching exists
-    (a list in the ``all_solutions`` case).  Precondition violations raise
-    :class:`AssignmentPreconditionError` distinctly.
+    Returns a :class:`HyperplaneAssignment`, or None when no matching exists.
+    Precondition violations raise :class:`AssignmentPreconditionError`
+    distinctly.
     """
     ctx = _AssignmentContext(group, sub)
     h = sub.order
@@ -253,20 +246,10 @@ def find_hyperplane_assignment(
             blocks.append((i, j))
     assigned: Dict[int, f2.Vector] = {}
     used: set = set()
-    solutions: List[HyperplaneAssignment] = []
-
-    def snapshot() -> HyperplaneAssignment:
-        normals: List[Optional[f2.Vector]] = [None] * h
-        for idx, w in assigned.items():
-            normals[idx] = w
-        return HyperplaneAssignment(
-            group, sub, ctx.dec, ctx.pairing, tuple(normals), ctx.h_coords
-        )
 
     def extend(depth: int) -> bool:
         if depth == len(blocks):
-            solutions.append(snapshot())
-            return not all_solutions
+            return True
         i, j = blocks[depth]
         ti, tj = reps[i], reps[j]
         anchor = group.mul(ti, tj)
@@ -300,10 +283,12 @@ def find_hyperplane_assignment(
                 used.discard(partner)
         return False
 
-    extend(0)
-    if all_solutions:
-        return solutions
-    return solutions[0] if solutions else None
+    if not extend(0):
+        return None
+    normals: List[Optional[f2.Vector]] = [None] * h
+    for idx, w in assigned.items():
+        normals[idx] = w
+    return HyperplaneAssignment(group, sub, ctx.dec, ctx.pairing, tuple(normals), ctx.h_coords)
 
 
 def verify_hyperplane_assignment(assignment: HyperplaneAssignment) -> Tuple[bool, List[str]]:

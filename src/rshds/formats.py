@@ -200,6 +200,8 @@ def read_dset(
 
 def write_hadamard(path: Union[str, Path], matrix: Sequence[Sequence[int]]) -> None:
     n = len(matrix)
+    if n == 0:
+        raise FormatError("hadamard-v1 matrix must not be empty")
     lines = [f"{HADAMARD_HEADER} {n}"]
     for row in matrix:
         if len(row) != n or any(x not in (1, -1) for x in row):
@@ -219,7 +221,9 @@ def read_hadamard(path: Union[str, Path]) -> List[List[int]]:
     if len(header) != 2 or header[0] != HADAMARD_HEADER or not header[1].isdigit():
         raise FormatError(f"bad hadamard-v1 header: {lines[0]!r}")
     n = int(header[1])
-    if len(lines) < n + 1:
+    if n < 1:
+        raise FormatError(f"hadamard-v1 size must be at least 1, got {n}")
+    if len(lines) != n + 1:
         raise FormatError(f"expected {n} matrix rows, found {len(lines) - 1}")
     matrix = []
     for i in range(1, n + 1):

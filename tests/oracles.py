@@ -5,7 +5,7 @@ naive double loops, counts come from closed formulas computed on the spot.
 """
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from rshds.groups import FiniteGroup
 
@@ -52,6 +52,17 @@ def naive_product_tally(
             g = group.mul(x, y)
             counts[g] = counts.get(g, 0) + 1
     return counts
+
+
+def nonassociative_triple(table: Sequence[Sequence[int]]) -> Optional[Tuple[int, int, int]]:
+    """First triple (a, b, c) with (ab)c != a(bc), by the O(n^3) loop, or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

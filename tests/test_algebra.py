@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_difference_tally, naive_product_tally
-from rshds import constructions
 from rshds.algebra import (
     AlgebraElement,
     AlgebraError,

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from oracles import naive_difference_tally
-from rshds import certify
 from rshds.algebra import from_set, regular_matrix
 from rshds.certify import (
     PreconditionError,
@@ -20,15 +19,9 @@ from rshds.certify import (
     spectrum,
     structural_tests,
 )
-from rshds.constructions import (
-    assignment_difference_set,
-    c4n_difference_set,
-    find_hyperplane_assignment,
-    gnk_difference_set,
-)
+from rshds.constructions import c4n_difference_set, gnk_difference_set
 from rshds.formats import build_group
 from rshds.groups import (
-    C4PowerGroup,
     GroupError,
     closure,
     cosets,

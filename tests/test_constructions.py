@@ -41,13 +41,33 @@ def test_gnk_candidate_sizes(cand20, cand31, gnk4_candidates):
         assert cand.group.order == 256
 
 
-def test_gnk_construction_never_trips_pairing_assertions():
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(0, n - 1)])
+def test_gnk_construction_and_square_law(n, k):
     # executing the construction is itself the proof that the square-based
     # pairing is injective and avoids every assigned hyperplane
-    for n in range(2, 7):
-        for k in range(0, n - 1):
-            cand = gnk_difference_set(n, k)
-            assert len(cand.elements) == 2 ** (n - 1) * (2**n - 1)
+    cand = gnk_difference_set(n, k)
+    assert len(cand.elements) == 2 ** (n - 1) * (2**n - 1)
+    # squares follow the closed form, b_{1+k} appears iff 1 is in the support,
+    # and all 2^n squares are pairwise distinct (k < n-1)
+    g = cand.group
+    seen = {}
+    for e in f2.all_vectors(n):
+        t = g.word_index[(e, f2.zero(n))]
+        sq = g.h_vector(g.mul(t, t))
+        expected = list(f2.zero(n))
+        if e[0]:
+            for j in range(1, k + 1):
+                if e[j]:
+                    expected[j - 1] ^= 1
+        for i in range(n):
+            if e[i]:
+                expected[(i + k) % n] ^= 1
+        assert sq == tuple(expected)
+        assert sq[k % n] == e[0]  # b_{1+k} coordinate tracks 1 in S
+        assert sq not in seen
+        seen[sq] = e
+    ones = [sq for sq, e in seen.items() if e[0]]
+    assert len(set(ones)) == 2 ** (n - 1)
 
 
 def test_gnk_candidates_are_partition_sets(cand20, cand30, cand31):

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 from rshds import cli, fixtures, formats
-from rshds.formats import FormatError, read_cayley, read_dset, read_hadamard, write_cayley
+from rshds.formats import (
+    FormatError,
+    read_cayley,
+    read_dset,
+    read_hadamard,
+    write_cayley,
+    write_hadamard,
+)
 
 G36_FILE = Path(formats.__file__).parent / "data" / "g36_1.json"
 
@@ -60,6 +67,8 @@ MALFORMED_HADAMARD = {
     "entry-not-a-sign": "hadamard-v1 2\n1 1\n1 2\n",
     "entry-not-a-number": "hadamard-v1 2\n1 1\n1 a\n",
     "short-row": "hadamard-v1 2\n1 1\n1\n",
+    "extra-line": "hadamard-v1 1\n1\ngarbage here\n",
+    "zero-size": "hadamard-v1 0\n",
 }
 
 
@@ -90,6 +99,12 @@ def test_malformed_hadamard(tmp_path, case):
     path.write_text(MALFORMED_HADAMARD[case], encoding="utf-8")
     with pytest.raises(FormatError):
         read_hadamard(path)
+
+
+def test_write_hadamard_refuses_an_empty_matrix(tmp_path):
+    # "hadamard-v1 0" does not read back, so it must not be written either
+    with pytest.raises(FormatError):
+        write_hadamard(tmp_path / "empty.hadamard.txt", [])
 
 
 def test_missing_files(tmp_path):

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NONASSOCIATIVE_LOOP_5, gaussian_binomial, word_mul
+from oracles import NONASSOCIATIVE_LOOP_5, gaussian_binomial, nonassociative_triple, word_mul
 from rshds import f2, fixtures
 from rshds.groups import (
     C4PowerGroup,
-    CayleyTableGroup,
     GnkGroup,
     GroupError,
     GroupTableError,
@@ -105,32 +105,6 @@ def test_group_axioms_all_backends():
                 assert g.inv(g.mul(a, b)) == g.mul(g.inv(b), g.inv(a))
 
 
-def test_gnk_square_law_and_distinctness():
-    # squares follow the closed form, b_{1+k} appears iff 1 is in the support,
-    # and all 2^n squares are pairwise distinct (k < n-1)
-    for n in range(2, 7):
-        for k in range(0, n - 1):
-            g = GnkGroup(n, k)
-            seen = {}
-            for e in f2.all_vectors(n):
-                t = word(g, e)
-                sq = g.h_vector(g.mul(t, t))
-                expected = list(f2.zero(n))
-                if e[0]:
-                    for j in range(1, k + 1):
-                        if e[j]:
-                            expected[j - 1] ^= 1
-                for i in range(n):
-                    if e[i]:
-                        expected[(i + k) % n] ^= 1
-                assert sq == tuple(expected)
-                assert sq[k % n] == e[0]  # b_{1+k} coordinate tracks 1 in S
-                assert sq not in seen
-                seen[sq] = e
-            ones = [sq for sq, e in seen.items() if e[0]]
-            assert len(set(ones)) == 2 ** (n - 1)
-
-
 _gnk = lru_cache(maxsize=None)(GnkGroup)
 _c4n = lru_cache(maxsize=None)(C4PowerGroup)
 
@@ -215,6 +189,90 @@ def test_validate_rejects_nonassociative_loop():
 
 def test_validate_accepts_c4():
     validate_group_table(cyclic_group(4).table)
+
+
+def _assert_real_witness(table, exc):
+    a, b, c = exc.witness["triple"]
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+@st.composite
+def _random_loops(draw):
+    """A random Latin square of order 4-8 with row and column 0 the identity."""
+    n = draw(st.integers(4, 8))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    table = [[i if j == 0 else None for j in range(n)] for i in range(n)]
+    table[0] = list(range(n))
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(t):
+        if t == len(cells):
+            return True
+        i, j = cells[t]
+        options = [
+            x for x in range(n)
+            if x not in table[i][:j] and all(table[r][j] != x for r in range(i))
+        ]
+        rnd.shuffle(options)
+        for x in options:
+            table[i][j] = x
+            if fill(t + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+_SMALL_GROUPS = [
+    cyclic_group(n) for n in range(1, 9)
+] + [
+    elementary_abelian_2_group(2),
+    elementary_abelian_2_group(3),
+    dihedral_group(3),
+    dihedral_group(4),
+    direct_product(cyclic_group(2), cyclic_group(4)),
+]
+
+
+@st.composite
+def _relabelled_groups(draw):
+    """A small group table under a random relabelling that keeps 0 fixed."""
+    g = draw(st.sampled_from(_SMALL_GROUPS))
+    p = [0] + draw(st.permutations(range(1, g.order)))
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            table[p[a]][p[b]] = p[g.mul(a, b)]
+    return table
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(_random_loops(), _relabelled_groups()))
+def test_validate_agrees_with_brute_force_associativity(table):
+    try:
+        validate_group_table(table)
+    except GroupTableError as exc:
+        _assert_real_witness(table, exc)
+    else:
+        assert nonassociative_triple(table) is None
+
+
+def test_validate_rejects_one_swapped_intercalate():
+    # rows a, aw and columns x, wx of a group table hold the 2x2 Latin
+    # subsquare [[ax, awx], [awx, ax]] for an involution w; swapping its
+    # columns keeps a Latin square with identity at 0 that is not a group
+    g = GnkGroup(5, 3)
+    w, a, x = involutions(g)[0], 100, 700
+    aw, wx = g.mul(a, w), g.mul(w, x)
+    assert 0 not in (a, aw, x, wx)
+    table = [list(row) for row in g.table]
+    for r in (a, aw):
+        table[r][x], table[r][wx] = table[r][wx], table[r][x]
+    with pytest.raises(GroupTableError) as exc:
+        validate_group_table(table)
+    _assert_real_witness(table, exc.value)
 
 
 # ---------------------------------------------------------------------------
