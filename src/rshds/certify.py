@@ -29,7 +29,6 @@ from .groups import (
     direct_product,
     elementary_abelian_2_group,
     involutions,
-    is_normal,
     normal_subgroups_of_prime_index,
     quotient,
     subgroups_of_order,
@@ -680,9 +679,7 @@ def structural_tests(
     for d in (4, 6, 8, 9, 10, 12):
         if group.order % d:
             continue
-        for s in subgroups_of_order(group, group.order // d):
-            if not is_normal(group, s):
-                continue
+        for s in subgroups_of_order(group, group.order // d, normal=True):
             q, _ = quotient(group, s)
             if q.fingerprint() in swallowing:
                 core &= s.member_set
@@ -703,14 +700,13 @@ def structural_tests(
         )
         t2 = elementary and h % inv_closure.order == 0
     witnesses["T2"] = {"pass": t2, "involution_closure_order": inv_closure.order}
-    order_h_subgroups = subgroups_of_order(group, h)
-    normal_h = [s for s in order_h_subgroups if is_normal(group, s)]
+    normal_h = subgroups_of_order(group, h, normal=True)
     t3 = bool(normal_h)
     witnesses["T3"] = {"pass": t3, "normal_subgroups_of_order_h": len(normal_h)}
     t4: Optional[bool]
     if sub is not None:
         complement = next(
-            (s for s in order_h_subgroups if len(s.member_set & sub.member_set) == 1),
+            (s for s in subgroups_of_order(group, h) if len(s.member_set & sub.member_set) == 1),
             None,
         )
         t4 = complement is None

@@ -16,7 +16,7 @@ from . import certify, constructions, formats
 from .certify import CertReport, PreconditionError
 from .constructions import BudgetExceededError, ConstructionError
 from .formats import FormatError, GroupSpec
-from .groups import FiniteGroup, GroupError, Subgroup, closure, is_normal, subgroups_of_order
+from .groups import FiniteGroup, GroupError, Subgroup, closure, subgroups_of_order
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -40,9 +40,7 @@ def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
     m = _AUTO_RE.match(token)
     if m:
         order = int(m.group(1))
-        candidates = [
-            s for s in subgroups_of_order(group, order) if is_normal(group, s)
-        ]
+        candidates = subgroups_of_order(group, order, normal=True)
         if len(candidates) != 1:
             raise FormatError(
                 f"expected exactly one normal subgroup of order {order}, found {len(candidates)}"
@@ -183,9 +181,7 @@ def _cmd_screen(args) -> int:
     else:
         sub = group.distinguished_subgroup()
         if sub is None:
-            normal_h = [
-                s for s in subgroups_of_order(group, args.h) if is_normal(group, s)
-            ]
+            normal_h = subgroups_of_order(group, args.h, normal=True)
             sub = normal_h[0] if len(normal_h) == 1 else None
     report = certify.structural_tests(group, args.h, sub)
     _emit_reports([report], args.json)

@@ -429,14 +429,16 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
 
 def closure_members(group: FiniteGroup, generators: Iterable[int]) -> frozenset:
     """Member set of the generated subgroup, by breadth-first closure."""
+    table = group.table
     members = {IDENTITY}
     frontier = [IDENTITY]
     gens = list(set(generators))
     while frontier:
         nxt = []
         for x in frontier:
+            row = table[x]
             for g in gens:
-                y = group.mul(x, g)
+                y = row[g]
                 if y not in members:
                     members.add(y)
                     nxt.append(y)
@@ -516,45 +518,111 @@ def involutions(group: FiniteGroup) -> List[int]:
 
 
 def subgroups_of_order(
-    group: FiniteGroup, m: int, *, cap: int = SUBGROUP_ENUM_CAP
+    group: FiniteGroup, m: int, *, cap: int = SUBGROUP_ENUM_CAP, normal: bool = False
 ) -> List[Subgroup]:
-    """All subgroups of order m, by layered closure of growing generating sets.
+    """All subgroups of order m, or with ``normal=True`` all normal ones.
 
-    Deterministic output, sorted lexicographically by member tuple.  Any
-    subgroup of order m is reached through a chain of subgroups whose orders
-    divide m, so intermediate closures with non-dividing order are pruned.
+    Deterministic output, sorted lexicographically by member tuple.  Both
+    routes grow subgroups layer by layer and prune every one whose order
+    does not divide m, deduplicating on member sets.
+
+    General route: each layer adds one generator g to a subgroup S and takes
+    the closure.  Any subgroup of order m is reached through a chain of
+    subgroups whose orders divide m, so the pruning is safe.  Once g has been
+    tried on S, the rest of the double coset SgS is skipped, since
+    <S, sgr> = <S, g> for s, r in S.
+
+    Normal route: the normal subgroups are the joins of normal closures of
+    conjugacy classes, so the search starts from the closure of every class
+    (conjugating by every row of the table) whose order divides m, and each
+    layer joins one more.  For N normal the join NK is the union of the
+    cosets Nx, x in K.  Every normal subgroup of order m is the join of the
+    closures ncl(x), x in it, and each partial join lies inside it, so its
+    order divides m and the pruning never drops it.
     """
     if group.order > cap:
         raise GroupError(f"group order {group.order} exceeds enumeration cap {cap}")
     if m <= 0 or group.order % m:
         raise GroupError(f"order {m} does not divide group order {group.order}")
+    seen = _normal_subgroups_dividing(group, m) if normal else _subgroups_dividing(group, m)
+    found = sorted(tuple(sorted(s)) for s in seen if len(s) == m)
+    return [Subgroup(group, s, validate=False) for s in found]
+
+
+def _subgroups_dividing(group: FiniteGroup, m: int) -> set:
+    """Member sets of the subgroups met by the closure search for order m.
+
+    Each subgroup keeps the generators it was first reached by, so a closure
+    runs over at most log2(m) + 1 generators.
+    """
+    table = group.table
     triv = frozenset({IDENTITY})
-    seen = {triv}
+    seen = {triv: ()}
     frontier = [triv]
     while frontier:
         nxt = []
         for sub in frontier:
             if len(sub) == m:
                 continue
+            gens = seen[sub]
+            rows = [table[s] for s in sub]
+            tried = set(sub)
             for g in range(1, group.order):
-                if g in sub:
+                if g in tried:
                     continue
-                c = closure_members(group, sub | {g})
+                for row in rows:
+                    sg = table[row[g]]
+                    tried.update([sg[r] for r in sub])
+                c = closure_members(group, gens + (g,))
                 if len(c) > m or m % len(c) or c in seen:
                     continue
-                seen.add(c)
+                seen[c] = gens + (g,)
                 nxt.append(c)
         frontier = nxt
-    found = sorted(tuple(sorted(s)) for s in seen if len(s) == m)
-    return [Subgroup(group, s, validate=False) for s in found]
+    return set(seen)
+
+
+def _normal_subgroups_dividing(group: FiniteGroup, m: int) -> set:
+    """Member sets of the joins of normal closures of classes met for order m."""
+    table, inv = group.table, group._inv
+    classes = []
+    classed = set()
+    for x in range(group.order):
+        if x not in classed:
+            cls = {table[row[x]][gi] for row, gi in zip(table, inv)}
+            classed |= cls
+            classes.append(cls)
+    closures = [c for c in dict.fromkeys(closure_members(group, cls) for cls in classes)
+                if m % len(c) == 0]
+    seen = set(closures)
+    frontier = closures
+    while frontier:
+        nxt = []
+        for n in frontier:
+            if len(n) == m:
+                continue
+            for k in closures:
+                if k <= n or m % (len(n) * len(k) // len(n & k)):
+                    continue
+                join = set(n)
+                for x in k:
+                    if x not in join:
+                        join.update([table[y][x] for y in n])
+                join = frozenset(join)
+                if join not in seen:
+                    seen.add(join)
+                    nxt.append(join)
+        frontier = nxt
+    return seen
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
+    """Closure of the commutators a^-1 b^-1 a b, one row of the table per a."""
+    table, inv = group.table, group._inv
     comms = set()
-    for a in range(group.order):
-        ai = group.inv(a)
-        for b in range(group.order):
-            comms.add(group.mul(group.mul(ai, group.inv(b)), group.mul(a, b)))
+    for a, row_a in enumerate(table):
+        row_ai = table[inv[a]]
+        comms.update([table[row_ai[bi]][ab] for bi, ab in zip(inv, row_a)])
     return Subgroup(group, closure_members(group, comms), validate=False)
 
 

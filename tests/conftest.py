@@ -42,9 +42,7 @@ def g36():
 
 @pytest.fixture(scope="session")
 def g36_h(g36):
-    normal6 = [
-        s for s in groups.subgroups_of_order(g36, 6) if groups.is_normal(g36, s)
-    ]
+    normal6 = groups.subgroups_of_order(g36, 6, normal=True)
     assert len(normal6) == 1
     return normal6[0]
 

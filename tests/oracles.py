@@ -5,9 +5,9 @@ naive double loops, counts come from closed formulas computed on the spot.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from rshds.groups import FiniteGroup
+from rshds.groups import IDENTITY, FiniteGroup
 
 Word = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -63,6 +63,42 @@ def nonassociative_triple(table: Sequence[Sequence[int]]) -> Optional[Tuple[int,
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return (a, b, c)
     return None
+
+
+def _closure(group: FiniteGroup, generators: Iterable[int]) -> FrozenSet[int]:
+    table = group.table
+    members = {IDENTITY}
+    frontier = [IDENTITY]
+    gens = set(generators)
+    while frontier:
+        frontier = [y for y in {table[x][g] for x in frontier for g in gens} if y not in members]
+        members.update(frontier)
+    return frozenset(members)
+
+
+def subgroups_of_order_reference(group: FiniteGroup, m: int) -> List[Tuple[int, ...]]:
+    """Sorted member tuples of all subgroups of order m, by plain layered closure.
+
+    Every subgroup S met so far is extended by every element outside it, and
+    closures whose order does not divide m are dropped: each subgroup of
+    order m is reached through a chain of subgroups whose orders divide m.
+    """
+    seen = {frozenset({IDENTITY})}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            if len(sub) == m:
+                continue
+            for g in range(group.order):
+                if g in sub:
+                    continue
+                c = _closure(group, sub | {g})
+                if m % len(c) == 0 and c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(tuple(sorted(s)) for s in seen if len(s) == m)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

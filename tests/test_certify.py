@@ -25,6 +25,9 @@ from rshds.groups import (
     GroupError,
     closure,
     cosets,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
     involutions,
     normal_subgroups_of_prime_index,
     quotient,
@@ -347,6 +350,35 @@ def test_structural_tests_g36(g36, g36_h):
     assert report.passed
     assert all(report.witnesses[t]["pass"] for t in ("T1", "T2", "T3", "T4"))
     assert report.witnesses["T1"]["core_order"] == 6
+
+
+@pytest.mark.parametrize("factor,t1,t2,t3", [
+    (cyclic_group(12), (False, 4, 7, 18), (True, 4), (True, 28)),
+    (dihedral_group(6), (False, 1, 15, 66), (False, 144), (True, 14)),
+], ids=["C12xC12", "D6xD6"])
+def test_structural_tests_order_144(factor, t1, t2, t3):
+    report = structural_tests(direct_product(factor, factor), 12)
+    w = report.witnesses
+    assert (w["T1"]["pass"], w["T1"]["core_order"], w["T1"]["prime_index_kernels"],
+            w["T1"]["swallowing_kernels"]) == t1
+    assert (w["T2"]["pass"], w["T2"]["involution_closure_order"]) == t2
+    assert (w["T3"]["pass"], w["T3"]["normal_subgroups_of_order_h"]) == t3
+    assert not report.passed and w["T4"] == {"pass": None}
+
+
+def test_structural_tests_order_256_certified_group():
+    # gnk:4,2 carries a certified set, so the paper's theorems force T1-T4
+    g = build_group("gnk:4,2")
+    report = structural_tests(g, 16, g.distinguished_subgroup())
+    assert report.passed
+    assert all(report.witnesses[t]["pass"] for t in ("T1", "T2", "T3", "T4"))
+
+
+def test_structural_tests_t4_names_the_first_complement():
+    g = direct_product(cyclic_group(4), cyclic_group(4))
+    report = structural_tests(g, 4, closure(g, [1]))
+    assert report.witnesses["T4"] == {"pass": False, "complement": [0, 4, 8, 12]}
+    assert not report.passed
 
 
 def test_structural_tests_wrong_order(g36):

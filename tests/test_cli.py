@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rshds import cli
-from rshds.formats import read_hadamard
+from rshds.formats import read_hadamard, write_cayley
+from rshds.groups import cyclic_group, direct_product
 
 # first 16 hex digits of the sha256 of each `dump-table` output
 DUMP_TABLE_SHA256 = {
@@ -75,3 +78,35 @@ def test_removed_and_search_only_flags_are_usage_errors(tmp_path, capsys, flag):
         cli.main(["certify", str(dset), *flag])
     assert exc.value.code == cli.EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+G36_SPEC = "file:" + str(Path(cli.__file__).parent / "data" / "g36_1.json")
+
+
+@pytest.fixture
+def c6xc6_spec(tmp_path):
+    path = tmp_path / "c6xc6.json"
+    write_cayley(direct_product(cyclic_group(6), cyclic_group(6)), path)
+    return f"file:{path}"
+
+
+def test_screen_g36_passes_with_its_normal_subgroup(capsys):
+    assert cli.main(["screen", G36_SPEC, "6", "--json"]) == cli.EXIT_OK
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["pass"] and report["witnesses"]["T3"]["normal_subgroups_of_order_h"] == 1
+    assert report["witnesses"]["T4"] == {"pass": True}
+
+
+def test_screen_c6xc6_fails(capsys, c6xc6_spec):
+    assert cli.main(["screen", c6xc6_spec, "6"]) == cli.EXIT_FAIL
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_search_resolves_the_auto_subgroup(capsys):
+    assert cli.main(["search", G36_SPEC, "auto-6"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("found 0 difference set(s)")
+
+
+def test_auto_subgroup_must_be_unique(capsys, c6xc6_spec):
+    assert cli.main(["search", c6xc6_spec, "auto-2"]) == cli.EXIT_USAGE
+    assert "expected exactly one normal subgroup of order 2" in capsys.readouterr().err

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NONASSOCIATIVE_LOOP_5, gaussian_binomial, nonassociative_triple, word_mul
+from oracles import (
+    NONASSOCIATIVE_LOOP_5,
+    gaussian_binomial,
+    nonassociative_triple,
+    subgroups_of_order_reference,
+    word_mul,
+)
 from rshds import f2, fixtures
 from rshds.groups import (
     C4PowerGroup,
+    CayleyTableGroup,
     GnkGroup,
     GroupError,
     GroupTableError,
@@ -373,6 +380,64 @@ def test_subgroups_of_order_cap():
         subgroups_of_order(g, 4, cap=8)
     with pytest.raises(GroupError):
         subgroups_of_order(g, 3)
+
+
+REFERENCE_GROUPS = {
+    "C12": cyclic_group(12),
+    "D4": dihedral_group(4),
+    "D6": dihedral_group(6),
+    "C2^4": elementary_abelian_2_group(4),
+    "C4xC4": direct_product(cyclic_group(4), cyclic_group(4)),
+    "D3xC6": direct_product(dihedral_group(3), cyclic_group(6)),
+    "G36_1": fixtures.g36_1(),
+    "gnk:2,0": GnkGroup(2, 0),
+    "c4n:2": C4PowerGroup(2),
+    "gnk:3,1": GnkGroup(3, 1),
+    "c4n:3": C4PowerGroup(3),
+}
+
+
+def _members(subgroups):
+    return [s.members for s in subgroups]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_subgroups_of_order_matches_reference(name):
+    g = REFERENCE_GROUPS[name]
+    for m in (d for d in range(1, g.order + 1) if g.order % d == 0):
+        expected = subgroups_of_order_reference(g, m)
+        assert _members(subgroups_of_order(g, m)) == expected, m
+        normal = [s for s in expected if is_normal(g, Subgroup(g, s, validate=False))]
+        assert _members(subgroups_of_order(g, m, normal=True)) == normal, m
+
+
+_ORDER_36 = {
+    "G36_1": REFERENCE_GROUPS["G36_1"],
+    "C6xC6": direct_product(cyclic_group(6), cyclic_group(6)),
+    "D3xC6": REFERENCE_GROUPS["D3xC6"],
+}
+
+
+@lru_cache(maxsize=None)
+def _subgroups_36(name, m, normal):
+    return _members(subgroups_of_order(_ORDER_36[name], m, normal=normal))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(sorted(_ORDER_36)),
+    st.sampled_from([2, 3, 4, 6, 9, 12, 18]),
+    st.booleans(),
+    st.permutations(range(1, 36)),
+)
+def test_subgroups_of_order_follow_a_relabelling(name, m, normal, perm):
+    g, p = _ORDER_36[name], [0, *perm]
+    table = [[0] * 36 for _ in range(36)]
+    for a in range(36):
+        for b in range(36):
+            table[p[a]][p[b]] = p[g.mul(a, b)]
+    expected = sorted(tuple(sorted(p[x] for x in s)) for s in _subgroups_36(name, m, normal))
+    assert _members(subgroups_of_order(CayleyTableGroup(table), m, normal=normal)) == expected
 
 
 def test_prime_index_normals_gnk20():
