@@ -156,11 +156,12 @@ def _cmd_thm81(args) -> int:
         print("none")
         return EXIT_OK
     h = sub.order
+    n = h.bit_length() - 1
     for i in range(1, h):
         rep = assignment.decomposition.transversal[i]
         print(
             f"coset {i}: rep {group.element_name(rep)} -> hyperplane normal "
-            f"{''.join(str(b) for b in assignment.normals[i])}"
+            f"{assignment.normals[i]:0{n}b}"
         )
     candidate = constructions.assignment_difference_set(assignment)
     report = certify.check_difference_set(group, candidate.elements)
@@ -245,11 +246,8 @@ def _cmd_export_hadamard(args) -> int:
         print("refusing to export: candidate is not a certified m=0 set", file=sys.stderr)
         return EXIT_FAIL
     matrix = certify.hadamard_matrix(group, elements)
-    out = args.out
-    if not out:
-        raise FormatError("export-hadamard requires --out")
-    formats.write_hadamard(out, matrix)
-    print(f"wrote {out} ({len(matrix)}x{len(matrix)})")
+    formats.write_hadamard(args.out, matrix)
+    print(f"wrote {args.out} ({len(matrix)}x{len(matrix)})")
     return EXIT_OK
 
 
@@ -272,60 +270,63 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rshds",
         description="Construct and exactly certify difference sets disjoint from a subgroup.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit reports as JSON")
-    common.add_argument("--out", help="output file path")
+    # each subcommand takes --json and --out only if it reads them
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="emit reports as JSON")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", parents=[common], help="print (v,k,lambda) for an even h")
+    p = sub.add_parser("params", help="print (v,k,lambda) for an even h")
     p.add_argument("h", type=int)
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[as_json, out],
                        help="build the canonical difference set of a gnk: or c4n: group")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("certify", parents=[common], help="run certificates on a dset-v1 file")
+    p = sub.add_parser("certify", parents=[as_json], help="run certificates on a dset-v1 file")
     p.add_argument("dset")
     p.add_argument("--checks", help=f"comma list from {','.join(CHECK_ORDER)} (default all)")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("profile", parents=[common], help="coset profile of a dset-v1 file")
+    p = sub.add_parser("profile", parents=[as_json], help="coset profile of a dset-v1 file")
     p.add_argument("dset")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("thm81", parents=[common],
+    p = sub.add_parser("thm81", parents=[as_json, out],
                        help="search a hyperplane-to-coset matching and build its difference set")
     p.add_argument("spec")
     p.add_argument("subgroup")
     p.set_defaults(func=_cmd_thm81)
 
-    p = sub.add_parser("screen", parents=[common], help="run the four structural tests")
+    p = sub.add_parser("screen", parents=[as_json], help="run the four structural tests")
     p.add_argument("spec")
     p.add_argument("h", type=int)
     p.add_argument("subgroup", nargs="?", default=None)
     p.set_defaults(func=_cmd_screen)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[out],
                        help="exhaustively enumerate all partition difference sets")
     p.add_argument("spec")
     p.add_argument("subgroup")
     p.add_argument("--budget", type=int, default=None, help="node budget for the search")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("quotient", parents=[common],
+    p = sub.add_parser("quotient", parents=[as_json],
                        help="quotient distribution checks for a dset-v1 file")
     p.add_argument("dset")
     p.add_argument("--kernel", help="subgroup token for the normal kernel (default: all prime-index)")
     p.set_defaults(func=_cmd_quotient)
 
-    p = sub.add_parser("export-hadamard", parents=[common],
+    p = sub.add_parser("export-hadamard", parents=[as_json],
                        help="write the +-1 matrix of a certified m=0 set")
     p.add_argument("dset")
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=_cmd_export_hadamard)
 
-    p = sub.add_parser("dump-table", parents=[common], help="write a cayley-v1 table")
+    p = sub.add_parser("dump-table", parents=[out], help="write a cayley-v1 table")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_dump_table)
     return parser

@@ -30,7 +30,6 @@ from .groups import (
     GnkGroup,
     ParameterSet,
     Subgroup,
-    coordinatize_elementary_abelian,
     cosets,
     is_normal,
 )
@@ -93,36 +92,36 @@ class DifferenceSetCandidate:
 def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
     """Build the canonical difference set in the order-2^(2n) family group.
 
-    For every nonzero a-exponent vector e, the coset word with exponents e is
-    paired with the hyperplane of H whose normal is the nonorthogonal mate of
-    the word's square; the square therefore avoids the hyperplane, which is
-    asserted during construction together with distinctness of the assigned
-    hyperplanes.  Either assertion firing indicates an implementation bug.
+    For every nonzero a-exponent vector e, the coset word (e, 0), whose index
+    is e * 2^n, is paired with the hyperplane of H whose normal is the
+    nonorthogonal mate of the word's square; the square therefore avoids the
+    hyperplane, which is asserted during construction together with
+    distinctness of the assigned hyperplanes.  Either assertion firing
+    indicates an implementation bug.
     """
     group = GnkGroup(n, k)
     sub = group.distinguished_subgroup()
-    zero = f2.zero(n)
-    used: Dict[f2.Vector, f2.Vector] = {}
+    used: Dict[int, int] = {}
     elements: List[int] = []
-    for e in f2.nonzero_vectors(n):
-        rep = group.word_index[(e, zero)]
+    for e in range(1, 1 << n):
+        rep = e << n
         sq = group.h_vector(group.mul(rep, rep))
-        if not any(sq):
+        if not sq:
             raise PairingInvariantError(
-                f"transversal word {e} has trivial square; cannot avoid any hyperplane"
+                f"transversal word {e:0{n}b} has trivial square; cannot avoid any hyperplane"
             )
-        normal = f2.nonorthogonal_mate(sq)
+        normal = f2.nonorthogonal_mate(sq, n)
         if f2.dot(sq, normal) != 1:
             raise PairingInvariantError(
-                f"square {sq} of word {e} lies in its assigned hyperplane {normal}"
+                f"square {sq:0{n}b} of word {e:0{n}b} lies in its assigned hyperplane {normal:0{n}b}"
             )
         if normal in used:
             raise PairingInvariantError(
-                f"hyperplane {normal} assigned to both {used[normal]} and {e}"
+                f"hyperplane {normal:0{n}b} assigned to both {used[normal]:0{n}b} and {e:0{n}b}"
             )
         used[normal] = e
-        for m in f2.hyperplane_members(normal):
-            elements.append(group.mul(rep, group.word_index[(zero, m)]))
+        for m in f2.hyperplane_members(normal, n):
+            elements.append(group.mul(rep, m))
     params = ParameterSet.from_subgroup_order(1 << n, m=0)
     return DifferenceSetCandidate(
         group, sub, tuple(elements), params, "gnk-construction"
@@ -138,40 +137,46 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
 class HyperplaneAssignment:
     """A matching of hyperplanes of H to the nontrivial cosets of H.
 
-    ``pairing[i]`` is the coset index j with t_i^-1 in H t_j, and
-    ``normals[i]`` is the hyperplane normal assigned to coset i (in the GF(2)
-    coordinates of ``h_coords``); both are indexed by coset index 1..h-1.
+    ``h_coords`` maps each member of H to its F_2 vector (an int bitmask, see
+    ``f2``).  ``pairing[i]`` is the coset index j with t_i^-1 in H t_j, and
+    ``normals[i]`` is the normal of the hyperplane assigned to coset i, in
+    those coordinates; both are indexed by coset index 1..h-1.
     """
 
     group: FiniteGroup
     subgroup: Subgroup
     decomposition: CosetDecomposition
     pairing: Tuple[int, ...]
-    normals: Tuple[Optional[f2.Vector], ...]
-    h_coords: Dict[int, f2.Vector] = field(compare=False)
+    normals: Tuple[Optional[int], ...]
+    h_coords: Dict[int, int] = field(compare=False)
 
     def hyperplane_members(self, coset_index: int) -> FrozenSet[int]:
-        normal = self.normals[coset_index]
-        vec_to_member = {v: m for m, v in self.h_coords.items()}
-        return frozenset(
-            vec_to_member[v] for v in f2.hyperplane_members(normal)
-        )
+        return _hyperplanes(self.h_coords, [self.normals[coset_index]])[0]
 
 
-def _subgroup_f2_coordinates(group: FiniteGroup, sub: Subgroup) -> Dict[int, f2.Vector]:
-    """GF(2) coordinates on an elementary abelian 2-subgroup."""
-    if isinstance(group, (GnkGroup, C4PowerGroup)) and sub == group.distinguished_subgroup():
+def _hyperplanes(h_coords: Dict[int, int], normals: Sequence[int]) -> List[FrozenSet[int]]:
+    """The members of H in the hyperplane of each normal, under ``h_coords``."""
+    member = {v: m for m, v in h_coords.items()}
+    n = len(h_coords).bit_length() - 1
+    return [frozenset(member[v] for v in f2.hyperplane_members(w, n)) for w in normals]
+
+
+def _subgroup_f2_coordinates(group: FiniteGroup, sub: Subgroup) -> Dict[int, int]:
+    """F_2 coordinates on an elementary abelian 2-subgroup.
+
+    The distinguished subgroup of a gnk or c4n group has its own; otherwise
+    the basis is picked among the members in increasing order, the first
+    basis element in the highest bit.
+    """
+    if isinstance(group, GnkGroup) and sub == group.distinguished_subgroup():
         return {m: group.h_vector(m) for m in sub.members}
-    # generic: coordinatize via a sub-table group on the member list
-    index_of = {m: i for i, m in enumerate(sub.members)}
-    table = [
-        [index_of[group.mul(a, b)] for b in sub.members] for a in sub.members
-    ]
-    from .groups import CayleyTableGroup
-
-    local = CayleyTableGroup(table)
-    coords = coordinatize_elementary_abelian(local, 2)
-    return {m: coords[index_of[m]] for m in sub.members}
+    coords = {IDENTITY: 0}
+    for g in sub.members:
+        if g not in coords:
+            coords = {x: c << 1 for x, c in coords.items()}
+            for x, c in list(coords.items()):
+                coords[group.mul(x, g)] = c | 1
+    return coords
 
 
 def _check_assignment_preconditions(group: FiniteGroup, sub: Subgroup) -> None:
@@ -203,17 +208,11 @@ class _AssignmentContext:
         self.dec = cosets(group, sub)
         self.pairing = _coset_pairing(group, self.dec)
         self.h_coords = _subgroup_f2_coordinates(group, sub)
-        self.vec_to_member = {v: m for m, v in self.h_coords.items()}
-        n = len(next(iter(self.h_coords.values())))
-        self.dim = n
-        self.all_normals = list(f2.nonzero_vectors(n))
-        self.members_of: Dict[f2.Vector, FrozenSet[int]] = {
-            w: frozenset(self.vec_to_member[v] for v in f2.hyperplane_members(w))
-            for w in self.all_normals
-        }
+        self.all_normals = range(1, sub.order)
+        self.members_of = dict(zip(self.all_normals, _hyperplanes(self.h_coords, self.all_normals)))
         self.normal_of_set = {s: w for w, s in self.members_of.items()}
 
-    def conj_normal(self, w: f2.Vector, by: int) -> Optional[f2.Vector]:
+    def conj_normal(self, w: int, by: int) -> Optional[int]:
         """Normal of {g m g^-1 : m in hyperplane w}, or None if not a hyperplane."""
         g = by
         gi = self.group.inv(g)
@@ -228,7 +227,7 @@ def find_hyperplane_assignment(group: FiniteGroup, sub: Subgroup) -> Optional[Hy
 
     Cosets are coupled in inverse pairs: assigning H_i to coset i forces
     ``H_j = t_i^-1 H_i t_i`` on its partner j, and ``t_i t_j in H_i`` prunes
-    candidates.  Normals are tried in increasing lexicographic order and
+    candidates.  Normals are tried in increasing (lexicographic) order and
     blocks in increasing coset order, so the first solution found is the
     lexicographically least.
 
@@ -244,7 +243,7 @@ def find_hyperplane_assignment(group: FiniteGroup, sub: Subgroup) -> Optional[Hy
         j = ctx.pairing[i]
         if i <= j:
             blocks.append((i, j))
-    assigned: Dict[int, f2.Vector] = {}
+    assigned: Dict[int, int] = {}
     used: set = set()
 
     def extend(depth: int) -> bool:
@@ -285,7 +284,7 @@ def find_hyperplane_assignment(group: FiniteGroup, sub: Subgroup) -> Optional[Hy
 
     if not extend(0):
         return None
-    normals: List[Optional[f2.Vector]] = [None] * h
+    normals: List[Optional[int]] = [None] * h
     for idx, w in assigned.items():
         normals[idx] = w
     return HyperplaneAssignment(group, sub, ctx.dec, ctx.pairing, tuple(normals), ctx.h_coords)
@@ -311,20 +310,16 @@ def verify_hyperplane_assignment(assignment: HyperplaneAssignment) -> Tuple[bool
         return False, problems
     for a in sub.members:
         for b in sub.members:
-            if coords[group.mul(a, b)] != f2.xor(coords[a], coords[b]):
+            if coords[group.mul(a, b)] != coords[a] ^ coords[b]:
                 problems.append("coordinates are not a GF(2) homomorphism")
                 return False, problems
-    vec_to_member = {v: m for m, v in coords.items()}
-    if len(vec_to_member) != h:
+    if sorted(coords.values()) != list(range(h)):
         problems.append("coordinates are not a bijection")
         return False, problems
-    members_of = {
-        w: frozenset(vec_to_member[v] for v in f2.hyperplane_members(w))
-        for w in f2.nonzero_vectors(len(coords[IDENTITY]))
-    }
+    members_of = dict(zip(range(1, h), _hyperplanes(coords, range(1, h))))
     normals = [assignment.normals[i] for i in range(1, h)]
-    if any(w is None for w in normals):
-        problems.append("assignment is incomplete")
+    if any(w not in members_of for w in normals):
+        problems.append("assignment is incomplete or has a normal outside H")
         return False, problems
     if len(set(normals)) != h - 1:
         problems.append("assigned hyperplanes are not pairwise distinct")
@@ -382,11 +377,10 @@ def c4n_standard_assignment(group: C4PowerGroup) -> HyperplaneAssignment:
     pairing = _coset_pairing(group, dec)
     h_coords = {m: group.h_vector(m) for m in sub.members}
     h = sub.order
-    normals: List[Optional[f2.Vector]] = [None] * h
+    normals: List[Optional[int]] = [None] * h
     for i in range(1, h):
         rep = dec.transversal[i]
-        sq = group.mul(rep, rep)
-        normals[i] = f2.orthogonal_mate(h_coords[sq])
+        normals[i] = f2.orthogonal_mate(group.h_vector(group.mul(rep, rep)), group.n)
     return HyperplaneAssignment(group, sub, dec, pairing, tuple(normals), h_coords)
 
 

@@ -1,133 +1,57 @@
 """GF(2) vectors, hyperplanes, and the two pairing involutions behind the constructions.
 
-Vectors are plain tuples of 0/1 ints; "lexicographic order" always means Python
-tuple order on these tuples.
+A vector of F_2^n is an int in range(2^n) read as a bitmask: bit n-1 holds
+the first coordinate and bit 0 the last, so numeric order is lexicographic
+order on coordinate tuples.  The sum of two vectors is ``u ^ v`` and the
+zero vector is ``0``.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
-from typing import Iterator, Tuple
-
-Vector = Tuple[int, ...]
+from typing import List
 
 
-def dot(u: Vector, v: Vector) -> int:
+def dot(u: int, v: int) -> int:
     """Standard dot product with values in GF(2)."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a & b for a, b in zip(u, v)) & 1
+    return (u & v).bit_count() & 1
 
 
-def xor(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a ^ b for a, b in zip(u, v))
+def _require_nonzero(v: int, n: int) -> None:
+    if not 0 < v < 1 << n:
+        raise ValueError(f"{v} is not a nonzero vector of dimension {n}")
 
 
-def zero(n: int) -> Vector:
-    return (0,) * n
-
-
-def all_vectors(n: int) -> Iterator[Vector]:
-    """All 2^n vectors in lexicographic order, starting at the zero vector."""
-    return product((0, 1), repeat=n)
-
-
-def nonzero_vectors(n: int) -> Iterator[Vector]:
-    it = all_vectors(n)
-    next(it)
-    return it
-
-
-def nonorthogonal_mate(v: Vector) -> Vector:
+def nonorthogonal_mate(v: int, n: int) -> int:
     """Involution on nonzero vectors with dot(v, mate(v)) = 1.
 
-    mate(v) = p xor v where p has ones exactly in the positions before the
-    last 1 of v; the position of the last 1 is preserved, which makes the map
+    mate(v) flips every coordinate before the last 1 of v, that is every bit
+    above its lowest set bit; the lowest set bit stays, which makes the map
     self-inverse.
     """
-    if not any(v):
-        raise ValueError("zero vector has no nonorthogonal mate")
-    last = max(i for i, b in enumerate(v) if b)
-    prefix = tuple(1 if i < last else 0 for i in range(len(v)))
-    return xor(prefix, v)
+    _require_nonzero(v, n)
+    return v ^ (((1 << n) - 1) & -((v & -v) << 1))
 
 
-def orthogonal_mate(v: Vector) -> Vector:
-    """Involution on nonzero vectors of dimension >= 2 with dot(v, mate(v)) = 0.
+def orthogonal_mate(v: int, n: int) -> int:
+    """Involution on nonzero vectors of dimension n >= 2 with dot(v, mate(v)) = 0.
 
-    For even dimension this is v -> allones xor v with the all-ones vector
-    fixed.  For odd dimension the same rule applies off a six-element
-    exceptional set (closed under complement) on which the pairing is spelled
-    out explicitly.
+    For even n this is v -> allones ^ v with the all-ones vector fixed.  For
+    odd n the same rule applies off a six-element exceptional set (closed
+    under complement) on which the pairing is spelled out: 11..1 <-> 110..0,
+    10..0 <-> 00..01..1 (two leading zeros), and 01..1 fixed.
     """
-    n = len(v)
     if n < 2:
         raise ValueError("orthogonal mate requires dimension >= 2")
-    if not any(v):
-        raise ValueError("zero vector has no orthogonal mate")
-    allones = (1,) * n
+    _require_nonzero(v, n)
+    full = (1 << n) - 1
     if n % 2 == 0:
-        if v == allones:
-            return allones
-        return xor(allones, v)
-    head1 = (1,) + (0,) * (n - 1)
-    head11 = (1, 1) + (0,) * (n - 2)
-    tail_from2 = (0,) + (1,) * (n - 1)
-    tail_from3 = (0, 0) + (1,) * (n - 2)
-    if v == allones:
-        return head11
-    if v == head11:
-        return allones
-    if v == head1:
-        return tail_from3
-    if v == tail_from3:
-        return head1
-    if v == tail_from2:
-        return tail_from2
-    return xor(allones, v)
+        swaps = {full: full}
+    else:
+        head1, head11 = 1 << (n - 1), 3 << (n - 2)
+        swaps = {full: head11, head11: full, head1: full >> 2, full >> 2: head1, full >> 1: full >> 1}
+    return swaps.get(v, full ^ v)
 
 
-@lru_cache(maxsize=None)
-def hyperplane_members(normal: Vector) -> Tuple[Vector, ...]:
-    """All 2^(n-1) vectors orthogonal to the given nonzero normal, in lex order."""
-    if not any(normal):
-        raise ValueError("hyperplane normal must be nonzero")
-    return tuple(u for u in all_vectors(len(normal)) if dot(u, normal) == 0)
-
-
-def gf2_rank(rows: list[int]) -> int:
-    """Rank of a matrix given as a list of bitmask rows."""
-    basis: dict[int, int] = {}
-    for row in rows:
-        cur = row
-        while cur:
-            lead = cur.bit_length() - 1
-            if lead in basis:
-                cur ^= basis[lead]
-            else:
-                basis[lead] = cur
-                break
-    return len(basis)
-
-
-def square_map_nonsingular(n: int, k: int) -> bool:
-    """Whether the GF(2) matrix behind the transversal-square map is invertible.
-
-    The matrix is diag(0, I_k, 0) plus the (k+1)-fold cyclic coordinate shift;
-    it is nonsingular exactly when k < n-1, which is what makes the squares of
-    the 2^n transversal words pairwise distinct.
-    """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if k < 0 or k > n - 1:
-        raise ValueError(f"shift parameter {k} out of range 0..{n - 1}")
-    rows = []
-    for i in range(n):
-        row = 0
-        if 1 <= i <= k:
-            row ^= 1 << i
-        row ^= 1 << ((i - (k + 1)) % n)
-        rows.append(row)
-    return gf2_rank(rows) == n
+def hyperplane_members(w: int, n: int) -> List[int]:
+    """All 2^(n-1) vectors orthogonal to the nonzero normal w, in increasing order."""
+    _require_nonzero(w, n)
+    return [u for u in range(1 << n) if not dot(u, w)]

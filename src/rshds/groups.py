@@ -3,11 +3,14 @@
 ``FiniteGroup`` holds the table and answers every product and inverse by
 lookup.  The backends only supply the table: generic Cayley tables are given
 theirs, and the two-parameter 2-group family behind the ``gnk:`` spec strings
-and the powers of the cyclic group of order 4 (``c4n:``) both build theirs
-with ``_twisted_table``, C4^n being the untwisted case.  For these two the
-index order is (coset of the distinguished subgroup, then lexicographic
+builds its own with ``_twisted_table``; the powers of the cyclic group of
+order 4 (``c4n:``) are its untwisted case k = 0.  In these two the element
+with index e * 2^n + f is the normal-form word (e, f), where e and f are
+vectors of F_2^n held as int bitmasks, first coordinate in bit n-1 (the
+``f2`` convention).  The distinguished subgroup H is the indices below 2^n,
+each its own F_2 vector, and index order is (coset of H, then lexicographic
 normal form inside the coset), so matrices written in this order are block
-aligned with that subgroup.
+aligned with H.
 
 Everything here is plain Python on lists of ints, and every check is exact
 at every order: ``validate_group_table`` proves associativity with Light's
@@ -19,8 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from . import f2
 
 IDENTITY = 0
 
@@ -217,13 +218,14 @@ def _twisted_table(n: int, k: int) -> List[List[int]]:
 class GnkGroup(FiniteGroup):
     """The two-parameter family of 2-groups of order 2^(2n).
 
-    Elements are normal-form words (e, f) of GF(2) n-vectors: e gives the
-    exponents of the order-4 generators a_1..a_n, f gives the exponents of
-    the central involutions b_1..b_n.  The relations folded into the product
-    are a_i^2 = b_{i+k} (indices wrapped into 1..n) and, for
-    2 <= j <= k+1, the twist a_j a_1 = a_1 a_j b_{j-1}; all other generator
-    pairs commute.  Requires 0 <= k < n-1: at k = n-1 the word squares are no
-    longer pairwise distinct and the difference-set construction breaks down.
+    The element e * 2^n + f is the normal-form word (e, f): the bits of e
+    are the exponents of the order-4 generators a_1..a_n, the bits of f those
+    of the central involutions b_1..b_n, a_1 and b_1 in bit n-1.  The
+    relations folded into the product are a_i^2 = b_{i+k} (indices wrapped
+    into 1..n) and, for 2 <= j <= k+1, the twist a_j a_1 = a_1 a_j b_{j-1};
+    all other generator pairs commute.  Requires 0 <= k < n-1: at k = n-1 the
+    word squares are no longer pairwise distinct and the difference-set
+    construction breaks down.
     """
 
     def __init__(self, n: int, k: int):
@@ -231,23 +233,18 @@ class GnkGroup(FiniteGroup):
             raise GroupError(f"gnk group needs n >= 2, got n={n}")
         if k < 0 or k >= n - 1:
             raise GroupError(f"gnk group needs 0 <= k < n-1, got k={k} with n={n}")
-        self.n = n
-        self.k = k
-        self.order = 1 << (2 * n)
-        vectors = list(f2.all_vectors(n))
-        self.words: List[Tuple[f2.Vector, f2.Vector]] = [
-            (e, f) for e in vectors for f in vectors
-        ]
-        self.word_index: Dict[Tuple[f2.Vector, f2.Vector], int] = {
-            w: i for i, w in enumerate(self.words)
-        }
+        self.n, self.k, self.order = n, k, 1 << (2 * n)
         super().__init__()
 
     def _build_table(self) -> List[List[int]]:
         return _twisted_table(self.n, self.k)
 
+    def _bits(self, v: int) -> List[int]:
+        """Coordinates of an n-bit vector, first coordinate first."""
+        return [(v >> (self.n - 1 - i)) & 1 for i in range(self.n)]
+
     def element_name(self, a: int) -> str:
-        e, f = self.words[a]
+        e, f = self._bits(a >> self.n), self._bits(a)
         parts = [f"a{i + 1}" for i, bit in enumerate(e) if bit]
         parts += [f"b{i + 1}" for i, bit in enumerate(f) if bit]
         return "*".join(parts) if parts else "1"
@@ -255,49 +252,30 @@ class GnkGroup(FiniteGroup):
     def distinguished_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(1 << self.n), validate=False)
 
-    def h_vector(self, a: int) -> f2.Vector:
-        """GF(2) coordinates of a member of the distinguished subgroup."""
-        e, f = self.words[a]
-        if any(e):
+    def h_vector(self, a: int) -> int:
+        """F_2 vector of a member of the distinguished subgroup: the index itself."""
+        if not 0 <= a < 1 << self.n:
             raise GroupError("element is not in the distinguished subgroup")
-        return f
+        return a
 
 
-class C4PowerGroup(FiniteGroup):
+class C4PowerGroup(GnkGroup):
     """Direct power of the cyclic group of order 4, written additively.
 
-    The word with parity vector e and halves f (word = e + 2f) has index
-    e * 2^n + f, so words are ordered by (parity vector, word).
+    This is the k = 0 table of :class:`GnkGroup`, also for n = 1: the index
+    e * 2^n + f is the word e + 2f, so words are ordered by (parity vector,
+    word), and H is the subgroup 2 C4^n.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise GroupError(f"c4n group needs n >= 1, got n={n}")
-        self.n = n
-        self.order = 4**n
-        vectors = list(f2.all_vectors(n))
-        self.words: List[Tuple[int, ...]] = [
-            tuple(x + 2 * y for x, y in zip(e, f)) for e in vectors for f in vectors
-        ]
-        self.word_index: Dict[Tuple[int, ...], int] = {
-            w: i for i, w in enumerate(self.words)
-        }
-        super().__init__()
-
-    def _build_table(self) -> List[List[int]]:
-        return _twisted_table(self.n, 0)
+        self.n, self.k, self.order = n, 0, 4**n
+        FiniteGroup.__init__(self)
 
     def element_name(self, a: int) -> str:
-        return "(" + ",".join(str(x) for x in self.words[a]) + ")"
-
-    def distinguished_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(1 << self.n), validate=False)
-
-    def h_vector(self, a: int) -> f2.Vector:
-        w = self.words[a]
-        if any(x % 2 for x in w):
-            raise GroupError("element is not in the distinguished subgroup")
-        return tuple(x // 2 for x in w)
+        e, f = self._bits(a >> self.n), self._bits(a)
+        return "(" + ",".join(str(x + 2 * y) for x, y in zip(e, f)) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,38 @@ def word_mul(n: int, k: int, w1: Word, w2: Word) -> Word:
     return (tuple(x ^ y for x, y in zip(e1, e2)), tuple(c))
 
 
+def bits(v: int, n: int) -> Tuple[int, ...]:
+    """Coordinate tuple of the n-bit vector v, first coordinate (bit n-1) first."""
+    return tuple((v >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def from_bits(coords: Sequence[int]) -> int:
+    """The bitmask of a 0/1 coordinate tuple: the inverse of ``bits``."""
+    v = 0
+    for b in coords:
+        v = (v << 1) | b
+    return v
+
+
+def gnk_word(n: int, a: int) -> Word:
+    """The normal-form word (e, f) of the gnk:n,k element with index a."""
+    return bits(a >> n, n), bits(a, n)
+
+
+def gnk_index(n: int, word: Word) -> int:
+    e, f = word
+    return (from_bits(e) << n) | from_bits(f)
+
+
+def c4n_word(n: int, a: int) -> Tuple[int, ...]:
+    """The C4^n word e + 2f, coordinates in 0..3, of the element with index a."""
+    return tuple(x + 2 * y for x, y in zip(*gnk_word(n, a)))
+
+
+def c4n_index(word: Sequence[int]) -> int:
+    return gnk_index(len(word), (tuple(x % 2 for x in word), tuple(x // 2 for x in word)))
+
+
 def naive_difference_tally(group: FiniteGroup, elements: Sequence[int]) -> Dict[int, int]:
     """Multiset {x y^-1 : x, y in D} tallied by two explicit loops."""
     counts: Dict[int, int] = {}

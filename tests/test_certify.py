@@ -1,8 +1,12 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from oracles import naive_difference_tally
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import gnk_index, naive_difference_tally
 from rshds.algebra import from_set, regular_matrix
 from rshds.certify import (
     PreconditionError,
@@ -19,9 +23,17 @@ from rshds.certify import (
     spectrum,
     structural_tests,
 )
-from rshds.constructions import c4n_difference_set, gnk_difference_set
+from rshds import fixtures
+from rshds.constructions import (
+    assignment_difference_set,
+    c4n_difference_set,
+    exhaustive_search,
+    find_hyperplane_assignment,
+    gnk_difference_set,
+)
 from rshds.formats import build_group
 from rshds.groups import (
+    IDENTITY,
     GroupError,
     closure,
     cosets,
@@ -85,6 +97,60 @@ def test_check_difference_set_two_elements_fails(gnk20):
     assert not report.passed
     assert report.witnesses["lambda_numerator"] == 2
     assert report.witnesses["lambda_denominator"] == 15
+
+
+@lru_cache(maxsize=None)
+def _groups_with_difference_sets():
+    """gnk:2,0, c4n:2 and G36_1, each with the difference sets built in it."""
+    gnk = gnk_difference_set(2, 0)
+    found = exhaustive_search(gnk.group, gnk.subgroup).candidates
+    c4 = c4n_difference_set(2)
+    thm81 = assignment_difference_set(find_hyperplane_assignment(c4.group, c4.subgroup))
+    return (
+        (gnk.group, [gnk.elements] + [c.elements for c in found]),
+        (c4.group, [c4.elements, thm81.elements]),
+        (fixtures.g36_1(), []),
+    )
+
+
+@st.composite
+def _subsets(draw):
+    """A constructed set, a one-element mutation of one, or a random subset,
+    possibly complemented."""
+    group, constructed = _groups_with_difference_sets()[draw(st.integers(0, 2))]
+    everything = set(range(group.order))
+    if constructed and draw(st.booleans()):
+        elements = set(draw(st.sampled_from(constructed)))
+        if draw(st.booleans()):
+            outside = sorted(everything - elements)
+            elements.remove(draw(st.sampled_from(sorted(elements))))
+            elements.add(draw(st.sampled_from(outside)))
+    elif draw(st.booleans()):
+        elements = draw(st.sets(st.integers(0, group.order - 1)))
+    else:  # a size k at which k(k-1)/(v-1) is an integer
+        v = group.order
+        k = draw(st.sampled_from([k for k in range(v + 1) if k * (k - 1) % (v - 1) == 0]))
+        elements = set(draw(st.permutations(range(v)))[:k])
+    if draw(st.booleans()):
+        elements = everything - elements
+    return group, sorted(elements)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_subsets())
+def test_check_difference_set_agrees_with_naive_tally(case):
+    group, elements = case
+    tally = naive_difference_tally(group, elements)
+    off_identity = {tally.get(g, 0) for g in range(1, group.order)}
+    report = check_difference_set(group, elements)
+    assert report.passed == (tally.get(IDENTITY, 0) == len(elements) and len(off_identity) == 1)
+    if report.passed:
+        assert report.witnesses["lambda"] == off_identity.pop()
+    elif "element" in report.witnesses:
+        g = report.witnesses["element"]
+        assert report.witnesses["count"] == tally.get(g, 0) != report.witnesses["expected"]
+    else:
+        assert report.witnesses["lambda_numerator"] % report.witnesses["lambda_denominator"]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +353,7 @@ def test_quotient_index2(cand20):
 
 def test_quotient_c2_squared_kernel(cand30):
     group, sub = cand30.group, cand30.subgroup
-    a1 = group.word_index[((1, 0, 0), (0, 0, 0))]
+    a1 = gnk_index(3, ((1, 0, 0), (0, 0, 0)))
     kernel = closure(group, list(sub.members) + [a1])
     assert kernel.order == 16
     q, _ = quotient(group, kernel)
@@ -301,7 +367,7 @@ def test_quotient_c2_squared_kernel(cand30):
 def test_quotient_c4_families(cand20):
     group, sub = cand20.group, cand20.subgroup
     for gens in ([((1, 0), (0, 0))], [((0, 1), (0, 0))]):
-        kernel = closure(group, [group.word_index[g] for g in gens])
+        kernel = closure(group, [gnk_index(2, g) for g in gens])
         assert kernel.order == 4
         report = quotient_check(group, sub, cand20.elements, kernel)
         assert report.passed

@@ -9,7 +9,12 @@ import pytest
 
 from rshds import cli
 from rshds.formats import read_hadamard, write_cayley
-from rshds.groups import cyclic_group, direct_product
+from rshds.groups import cyclic_group, direct_product, elementary_abelian_2_group
+
+
+def sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
 
 # first 16 hex digits of the sha256 of each `dump-table` output
 DUMP_TABLE_SHA256 = {
@@ -26,7 +31,43 @@ DUMP_TABLE_SHA256 = {
 def test_dump_table_golden_hashes(tmp_path, spec):
     out = tmp_path / "table.json"
     assert cli.main(["dump-table", spec, "--out", str(out)]) == cli.EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == DUMP_TABLE_SHA256[spec]
+    assert sha16(out.read_bytes()) == DUMP_TABLE_SHA256[spec]
+
+
+# first 16 hex digits of the sha256 of each `construct` dset-v1 file
+CONSTRUCT_SHA256 = {
+    "gnk:2,0": "33039f02f6efa9b1",
+    "gnk:3,1": "ac256d11bb645a8d",
+    "gnk:4,2": "7a6abd1253e9b336",
+    "c4n:2": "7adeb55bbc3ff92b",
+    "c4n:3": "d7c7ff131c248ab6",
+    "c4n:4": "6e266c8f3248ad59",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CONSTRUCT_SHA256))
+def test_construct_golden_hashes(tmp_path, spec):
+    out = tmp_path / "d.json"
+    assert cli.main(["construct", spec, "--out", str(out)]) == cli.EXIT_OK
+    assert sha16(out.read_bytes()) == CONSTRUCT_SHA256[spec]
+
+
+# `thm81` stdout and written dset-v1 file; the C2^4 table has no distinguished
+# subgroup, so gens=1,2 goes through the generic coordinates on H
+THM81_SHA256 = {
+    ("gnk:3,1", "distinguished"): ("1249597d990bc804", "5bf4ddd40e1fbd9d"),
+    ("c4n:3", "distinguished"): ("5bdbab24a298eaaa", "c5217a96c9c588e3"),
+    ("file:c2x4.json", "gens=1,2"): ("be09d93697000e45", "ba32124cca303dd2"),
+}
+
+
+@pytest.mark.parametrize("spec,subgroup", sorted(THM81_SHA256))
+def test_thm81_golden_hashes(tmp_path, monkeypatch, capsys, spec, subgroup):
+    monkeypatch.chdir(tmp_path)
+    write_cayley(elementary_abelian_2_group(4), "c2x4.json")
+    assert cli.main(["thm81", spec, subgroup, "--out", "d.json"]) == cli.EXIT_OK
+    stdout = capsys.readouterr().out.encode()
+    assert (sha16(stdout), sha16((tmp_path / "d.json").read_bytes())) == THM81_SHA256[spec, subgroup]
 
 
 @pytest.mark.parametrize("spec,v", [("gnk:2,0", 16), ("gnk:3,1", 64)])
@@ -70,14 +111,40 @@ def test_search_within_budget(capsys):
     assert capsys.readouterr().out.startswith("found 16 difference set(s)")
 
 
-@pytest.mark.parametrize("flag", [["--workers", "2"], ["--budget", "5"]])
+# each entry is a full command line; DSET stands for a constructed dset-v1 file.
+# --workers is gone, --budget belongs to search, and --json and --out go only
+# to the subcommands that read them
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["certify", "DSET", "--workers", "2"],
+        ["certify", "DSET", "--budget", "5"],
+        ["certify", "DSET", "--out", "x.json"],
+        ["dump-table", "gnk:2,0", "--json"],
+        ["params", "4", "--json"],
+        ["params", "4", "--out", "x.json"],
+        ["profile", "DSET", "--out", "x.json"],
+        ["screen", "gnk:2,0", "4", "--out", "x.json"],
+        ["quotient", "DSET", "--out", "x.json"],
+        ["search", "gnk:2,0", "distinguished", "--json"],
+    ],
+)
 def test_removed_and_search_only_flags_are_usage_errors(tmp_path, capsys, flag):
     dset = tmp_path / "d.json"
     assert cli.main(["construct", "gnk:2,0", "--out", str(dset)]) == cli.EXIT_OK
     with pytest.raises(SystemExit) as exc:
-        cli.main(["certify", str(dset), *flag])
+        cli.main([str(dset) if a == "DSET" else a for a in flag])
     assert exc.value.code == cli.EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_export_hadamard_requires_out(tmp_path, capsys):
+    dset = tmp_path / "d.json"
+    assert cli.main(["construct", "gnk:2,0", "--out", str(dset)]) == cli.EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export-hadamard", str(dset)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 G36_SPEC = "file:" + str(Path(cli.__file__).parent / "data" / "g36_1.json")

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import permutations
+
 import pytest
 
-from oracles import naive_difference_tally
+from oracles import bits, c4n_index, c4n_word, naive_difference_tally
 from rshds import certify, f2
 from rshds.constructions import (
     AssignmentPreconditionError,
     BudgetExceededError,
     ConstructionError,
+    HyperplaneAssignment,
     assignment_difference_set,
     c4n_difference_set,
     c4n_standard_assignment,
@@ -19,8 +23,12 @@ from rshds.constructions import (
 from rshds.groups import (
     C4PowerGroup,
     GnkGroup,
+    Subgroup,
     closure,
+    cosets,
     cyclic_group,
+    dihedral_group,
+    direct_product,
     elementary_abelian_2_group,
 )
 
@@ -51,10 +59,11 @@ def test_gnk_construction_and_square_law(n, k):
     # and all 2^n squares are pairwise distinct (k < n-1)
     g = cand.group
     seen = {}
-    for e in f2.all_vectors(n):
-        t = g.word_index[(e, f2.zero(n))]
-        sq = g.h_vector(g.mul(t, t))
-        expected = list(f2.zero(n))
+    for e_mask in range(1 << n):
+        t = e_mask << n  # the word (e, 0)
+        sq = bits(g.h_vector(g.mul(t, t)), n)
+        e = bits(e_mask, n)
+        expected = [0] * n
         if e[0]:
             for j in range(1, k + 1):
                 if e[j]:
@@ -156,6 +165,43 @@ def test_assignment_exists_in_gnk31(gnk31):
     assert report.passed
 
 
+def test_verifier_reports_each_tampering(gnk31):
+    good = find_hyperplane_assignment(gnk31, gnk31.distinguished_subgroup())
+    normals = list(good.normals)
+    duplicate, missing, outside = normals[:], normals[:], normals[:]
+    duplicate[2], missing[3], outside[3] = normals[1], None, 8
+    swapped = dict(good.h_coords)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    cases = [
+        (replace(good, normals=tuple(duplicate)), "assigned hyperplanes are not pairwise distinct"),
+        (replace(good, normals=tuple(duplicate)), "t_2 t_2 not in assigned subgroup of coset 2"),
+        (replace(good, normals=tuple(missing)), "assignment is incomplete or has a normal outside H"),
+        (replace(good, normals=tuple(outside)), "assignment is incomplete or has a normal outside H"),
+        (replace(good, h_coords=swapped), "coordinates are not a GF(2) homomorphism"),
+        (replace(good, h_coords={m: 0 for m in swapped}), "coordinates are not a bijection"),
+        (replace(good, h_coords={m: m << 1 for m in swapped}), "coordinates are not a bijection"),
+    ]
+    for bad, problem in cases:
+        ok, problems = verify_hyperplane_assignment(bad)
+        assert not ok and problem in problems
+
+
+def test_verifier_checks_conjugation_on_a_noncentral_subgroup():
+    # H = {0, 4, 8, 12} in D4 x C2 is normal and elementary abelian but not
+    # central, and no matching exists on it
+    group = direct_product(dihedral_group(4), cyclic_group(2))
+    sub = Subgroup(group, [0, 4, 8, 12])
+    assert find_hyperplane_assignment(group, sub) is None
+    dec = cosets(group, sub)
+    pairing = tuple(dec.coset_of[group.inv(t)] for t in dec.transversal)
+    coords = {0: 0b00, 4: 0b10, 8: 0b01, 12: 0b11}
+    for normals in permutations([1, 2, 3]):
+        assignment = HyperplaneAssignment(group, sub, dec, pairing, (None, *normals), coords)
+        ok, problems = verify_hyperplane_assignment(assignment)
+        assert not ok
+        assert any(p.startswith("conjugate by t_") for p in problems)
+
+
 def test_kappa_assignment_accepted_by_verifier():
     for n in (2, 3):
         assignment = c4n_standard_assignment(C4PowerGroup(n))
@@ -178,11 +224,12 @@ def test_c4n_square_lands_in_assigned_hyperplane():
     # t = (1,1) squares to (2,2), i.e. vector (1,1); its mate is (1,1) and
     # the dot of the two vanishes
     group = C4PowerGroup(2)
-    t = group.word_index[(1, 1)]
+    t = c4n_index((1, 1))
     sq = group.mul(t, t)
-    assert group.words[sq] == (2, 2)
+    assert c4n_word(2, sq) == (2, 2)
     vec = group.h_vector(sq)
-    assert f2.dot(vec, f2.orthogonal_mate(vec)) == 0
+    assert vec == 0b11
+    assert f2.dot(vec, f2.orthogonal_mate(vec, 2)) == 0
 
 
 def test_c4n_rejects_n1():
@@ -208,7 +255,7 @@ def test_search_finds_the_construction(cand20):
 def test_search_rejects_wrong_orders():
     group = C4PowerGroup(2)
     with pytest.raises(ConstructionError):
-        exhaustive_search(group, closure(group, [group.word_index[(0, 2)]]))
+        exhaustive_search(group, closure(group, [c4n_index((0, 2))]))
 
 
 def test_search_requires_budget_above_limit():

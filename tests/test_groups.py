@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 
 from oracles import (
     NONASSOCIATIVE_LOOP_5,
+    c4n_index,
+    c4n_word,
     gaussian_binomial,
+    gnk_index,
+    gnk_word,
     nonassociative_triple,
     subgroups_of_order_reference,
     word_mul,
 )
-from rshds import f2, fixtures
+from rshds import fixtures
 from rshds.groups import (
     C4PowerGroup,
     CayleyTableGroup,
@@ -39,9 +43,7 @@ from rshds.groups import (
 
 
 def word(group: GnkGroup, e, f=None):
-    n = group.n
-    f = f if f is not None else f2.zero(n)
-    return group.word_index[(tuple(e), tuple(f))]
+    return gnk_index(group.n, (e, f if f is not None else (0,) * group.n))
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +81,30 @@ def test_gnk_rejects_bad_parameters():
 
 def test_c4_power_examples():
     g = C4PowerGroup(1)
-    one = g.word_index[(1,)]
-    assert g.words[g.mul(one, one)] == (2,)
+    one = c4n_index((1,))
+    assert c4n_word(1, g.mul(one, one)) == (2,)
     g2 = C4PowerGroup(2)
-    x = g2.word_index[(1, 3)]
-    y = g2.word_index[(3, 1)]
+    x = c4n_index((1, 3))
+    y = c4n_index((3, 1))
     assert g2.mul(x, y) == 0
     h = g2.distinguished_subgroup()
-    assert {g2.words[m] for m in h.members} == {(0, 0), (2, 0), (0, 2), (2, 2)}
+    assert {c4n_word(2, m) for m in h.members} == {(0, 0), (2, 0), (0, 2), (2, 2)}
+    assert [g2.element_name(a) for a in (0, 1, 4, 15)] == ["(0,0)", "(0,2)", "(0,1)", "(3,3)"]
+
+
+def test_gnk_element_names_read_the_index_bits():
+    g = GnkGroup(3, 1)
+    assert g.element_name(0) == "1"
+    assert g.element_name(word(g, (1, 0, 1), (0, 1, 0))) == "a1*a3*b2"
+    assert g.element_name(g.order - 1) == "a1*a2*a3*b1*b2*b3"
+
+
+def test_h_vector_is_the_index_inside_h():
+    for g in (GnkGroup(3, 1), C4PowerGroup(3)):
+        assert [g.h_vector(a) for a in g.distinguished_subgroup().members] == list(range(8))
+        for a in (-1, 8, g.order - 1):
+            with pytest.raises(GroupError):
+                g.h_vector(a)
 
 
 def test_group_axioms_all_backends():
@@ -129,7 +147,7 @@ def _gnk_products(draw):
 def test_gnk_table_follows_the_word_product(case):
     n, k, a, b = case
     g = _gnk(n, k)
-    assert g.mul(a, b) == g.word_index[word_mul(n, k, g.words[a], g.words[b])]
+    assert g.mul(a, b) == gnk_index(n, word_mul(n, k, gnk_word(n, a), gnk_word(n, b)))
 
 
 @st.composite
@@ -144,7 +162,7 @@ def _c4n_products(draw):
 def test_c4n_table_adds_coordinates_mod_4(case):
     n, a, b = case
     g = _c4n(n)
-    assert g.words[g.mul(a, b)] == tuple((x + y) % 4 for x, y in zip(g.words[a], g.words[b]))
+    assert c4n_word(n, g.mul(a, b)) == tuple((x + y) % 4 for x, y in zip(c4n_word(n, a), c4n_word(n, b)))
 
 
 def test_gnk_k0_isomorphic_to_c4_power():
@@ -152,12 +170,15 @@ def test_gnk_k0_isomorphic_to_c4_power():
         g = GnkGroup(n, 0)
         c = C4PowerGroup(n)
         to_c = {}
-        for i, (e, f) in enumerate(g.words):
-            to_c[i] = c.word_index[tuple(ei + 2 * fi for ei, fi in zip(e, f))]
+        for i in range(g.order):
+            e, f = gnk_word(n, i)
+            to_c[i] = c4n_index(tuple(ei + 2 * fi for ei, fi in zip(e, f)))
         assert sorted(to_c.values()) == list(range(c.order))
         for a in range(g.order):
             for b in range(g.order):
                 assert to_c[g.mul(a, b)] == c.mul(to_c[a], to_c[b])
+        # C4^n is exactly the k = 0 table, under other names
+        assert isinstance(c, GnkGroup) and c.table == g.table
 
 
 def test_canonical_index_block_alignment():

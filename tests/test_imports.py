@@ -1,4 +1,4 @@
-"""Every rshds module uses what it imports, and the CLI starts without numpy.
+"""Every rshds module and test module uses what it imports, and the CLI starts without numpy.
 
 No linter is a dependency of this project, so the unused-import check is an
 AST scan of each module's top-level imports against the names it reads.
@@ -17,6 +17,7 @@ import rshds
 
 PACKAGE = Path(rshds.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list:
@@ -39,6 +40,11 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_module_has_no_unused_imports(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_leaves_numpy_out():
