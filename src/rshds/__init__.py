@@ -1,9 +1,8 @@
 """Construction and exact certification of difference sets disjoint from a subgroup."""
 
-from .algebra import AlgebraElement, convolve, from_set, full_sum, poly_eval, star, unit, zero
+from .algebra import AlgebraElement, convolve, from_set, full_sum, unit
 from .certify import (
     CertReport,
-    PMatrix,
     PreconditionError,
     SchurStructure,
     check_difference_set,
@@ -13,7 +12,6 @@ from .certify import (
     coset_profile,
     hadamard_matrix,
     m_bound,
-    p_matrix,
     parameter_formulas,
     quotient_check,
     spectrum,

@@ -91,10 +91,6 @@ class AlgebraElement:
         return " + ".join(terms) if terms else "0"
 
 
-def zero(group: FiniteGroup) -> AlgebraElement:
-    return AlgebraElement(group, [0] * group.order)
-
-
 def unit(group: FiniteGroup) -> AlgebraElement:
     coeffs = [0] * group.order
     coeffs[IDENTITY] = 1
@@ -138,30 +134,7 @@ def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(group, out)
 
 
-def star(x: AlgebraElement) -> AlgebraElement:
-    return x.star()
-
-
-def poly_eval(x: AlgebraElement, coefficients: Sequence[int]) -> AlgebraElement:
-    """Horner evaluation of an integer polynomial at x, inside the algebra.
-
-    ``coefficients[i]`` is the coefficient of the degree-i term.
-    """
-    for c in coefficients:
-        if not isinstance(c, int):
-            raise AlgebraError("polynomial coefficients must be integers")
-    acc = zero(x.group)
-    one = unit(x.group)
-    for c in reversed(coefficients):
-        acc = convolve(acc, x) + c * one
-    return acc
-
-
 def regular_matrix(x: AlgebraElement) -> List[List[int]]:
     """Matrix of x in the regular representation: M[a][b] = x[a b^-1]."""
-    group = x.group
-    inv = group.inv
-    return [
-        [x.coeffs[group.mul(a, inv(b))] for b in group.elements()]
-        for a in group.elements()
-    ]
+    coeffs, inv = x.coeffs, x.group._inv
+    return [[coeffs[row[bi]] for bi in inv] for row in x.group.table]

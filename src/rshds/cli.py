@@ -16,7 +16,14 @@ from . import certify, constructions, formats
 from .certify import CertReport, PreconditionError
 from .constructions import BudgetExceededError, ConstructionError
 from .formats import FormatError, GroupSpec
-from .groups import FiniteGroup, GroupError, Subgroup, closure, subgroups_of_order
+from .groups import (
+    FiniteGroup,
+    GroupError,
+    Subgroup,
+    closure,
+    normal_subgroups_of_prime_index,
+    subgroups_of_order,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,6 +57,11 @@ def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
         gens = [int(x) for x in token[5:].split(",") if x != ""]
         return closure(group, gens)
     raise FormatError(f"unrecognized subgroup token {token!r}")
+
+
+def _subgroup_field(group: FiniteGroup, sub: Subgroup):
+    """The dset-v1 subgroup field: "distinguished" if it is, else the members."""
+    return "distinguished" if group.distinguished_subgroup() == sub else list(sub.members)
 
 
 def _emit_reports(reports: Sequence[CertReport], as_json: bool) -> None:
@@ -167,8 +179,7 @@ def _cmd_thm81(args) -> int:
     report = certify.check_difference_set(group, candidate.elements)
     _emit_reports([report], args.json)
     out = args.out or _default_out(spec, "thm81.dset.json")
-    gens = "distinguished" if group.distinguished_subgroup() == sub else list(sub.members)
-    formats.write_dset(out, spec, gens, candidate.elements)
+    formats.write_dset(out, spec, _subgroup_field(group, sub), candidate.elements)
     print(f"wrote {out}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -200,25 +211,12 @@ def _cmd_search(args) -> int:
         print("warning: degenerate h=2, lambda = 0")
     for c in result.candidates:
         print("  " + ",".join(str(e) for e in c.elements))
-    if args.out:
-        gens = (
-            "distinguished"
-            if group.distinguished_subgroup() == sub
-            else list(sub.members)
-        )
-        docs = []
-        for c in result.candidates:
-            docs.append(
-                {
-                    "group": str(spec),
-                    "subgroup": gens,
-                    "elements": list(c.elements),
-                }
-            )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(docs, fh, separators=(",", ":"))
-            fh.write("\n")
-        print(f"wrote {args.out}")
+    if args.out and result.candidates:
+        first = result.candidates[0].elements
+        formats.write_dset(args.out, spec, _subgroup_field(group, sub), first)
+        print(f"wrote the first set to {args.out}")
+    elif args.out:
+        print(f"no set found; {args.out} not written")
     return EXIT_OK
 
 
@@ -228,8 +226,6 @@ def _cmd_quotient(args) -> int:
     if args.kernel:
         kernels.append(_parse_subgroup(group, args.kernel))
     else:
-        from .groups import normal_subgroups_of_prime_index
-
         kernels = [s for s, _ in normal_subgroups_of_prime_index(group)]
     reports = [
         certify.quotient_check(group, sub, elements, n) for n in kernels

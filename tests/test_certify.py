@@ -10,6 +10,7 @@ from oracles import gnk_index, naive_difference_tally
 from rshds.algebra import from_set, regular_matrix
 from rshds.certify import (
     PreconditionError,
+    SchurStructure,
     check_difference_set,
     check_hadamard,
     check_rshds,
@@ -17,13 +18,12 @@ from rshds.certify import (
     coset_profile,
     hadamard_matrix,
     m_bound,
-    p_matrix,
     parameter_formulas,
     quotient_check,
     spectrum,
     structural_tests,
 )
-from rshds import fixtures
+from rshds import certify, fixtures
 from rshds.constructions import (
     assignment_difference_set,
     c4n_difference_set,
@@ -260,20 +260,26 @@ def test_schur_ring_precondition():
         check_schur_ring(cand.group, cand.subgroup, cand.elements)
 
 
-# ---------------------------------------------------------------------------
-# eigenmatrix
-# ---------------------------------------------------------------------------
+def test_non_closing_product_is_the_witness(monkeypatch, cand20):
+    # one coefficient of D*D moved off its class: schur names the first class
+    # product read from it, and spectrum and hadamard refuse to run
+    real = certify.convolve
+    d_min = min(cand20.elements)
 
+    def skewed(x, y):
+        out = real(x, y)
+        if x is y and len(x.support()) == len(cand20.elements):
+            out.coeffs[d_min] += 1
+        return out
 
-def test_p_matrix_rows():
-    pm = p_matrix(4)
-    # doubled Gaussian-integer entries, rows as printed
-    assert pm.doubled[0] == ((2, 0), (6, 0), (12, 0), (12, 0))
-    assert pm.doubled[1] == ((2, 0), (6, 0), (-4, 0), (-4, 0))
-    assert pm.doubled[2] == ((2, 0), (-2, 0), (0, -4), (0, 4))
-    assert pm.doubled[3] == ((2, 0), (-2, 0), (0, 4), (0, -4))
-    with pytest.raises(GroupError):
-        p_matrix(5)
+    monkeypatch.setattr(certify, "convolve", skewed)
+    args = (cand20.group, cand20.subgroup, cand20.elements)
+    report, structure = check_schur_ring(*args)
+    assert not report.passed and structure is None
+    assert report.witnesses == {"non_closing_product": [2, 2]}
+    for check in (spectrum, check_hadamard):
+        with pytest.raises(PreconditionError, match="does not span a Schur ring"):
+            check(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +312,33 @@ def test_spectrum_precondition(gnk20):
 # ---------------------------------------------------------------------------
 # Hadamard
 # ---------------------------------------------------------------------------
+
+
+def _fails(check, cand) -> bool:
+    try:
+        return not check(cand.group, cand.subgroup, cand.elements).passed
+    except PreconditionError:
+        return True
+
+
+@pytest.mark.parametrize("i", range(4))
+@pytest.mark.parametrize("j", range(4))
+def test_spectrum_and_hadamard_read_the_structure_constants(monkeypatch, cand20, i, j):
+    # both checks evaluate in Z^4 with the certified table, so a table with
+    # any one constant off by one must make each of them fail
+    real = certify._schur_structure
+    for t in range(4):
+        def mutated(*args, t=t):
+            base, structure, witnesses = real(*args)
+            table = [[list(c) for c in row] for row in structure.coordinates]
+            table[i][j][t] += 1
+            coords = tuple(tuple(tuple(c) for c in row) for row in table)
+            return base, SchurStructure(coords), witnesses
+
+        monkeypatch.setattr(certify, "_schur_structure", mutated)
+        assert _fails(spectrum, cand20) and _fails(check_hadamard, cand20), (i, j, t)
+    monkeypatch.setattr(certify, "_schur_structure", real)
+    assert not _fails(spectrum, cand20) and not _fails(check_hadamard, cand20)
 
 
 def test_hadamard_certificate(cand20, cand30):

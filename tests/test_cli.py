@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rshds import cli
+from rshds import algebra, certify, cli
 from rshds.formats import read_hadamard, write_cayley
 from rshds.groups import cyclic_group, direct_product, elementary_abelian_2_group
 
@@ -70,6 +70,42 @@ def test_thm81_golden_hashes(tmp_path, monkeypatch, capsys, spec, subgroup):
     assert (sha16(stdout), sha16((tmp_path / "d.json").read_bytes())) == THM81_SHA256[spec, subgroup]
 
 
+# `certify --json` stdout on each `construct` file: its exit code and the first
+# 16 hex digits of its sha256; the self-inverse c4n:3 set fails the m = 0
+# preconditions of schur, spectrum and hadamard
+CERTIFY_SHA256 = {
+    "gnk:2,0": (cli.EXIT_OK, "3781ec6f67ca0819"),
+    "gnk:3,1": (cli.EXIT_OK, "eecaf1821c715139"),
+    "gnk:4,2": (cli.EXIT_OK, "9b591c647c86618e"),
+    "c4n:3": (cli.EXIT_FAIL, "9dedcefa3a9734ff"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CERTIFY_SHA256))
+def test_certify_json_golden_hashes(tmp_path, capsys, spec):
+    dset = tmp_path / "d.json"
+    assert cli.main(["construct", spec, "--out", str(dset)]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(["certify", str(dset), "--json"])
+    assert (code, sha16(capsys.readouterr().out.encode())) == CERTIFY_SHA256[spec]
+
+
+def test_thm81_certify_json_golden_hash(tmp_path, capsys):
+    # the thm81 set is self-inverse, so it too fails the m = 0 preconditions
+    dset = tmp_path / "d.json"
+    assert cli.main(["thm81", "gnk:4,2", "distinguished", "--out", str(dset)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["certify", str(dset), "--json"]) == cli.EXIT_FAIL
+    assert sha16(capsys.readouterr().out.encode()) == "544665b8dce7f8f7"
+
+
+def test_export_hadamard_golden_hash(tmp_path):
+    dset, had = tmp_path / "d.json", tmp_path / "h.txt"
+    assert cli.main(["construct", "gnk:3,1", "--out", str(dset)]) == cli.EXIT_OK
+    assert cli.main(["export-hadamard", str(dset), "--out", str(had)]) == cli.EXIT_OK
+    assert sha16(had.read_bytes()) == "f67380cdcebd33fe"
+
+
 @pytest.mark.parametrize("spec,v", [("gnk:2,0", 16), ("gnk:3,1", 64)])
 def test_construct_certify_export_chain(tmp_path, capsys, spec, v):
     dset, had = tmp_path / "d.json", tmp_path / "h.txt"
@@ -80,6 +116,45 @@ def test_construct_certify_export_chain(tmp_path, capsys, spec, v):
     assert "FAIL" not in out and f"({v}x{v})" in out
     h = np.asarray(read_hadamard(had))
     assert np.array_equal(h @ h.T, v * np.eye(v, dtype=h.dtype))
+
+
+def test_certify_convolution_count(tmp_path, monkeypatch, capsys):
+    # dset and rshds take one product each; schur, spectrum and hadamard each
+    # take six for the structure constants and one in their m = 0 check
+    dset = tmp_path / "d.json"
+    assert cli.main(["construct", "gnk:3,1", "--out", str(dset)]) == cli.EXIT_OK
+    calls = []
+    real = algebra.convolve
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(algebra, "convolve", counted)
+    monkeypatch.setattr(certify, "convolve", counted)
+    assert cli.main(["certify", str(dset)]) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) <= 23
+
+
+def test_search_out_round_trips_through_certify(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert cli.main(["search", "gnk:2,0", "distinguished", "--out", str(out)]) == cli.EXIT_OK
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("found 16 difference set(s)")
+    assert len([line for line in stdout.splitlines() if line.startswith("  ")]) == 16
+    first = stdout.splitlines()[1].strip()
+    doc = json.loads(out.read_text())
+    assert doc["subgroup"] == "distinguished"
+    assert ",".join(map(str, doc["elements"])) == first
+    assert cli.main(["certify", str(out)]) == cli.EXIT_OK
+
+
+def test_search_out_writes_nothing_when_none_is_found(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert cli.main(["search", G36_SPEC, "auto-6", "--out", str(out)]) == cli.EXIT_OK
+    assert "not written" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_exit_codes_fail_and_refusal(tmp_path, capsys):
