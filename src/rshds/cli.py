@@ -2,7 +2,9 @@
 
 Exit codes: 0 all requested checks pass, 1 some check failed, 2 usage or
 file error, 3 search budget exceeded.  All output is deterministic: reruns
-produce byte-identical bytes.
+produce byte-identical bytes.  The one exception is the line ``search``
+prints to stderr when it stops, which reports its nodes, leaves and wall
+time.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+import time
 from typing import List, Optional, Sequence
 
 from . import certify, constructions, formats
@@ -200,11 +203,23 @@ def _cmd_screen(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _search_stats(nodes: int, leaves: int, seconds: float) -> None:
+    rate = nodes / seconds if seconds > 0 else 0.0
+    print(f"search: {nodes} nodes, {leaves} leaves, {seconds:.3f} s, {rate:.0f} nodes/s",
+          file=sys.stderr)
+
+
 def _cmd_search(args) -> int:
     spec = GroupSpec.parse(args.spec)
     group = formats.build_group(spec)
     sub = _parse_subgroup(group, args.subgroup)
-    result = constructions.exhaustive_search(group, sub, budget=args.budget)
+    start = time.perf_counter()
+    try:
+        result = constructions.exhaustive_search(group, sub, budget=args.budget)
+    except BudgetExceededError as exc:
+        _search_stats(exc.nodes, exc.leaves, time.perf_counter() - start)
+        raise
+    _search_stats(result.nodes, result.leaves, time.perf_counter() - start)
     print(f"found {result.count} difference set(s) "
           f"({result.nodes} nodes, {result.leaves} leaves)")
     if result.candidates and result.candidates[0].params.h == 2:

@@ -431,10 +431,30 @@ def exhaustive_search(
     choosing D inside a coset forces D on the inverse coset, so the search
     walks coset pairs and picks half-cosets: 2^(h/2) ways on a self-paired
     coset (one element from each inverse pair; an involution outside H kills
-    the search immediately), binomial(h, h/2) ways on a cross pair.  Partial
-    products D * D^-1 are tallied incrementally and any count exceeding
-    lambda prunes the branch; at a full assignment the counts are forced to
-    equal lambda everywhere, which certifies the difference-set equation.
+    the search immediately), binomial(h, h/2) ways on a cross pair.  Each
+    pair is one depth of the tree, and each choice at it one node.
+
+    The differences b a^-1 (a != b in D so far) are tallied in one Python
+    int, a w-bit field per element.  A choice c carries the packed tally of
+    its own differences; a node adds it to its parent's tally, then adds
+    cross(c, q), the differences between c and q both ways, for each choice
+    q above it, and is pruned as soon as any field exceeds lambda.  The
+    tally is passed down the recursion, so nothing is undone on the way out.
+    cross(c, q) is read from the table rows and the inverse list and cached
+    in a dict that belongs to the depth where q was chosen; the dict is
+    dropped when that depth moves to its next choice, so the caches hold at
+    most (number of pairs) x (number of choices) tallies.
+
+    Field width: before an addition every field is at most lambda, and one
+    addition adds at most 2h to a field (for fixed a exactly one b has
+    a b^-1 = g, and a choice has at most h elements).  With w bits where
+    2^(w-1) > lambda + 2h, no field carries into the next, and after adding
+    2^(w-1) - 1 - lambda to every field its top bit is set exactly when the
+    field exceeds lambda.  The identity field stays 0, since a != b.
+
+    A leaf (every pair chosen) is a solution exactly when every field is
+    lambda, which is checked.  No pruned-to-leaf assignment can fail it:
+    the fields add up to k(k-1) = lambda(v-1) and none exceeds lambda.
 
     An empty result is a nonexistence proof at this group's scale.  Raises
     BudgetExceededError with progress statistics when the node budget runs
@@ -453,14 +473,14 @@ def exhaustive_search(
                 f"group order {group.order} > {UNAIDED_SEARCH_LIMIT}: pass an explicit budget"
             )
         budget = DEFAULT_SEARCH_BUDGET
+    v = group.order
     lam = h * (h - 2) // 4
-    k = h * (h - 1) // 2
     dec = cosets(group, sub)
-    inv = group.inv
-    mul = group.mul
+    table = group.table
+    inv = [group.inv(g) for g in range(v)]
     u = dec.num_cosets
     members_by_coset = [[] for _ in range(u)]
-    for g in range(group.order):
+    for g in range(v):
         members_by_coset[dec.coset_of[g]].append(g)
     pairing = _coset_pairing(group, dec)
 
@@ -471,14 +491,14 @@ def exhaustive_search(
             continue
         if i == j:
             mem = members_by_coset[i]
-            if any(inv(x) == x for x in mem):
+            if any(inv[x] == x for x in mem):
                 return SearchResult([], nodes=0, leaves=0)
             pairs: List[Tuple[int, int]] = []
             seen = set()
             for x in mem:
                 if x in seen:
                     continue
-                y = inv(x)
+                y = inv[x]
                 seen.add(x)
                 seen.add(y)
                 pairs.append((x, y))
@@ -488,55 +508,51 @@ def exhaustive_search(
             mem_j = members_by_coset[j]
             choices = []
             for t_part in itertools.combinations(mem_i, h // 2):
-                t_inv = {inv(x) for x in t_part}
+                t_inv = {inv[x] for x in t_part}
                 comp = tuple(y for y in mem_j if y not in t_inv)
                 choices.append(t_part + comp)
             blocks.append(choices)
 
-    counts = [0] * group.order
-    chosen: List[Tuple[int, ...]] = []
-    flat: List[int] = []
+    # w-bit fields, one per element; 2^(w-1) > lambda + 2h (see the docstring)
+    w = (lam + 2 * h).bit_length() + 1
+    fields = sum(1 << (g * w) for g in range(1, v))
+    high = fields << (w - 1)
+    bias = fields * ((1 << (w - 1)) - 1 - lam)
+    target = fields * lam
+    # pair[g]: the tally of g and g^-1, the differences of a, b both ways
+    pair = [(1 << (g * w)) + (1 << (inv[g] * w)) for g in range(v)]
+
+    # choices are numbered through all blocks, and depth d walks depths[d]
+    elements_of = [c for block in blocks for c in block]
+    rows = [[table[a] for a in c] for c in elements_of]
+    invs = [[inv[a] for a in c] for c in elements_of]
+    internal = [
+        sum([pair[ra[ib]] for n, ra in enumerate(rs) for ib in ivs[n + 1:]])
+        for rs, ivs in zip(rows, invs)
+    ]
+    depths: List[range] = []
+    first = 0
+    for block in blocks:
+        depths.append(range(first, first + len(block)))
+        first += len(block)
+
+    path: List[Tuple[Dict[int, int], int]] = []
     found: List[DifferenceSetCandidate] = []
     nodes = 0
     leaves = 0
     params = ParameterSet.from_subgroup_order(h, m=0)
 
-    def apply(new: Sequence[int]) -> List[int]:
-        touched = []
-        for a in new:
-            ai = inv(a)
-            for b in flat:
-                g1 = mul(a, inv(b))
-                g2 = mul(b, ai)
-                counts[g1] += 1
-                counts[g2] += 1
-                touched.append(g1)
-                touched.append(g2)
-        for a in new:
-            ai = inv(a)
-            for b in new:
-                g1 = mul(b, ai)
-                counts[g1] += 1
-                touched.append(g1)
-        return touched
-
-    def undo(touched: List[int]) -> None:
-        for g in touched:
-            counts[g] -= 1
-
-    def extend(depth: int) -> None:
+    def extend(depth: int, total: int) -> None:
         nonlocal nodes, leaves
-        if depth == len(blocks):
+        if depth == len(depths):
             leaves += 1
-            if counts[IDENTITY] == k and all(
-                counts[g] == lam for g in range(1, group.order)
-            ):
-                elements = tuple(sorted(flat))
+            if total == target:
+                elements = tuple(sorted(a for _, q in path for a in elements_of[q]))
                 found.append(
                     DifferenceSetCandidate(group, sub, elements, params, "search")
                 )
             return
-        for choice in blocks[depth]:
+        for c in depths[depth]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
@@ -545,16 +561,22 @@ def exhaustive_search(
                     leaves=leaves,
                     found=len(found),
                 )
-            touched = apply(choice)
-            ok = all(g == IDENTITY or counts[g] <= lam for g in touched)
-            if ok:
-                chosen.append(choice)
-                flat.extend(choice)
-                extend(depth + 1)
-                del flat[len(flat) - len(choice):]
-                chosen.pop()
-            undo(touched)
+            t = total + internal[c]
+            if (t + bias) & high:
+                continue
+            for cache, q in path:
+                x = cache.get(c)
+                if x is None:
+                    rs, iq = rows[c], invs[q]
+                    x = cache[c] = sum([pair[ra[ib]] for ra in rs for ib in iq])
+                t += x
+                if (t + bias) & high:
+                    break
+            else:
+                path.append(({}, c))
+                extend(depth + 1, t)
+                path.pop()
 
-    extend(0)
+    extend(0, 0)
     found.sort(key=lambda c: c.elements)
     return SearchResult(found, nodes=nodes, leaves=leaves)

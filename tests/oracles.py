@@ -2,12 +2,23 @@
 
 Nothing here goes through the algebra or certificate code paths: tallies are
 naive double loops, counts come from closed formulas computed on the spot.
+``exhaustive_search_reference`` is the search's first tally loop, one
+counter per element, kept to pin the packed-tally search to the same tree.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from rshds.groups import IDENTITY, FiniteGroup
+from rshds.constructions import (
+    DEFAULT_SEARCH_BUDGET,
+    UNAIDED_SEARCH_LIMIT,
+    BudgetExceededError,
+    ConstructionError,
+    DifferenceSetCandidate,
+    SearchResult,
+)
+from rshds.groups import IDENTITY, FiniteGroup, ParameterSet, Subgroup, cosets
 
 Word = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -141,6 +152,140 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         den *= q ** (k - i) - 1
     assert num % den == 0
     return num // den
+
+
+def exhaustive_search_reference(
+    group: FiniteGroup,
+    sub: Subgroup,
+    *,
+    budget: Optional[int] = None,
+) -> SearchResult:
+    """``constructions.exhaustive_search`` as it was written first: one counter
+    per element, decremented again on the way out of every node.
+
+    It walks the same tree (same blocks, same choice order, same node and
+    leaf numbering, the same budget stop), so its result and its
+    ``BudgetExceededError`` progress are what the library must reproduce.
+    Products and inverses go through ``group.mul`` and ``group.inv``.
+    """
+    h = sub.order
+    if group.order != h * h:
+        raise ConstructionError(
+            f"group order {group.order} is not the square of subgroup order {h}"
+        )
+    if h % 2:
+        raise ConstructionError(f"subgroup order {h} must be even")
+    if budget is None:
+        if group.order > UNAIDED_SEARCH_LIMIT:
+            raise ConstructionError(
+                f"group order {group.order} > {UNAIDED_SEARCH_LIMIT}: pass an explicit budget"
+            )
+        budget = DEFAULT_SEARCH_BUDGET
+    lam = h * (h - 2) // 4
+    k = h * (h - 1) // 2
+    dec = cosets(group, sub)
+    inv = group.inv
+    mul = group.mul
+    u = dec.num_cosets
+    members_by_coset = [[] for _ in range(u)]
+    for g in range(group.order):
+        members_by_coset[dec.coset_of[g]].append(g)
+    pairing = [dec.coset_of[inv(rep)] for rep in dec.transversal]
+
+    blocks: List[List[Tuple[int, ...]]] = []
+    for i in range(1, u):
+        j = pairing[i]
+        if i > j:
+            continue
+        if i == j:
+            mem = members_by_coset[i]
+            if any(inv(x) == x for x in mem):
+                return SearchResult([], nodes=0, leaves=0)
+            pairs: List[Tuple[int, int]] = []
+            seen = set()
+            for x in mem:
+                if x in seen:
+                    continue
+                y = inv(x)
+                seen.add(x)
+                seen.add(y)
+                pairs.append((x, y))
+            blocks.append([tuple(choice) for choice in itertools.product(*pairs)])
+        else:
+            mem_i = members_by_coset[i]
+            mem_j = members_by_coset[j]
+            choices = []
+            for t_part in itertools.combinations(mem_i, h // 2):
+                t_inv = {inv(x) for x in t_part}
+                comp = tuple(y for y in mem_j if y not in t_inv)
+                choices.append(t_part + comp)
+            blocks.append(choices)
+
+    counts = [0] * group.order
+    chosen: List[Tuple[int, ...]] = []
+    flat: List[int] = []
+    found: List[DifferenceSetCandidate] = []
+    nodes = 0
+    leaves = 0
+    params = ParameterSet.from_subgroup_order(h, m=0)
+
+    def apply(new: Sequence[int]) -> List[int]:
+        touched = []
+        for a in new:
+            ai = inv(a)
+            for b in flat:
+                g1 = mul(a, inv(b))
+                g2 = mul(b, ai)
+                counts[g1] += 1
+                counts[g2] += 1
+                touched.append(g1)
+                touched.append(g2)
+        for a in new:
+            ai = inv(a)
+            for b in new:
+                g1 = mul(b, ai)
+                counts[g1] += 1
+                touched.append(g1)
+        return touched
+
+    def undo(touched: List[int]) -> None:
+        for g in touched:
+            counts[g] -= 1
+
+    def extend(depth: int) -> None:
+        nonlocal nodes, leaves
+        if depth == len(blocks):
+            leaves += 1
+            if counts[IDENTITY] == k and all(
+                counts[g] == lam for g in range(1, group.order)
+            ):
+                elements = tuple(sorted(flat))
+                found.append(
+                    DifferenceSetCandidate(group, sub, elements, params, "search")
+                )
+            return
+        for choice in blocks[depth]:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"search exceeded {budget} nodes",
+                    nodes=nodes,
+                    leaves=leaves,
+                    found=len(found),
+                )
+            touched = apply(choice)
+            ok = all(g == IDENTITY or counts[g] <= lam for g in touched)
+            if ok:
+                chosen.append(choice)
+                flat.extend(choice)
+                extend(depth + 1)
+                del flat[len(flat) - len(choice):]
+                chosen.pop()
+            undo(touched)
+
+    extend(0)
+    found.sort(key=lambda c: c.elements)
+    return SearchResult(found, nodes=nodes, leaves=leaves)
 
 
 # A Latin square of order 5 with two-sided identity at 0 that is not a group:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -252,3 +253,26 @@ def test_search_resolves_the_auto_subgroup(capsys):
 def test_auto_subgroup_must_be_unique(capsys, c6xc6_spec):
     assert cli.main(["search", c6xc6_spec, "auto-2"]) == cli.EXIT_USAGE
     assert "expected exactly one normal subgroup of order 2" in capsys.readouterr().err
+
+
+# `search` stdout as first released (16 hex digits of its sha256; the budget
+# stop prints nothing there) and the start of the stats line it ends stderr with
+SEARCH_RUNS = [
+    (["gnk:2,0", "distinguished"], cli.EXIT_OK, "4eef531bfa5fa6a8",
+     "search: 68 nodes, 16 leaves, "),
+    ([G36_SPEC, "auto-6"], cli.EXIT_OK, "78f3e552295c3509",
+     "search: 8232 nodes, 0 leaves, "),
+    (["gnk:3,1", "distinguished", "--budget", "10000"], cli.EXIT_BUDGET, "e3b0c44298fc1c14",
+     "search: 10001 nodes, 24 leaves, "),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout_sha, stats", SEARCH_RUNS,
+                         ids=["gnk:2,0", "G36_1", "budget-stop"])
+def test_search_prints_its_stats_to_stderr_only(capsys, argv, code, stdout_sha, stats):
+    assert cli.main(["search", *argv]) == code
+    captured = capsys.readouterr()
+    assert sha16(captured.out.encode()) == stdout_sha
+    lines = [line for line in captured.err.splitlines() if line.startswith("search: ")]
+    assert len(lines) == 1
+    assert re.fullmatch(re.escape(stats) + r"\d+\.\d{3} s, \d+ nodes/s", lines[0])

@@ -4,9 +4,17 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bits, c4n_index, c4n_word, naive_difference_tally
-from rshds import certify, f2
+from oracles import (
+    bits,
+    c4n_index,
+    c4n_word,
+    exhaustive_search_reference,
+    naive_difference_tally,
+)
+from rshds import certify, f2, fixtures
 from rshds.constructions import (
     AssignmentPreconditionError,
     BudgetExceededError,
@@ -20,8 +28,11 @@ from rshds.constructions import (
     gnk_difference_set,
     verify_hyperplane_assignment,
 )
+from rshds.formats import build_group
 from rshds.groups import (
     C4PowerGroup,
+    CayleyTableGroup,
+    FiniteGroup,
     GnkGroup,
     Subgroup,
     closure,
@@ -30,6 +41,7 @@ from rshds.groups import (
     dihedral_group,
     direct_product,
     elementary_abelian_2_group,
+    subgroups_of_order,
 )
 
 
@@ -285,3 +297,88 @@ def test_search_deterministic(cand20):
     r2 = exhaustive_search(cand20.group, cand20.subgroup)
     assert [c.elements for c in r1.candidates] == [c.elements for c in r2.candidates]
     assert (r1.nodes, r1.leaves) == (r2.nodes, r2.leaves)
+
+
+def _outcome(search, group, sub, budget=None):
+    """(count, nodes, leaves, sets) of a search, or the progress of its budget stop."""
+    try:
+        r = search(group, sub, budget=budget)
+    except BudgetExceededError as exc:
+        return ("budget", exc.nodes, exc.leaves, exc.found)
+    return (r.count, r.nodes, r.leaves, [c.elements for c in r.candidates])
+
+
+# every subgroup of order h = sqrt|G|, normal or not: 115 (group, H) pairs
+SEARCH_GROUPS = {
+    "C4": (cyclic_group(4), 1),
+    "C4xC4": (direct_product(cyclic_group(4), cyclic_group(4)), 7),
+    "C2^4": (elementary_abelian_2_group(4), 35),
+    "D4xC2": (direct_product(dihedral_group(4), cyclic_group(2)), 15),
+    "C8xC2": (direct_product(cyclic_group(8), cyclic_group(2)), 3),
+    "C16": (cyclic_group(16), 1),
+    "gnk:2,0": (GnkGroup(2, 0), 7),
+    "C6xC6": (direct_product(cyclic_group(6), cyclic_group(6)), 12),
+    "D3xC6": (direct_product(dihedral_group(3), cyclic_group(6)), 12),
+    "G36_1": (fixtures.g36_1(), 1),
+    "D3xD3": (direct_product(dihedral_group(3), dihedral_group(3)), 20),
+    "C36": (cyclic_group(36), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GROUPS))
+def test_search_matches_the_reference_on_every_subgroup(name):
+    group, pairs = SEARCH_GROUPS[name]
+    subs = subgroups_of_order(group, int(group.order ** 0.5))
+    assert len(subs) == pairs
+    for sub in subs:
+        expected = _outcome(exhaustive_search_reference, group, sub)
+        assert _outcome(exhaustive_search, group, sub) == expected, sub.members
+
+
+@pytest.mark.parametrize("spec, budget, found", [
+    ("gnk:2,0", 40, 10),
+    ("gnk:3,1", 10_000, 24),
+    ("gnk:3,0", 20_000, 84),
+])
+def test_search_budget_stop_matches_the_reference(spec, budget, found):
+    group = build_group(spec)
+    sub = group.distinguished_subgroup()
+    expected = _outcome(exhaustive_search_reference, group, sub, budget)
+    assert expected == ("budget", budget + 1, found, found)
+    assert _outcome(exhaustive_search, group, sub, budget) == expected
+
+
+def _relabel(group: FiniteGroup, p):
+    table = [[0] * group.order for _ in range(group.order)]
+    for a in range(group.order):
+        for b in range(group.order):
+            table[p[a]][p[b]] = p[group.mul(a, b)]
+    return CayleyTableGroup(table)
+
+
+# the node count of both groups depends on the labels
+@settings(deadline=None, max_examples=8)
+@given(st.sampled_from(["G36_1", "C36"]), st.permutations(range(1, 36)))
+def test_search_matches_the_reference_under_relabelling(name, perm):
+    group = _relabel(SEARCH_GROUPS[name][0], [0, *perm])
+    (sub,) = subgroups_of_order(group, 6)
+    expected = _outcome(exhaustive_search_reference, group, sub)
+    assert _outcome(exhaustive_search, group, sub) == expected
+
+
+def test_search_makes_no_group_calls_past_set_up(monkeypatch, g36, g36_h):
+    calls = []
+    real_mul, real_inv = FiniteGroup.mul, FiniteGroup.inv
+
+    def mul(self, a, b):
+        calls.append(1)
+        return real_mul(self, a, b)
+
+    def inv(self, a):
+        calls.append(1)
+        return real_inv(self, a)
+
+    monkeypatch.setattr(FiniteGroup, "mul", mul)
+    monkeypatch.setattr(FiniteGroup, "inv", inv)
+    assert exhaustive_search(g36, g36_h).nodes == 8232
+    assert len(calls) <= 3 * g36.order
