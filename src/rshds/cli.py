@@ -57,7 +57,10 @@ def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
             )
         return candidates[0]
     if token.startswith("gens="):
-        gens = [int(x) for x in token[5:].split(",") if x != ""]
+        try:
+            gens = [int(x) for x in token[5:].split(",") if x != ""]
+        except ValueError:
+            raise FormatError(f"subgroup generators must be integers ({token!r})") from None
         return closure(group, gens)
     raise FormatError(f"unrecognized subgroup token {token!r}")
 
@@ -144,6 +147,8 @@ def _cmd_certify(args) -> int:
     group, sub, elements, _ = formats.read_dset(args.dset)
     if args.checks:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not names:
+            raise FormatError(f"--checks {args.checks!r} names no check")
         for c in names:
             if c not in CHECK_ORDER:
                 raise FormatError(f"unknown check {c!r}; choose from {','.join(CHECK_ORDER)}")

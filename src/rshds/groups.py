@@ -13,8 +13,11 @@ normal form inside the coset), so matrices written in this order are block
 aligned with H.
 
 Everything here is plain Python on lists of ints, and every check is exact
-at every order: ``validate_group_table`` proves associativity with Light's
-test, and ``quotient`` proves the projection is a homomorphism.  All groups
+at every order.  Group facts are proved on generators from ``_generators``:
+``validate_group_table`` proves associativity with Light's test, and
+``is_normal`` (which ``quotient`` calls) conjugates generators of the
+subgroup by generators of the group, since conjugation is an automorphism
+and every element of a finite group is a product of generators.  All groups
 are immutable after construction and all functions here are pure.
 """
 from __future__ import annotations
@@ -283,6 +286,29 @@ class C4PowerGroup(GnkGroup):
 # ---------------------------------------------------------------------------
 
 
+def _generators(table: Sequence[Sequence[int]], members: Iterable[int]) -> List[int]:
+    """Greedy generating set of the subgroup on ``members``, in their order.
+
+    Each generator is the least member not yet reached from the identity by
+    right multiplication (in a finite group that reaches the whole generated
+    subgroup), so a subgroup of order m needs at most log2(m) of them.
+    """
+    reached = {IDENTITY}
+    gens: List[int] = []
+    for b in members:
+        if b in reached:
+            continue
+        gens.append(b)
+        stack = list(reached)
+        while stack:
+            row = table[stack.pop()]
+            for g in gens:
+                if row[g] not in reached:
+                    reached.add(row[g])
+                    stack.append(row[g])
+    return gens
+
+
 def validate_group_table(table: Sequence[Sequence[int]]) -> None:
     """Check a multiplication table is a group with identity at index 0.
 
@@ -290,12 +316,10 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
     row and column 0 must be the identity.  Associativity is Light's test
     (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
     section 1.2): the elements b with (ab)c = a(bc) for all a, c are closed
-    under products, so it suffices to check b over a generating set.  Each
-    generator is the least element not yet reached from the identity by
-    right multiplication, so a group of order n needs at most log2(n) of
-    them, at n^2 lookups each.  Columns need no check of their own: a monoid
-    whose rows all hold the identity is a group.  Raises GroupTableError with
-    a witness on the first violation.
+    under products, so it suffices to check b over the generating set of
+    ``_generators``, at most log2(n) elements at n^2 lookups each.  Columns
+    need no check of their own: a monoid whose rows all hold the identity is
+    a group.  Raises GroupTableError with a witness on the first violation.
     """
     n = len(table)
     if n == 0:
@@ -319,24 +343,13 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
     if [row[0] for row in table] != ident:
         i = next(i for i in ident if table[i][0] != i)
         raise GroupTableError("identity is not at index 0 (column)", {"row": i})
-    reached = {IDENTITY}
-    gens: List[int] = []
-    while len(reached) < n:
-        b = next(x for x in ident if x not in reached)
+    for b in _generators(table, ident):
         row_b = table[b]
         for a, row_a in enumerate(table):
             left, right = table[row_a[b]], [row_a[x] for x in row_b]
             if left != right:
                 c = next(c for c in ident if left[c] != right[c])
                 raise GroupTableError("associativity violated", {"triple": [a, b, c]})
-        gens.append(b)
-        stack = list(reached)
-        while stack:
-            row = table[stack.pop()]
-            for g in gens:
-                if row[g] not in reached:
-                    reached.add(row[g])
-                    stack.append(row[g])
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +438,20 @@ def closure_members(group: FiniteGroup, generators: Iterable[int]) -> frozenset:
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
-    """Full conjugation scan; intended for desk-scale orders (<= 4096)."""
+    """Whether g s g^-1 lies in ``sub`` for g and s generators of G and of sub.
+
+    ``sub`` must be a subgroup (every ``Subgroup`` the library builds is
+    closed).  The check on generators is exact: conjugation by g is an
+    automorphism, so g<S>g^-1 = <gSg^-1>, which lies in sub when gSg^-1
+    does, and every element of a finite group is a product of generators,
+    so conjugation by all of G keeps sub once each generator does.
+    """
     if sub.parent is not group:
         raise GroupError("subgroup belongs to a different group")
-    for g in range(group.order):
-        gi = group.inv(g)
-        for s in sub.members:
-            if group.mul(group.mul(g, s), gi) not in sub.member_set:
-                return False
-    return True
+    table, inv = group.table, group._inv
+    sub_gens = _generators(table, sub.members)
+    return all(table[table[g][s]][inv[g]] in sub.member_set
+               for g in _generators(table, range(group.order)) for s in sub_gens)
 
 
 @dataclass(frozen=True)
@@ -470,24 +488,18 @@ def quotient(
 ) -> Tuple[CayleyTableGroup, List[int]]:
     """Quotient group and the projection map; rejects non-normal subgroups.
 
-    The quotient table is read off the coset representatives, and the
-    projection is then checked to be a homomorphism on all pairs, at every
-    order.  That check alone decides normality: proj(ab) = proj(a) for every
-    b in N says aN lies in Na.
+    Normality is proved by ``is_normal`` on generators.  For N normal the
+    coset of a product depends only on the cosets of its factors, so the
+    quotient table is read off the coset representatives alone, one lookup
+    per pair of cosets; quotient element i is the coset ``transversal[i]``.
     """
-    if normal_sub.parent is not group:
-        raise GroupError("subgroup belongs to a different group")
+    if not is_normal(group, normal_sub):
+        raise GroupError("quotient requires a normal subgroup")
     table = group.table
     dec = cosets(group, normal_sub)
     reps = dec.transversal
     proj = list(dec.coset_of)
     qtable = [[proj[table[r][t]] for t in reps] for r in reps]
-    for qrow, r in zip(qtable, reps):
-        # every member s*r of the coset Nr must project its row onto qrow
-        expected = [qrow[p] for p in proj]
-        for s in normal_sub.members:
-            if [proj[x] for x in table[table[s][r]]] != expected:
-                raise GroupError("quotient requires a normal subgroup")
     return CayleyTableGroup(qtable), proj
 
 
@@ -594,28 +606,8 @@ def _normal_subgroups_dividing(group: FiniteGroup, m: int) -> set:
     return seen
 
 
-def derived_subgroup(group: FiniteGroup) -> Subgroup:
-    """Closure of the commutators a^-1 b^-1 a b, one row of the table per a."""
-    table, inv = group.table, group._inv
-    comms = set()
-    for a, row_a in enumerate(table):
-        row_ai = table[inv[a]]
-        comms.update([table[row_ai[bi]][ab] for bi, ab in zip(inv, row_a)])
-    return Subgroup(group, closure_members(group, comms), validate=False)
-
-
 def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
 
 
 def coordinatize_elementary_abelian(
@@ -646,38 +638,34 @@ def coordinatize_elementary_abelian(
 def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, int]]:
     """All kernels of surjections onto a cyclic group of prime order.
 
-    Computed through the abelianization: for each prime p dividing its order,
-    the index-p subgroups correspond to hyperplanes of the elementary abelian
-    quotient by p-th powers, and are pulled back to the original group.
-    Sorted by (p, member tuple).
+    For each prime p dividing the order, with X the generators of G from
+    ``_generators``, K is the closure of the conjugates, by every row of the
+    table, of the commutators a^-1 b^-1 a b and the powers a^p for a, b in X.
+    K is normal and lies in G'G^p; modulo K the generators commute and have
+    order p, so G/K is elementary abelian and K = G'G^p.  Every surjection
+    onto C_p kills K, so the kernels are the pull-backs of the hyperplanes
+    of G/K over F_p.  Sorted by (p, member tuple).
     """
-    der = derived_subgroup(group)
-    ab, proj = quotient(group, der)
+    table, inv = group.table, group._inv
+    gens = _generators(table, range(group.order))
+    comms = {table[table[inv[a]][inv[b]]][table[a][b]] for a in gens for b in gens}
     out: List[Tuple[Subgroup, int]] = []
-    for p in _prime_factors(ab.order):
-        powers = [0] * ab.order
-        for a in range(ab.order):
-            x = IDENTITY
-            for _ in range(p):
-                x = ab.mul(x, a)
-            powers[a] = x
-        psub = Subgroup(ab, closure_members(ab, powers), validate=False)
-        w, wproj = quotient(ab, psub)
+    for p in _prime_factors(group.order):
+        powers = list(gens)
+        for _ in range(p - 1):
+            powers = [table[x][a] for x, a in zip(powers, gens)]
+        seeds = comms.union(powers)
+        conjugates = {table[row[x]][gi] for row, gi in zip(table, inv) for x in seeds}
+        kernel = Subgroup(group, closure_members(group, conjugates), validate=False)
+        w, proj = quotient(group, kernel)
         if w.order == 1:
             continue
         coords = coordinatize_elementary_abelian(w, p)
-        rank = len(coords[IDENTITY])
-        for phi in itertools.product(range(p), repeat=rank):
-            if not any(phi):
+        for phi in itertools.product(range(p), repeat=len(coords[IDENTITY])):
+            if next((x for x in phi if x), 0) != 1:  # one functional per kernel: first nonzero 1
                 continue
-            first = next(x for x in phi if x)
-            if first != 1:
-                continue
-            members = [
-                g
-                for g in range(group.order)
-                if sum(a * b for a, b in zip(phi, coords[wproj[proj[g]]])) % p == 0
-            ]
+            zero = {x for x, c in coords.items() if sum(a * b for a, b in zip(phi, c)) % p == 0}
+            members = [g for g in range(group.order) if proj[g] in zero]
             out.append((Subgroup(group, members, validate=False), p))
     out.sort(key=lambda t: (t[1], t[0].members))
     return out

@@ -144,6 +144,60 @@ def subgroups_of_order_reference(group: FiniteGroup, m: int) -> List[Tuple[int, 
     return sorted(tuple(sorted(s)) for s in seen if len(s) == m)
 
 
+def is_normal_reference(group: FiniteGroup, members: Iterable[int]) -> bool:
+    """Full conjugation scan: g s g^-1 lies in N for every g in G and s in N."""
+    member_set = set(members)
+    return all(
+        group.mul(group.mul(g, s), group.inv(g)) in member_set
+        for g in range(group.order)
+        for s in member_set
+    )
+
+
+def quotient_reference(
+    group: FiniteGroup, members: Iterable[int]
+) -> Optional[Tuple[List[List[int]], List[int]]]:
+    """Quotient table and projection by the all-pairs check, or None if N is not normal.
+
+    Right cosets Ng are numbered in the order of their least element; the
+    product of cosets i and j is read off every pair (a, b) in them, and N
+    is normal exactly when every pair gives the same answer.
+    """
+    member_set = set(members)
+    proj = [-1] * group.order
+    count = 0
+    for g in range(group.order):
+        if proj[g] < 0:
+            for s in member_set:
+                proj[group.mul(s, g)] = count
+            count += 1
+    qtable: List[List[Optional[int]]] = [[None] * count for _ in range(count)]
+    for a in range(group.order):
+        for b in range(group.order):
+            c = proj[group.mul(a, b)]
+            if qtable[proj[a]][proj[b]] is None:
+                qtable[proj[a]][proj[b]] = c
+            elif qtable[proj[a]][proj[b]] != c:
+                return None
+    return qtable, proj
+
+
+def prime_index_reference(group: FiniteGroup) -> List[Tuple[Tuple[int, ...], int]]:
+    """(members, p) of every normal subgroup of prime index p, sorted by (p, members).
+
+    A subgroup of prime index p is a kernel onto C_p exactly when it is
+    normal, so these are the index-p subgroups the full scan finds normal.
+    """
+    primes = [p for p in range(2, group.order + 1)
+              if group.order % p == 0 and all(p % d for d in range(2, p))]
+    return [
+        (s, p)
+        for p in primes
+        for s in subgroups_of_order_reference(group, group.order // p)
+        if is_normal_reference(group, s)
+    ]
+
+
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
     num = den = 1

@@ -14,7 +14,10 @@ from oracles import (
     gaussian_binomial,
     gnk_index,
     gnk_word,
+    is_normal_reference,
     nonassociative_triple,
+    prime_index_reference,
+    quotient_reference,
     subgroups_of_order_reference,
     word_mul,
 )
@@ -428,8 +431,77 @@ def test_subgroups_of_order_matches_reference(name):
     for m in (d for d in range(1, g.order + 1) if g.order % d == 0):
         expected = subgroups_of_order_reference(g, m)
         assert _members(subgroups_of_order(g, m)) == expected, m
-        normal = [s for s in expected if is_normal(g, Subgroup(g, s, validate=False))]
+        normal = [s for s in expected if is_normal_reference(g, s)]
         assert _members(subgroups_of_order(g, m, normal=True)) == normal, m
+
+
+def _relabelled(g, p):
+    """The table of g with every index a renamed p[a]."""
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            table[p[a]][p[b]] = p[g.mul(a, b)]
+    return CayleyTableGroup(table)
+
+
+_ORACLE_GROUPS = {
+    **REFERENCE_GROUPS,
+    "A5": fixtures.alternating_group_5(),
+    "S4": fixtures.permutation_table_group([(1, 0, 2, 3), (1, 2, 3, 0)]),
+    # under these labels the cubes and commutators of the generators 1, 3
+    # generate an order-2 subgroup, so the index-3 kernel needs their conjugates
+    "A4": _relabelled(
+        fixtures.permutation_table_group([(1, 2, 0, 3), (0, 2, 3, 1)]),
+        [0, 1, 2, 10, 6, 7, 9, 3, 5, 4, 11, 8],
+    ),
+}
+
+
+def _all_subgroups(g):
+    return [s for m in range(1, g.order + 1) if g.order % m == 0 for s in subgroups_of_order(g, m)]
+
+
+def _assert_normality_and_quotient_match_the_scans(g, s):
+    normal = is_normal_reference(g, s.members)
+    assert is_normal(g, s) == normal, s.members
+    expected = quotient_reference(g, s.members)
+    if normal:
+        q, proj = quotient(g, s)
+        assert (q.table, proj) == expected, s.members
+    else:
+        assert expected is None
+        with pytest.raises(GroupError, match="quotient requires a normal subgroup"):
+            quotient(g, s)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
+def test_normality_quotients_and_prime_index_kernels_match_the_scans(name):
+    g = _ORACLE_GROUPS[name]
+    for s in _all_subgroups(g):
+        _assert_normality_and_quotient_match_the_scans(g, s)
+    found = [(s.members, p) for s, p in normal_subgroups_of_prime_index(g)]
+    assert found == prime_index_reference(g)
+
+
+@lru_cache(maxsize=None)
+def _prime_index_kernels(name):
+    return [(s.members, p) for s, p in normal_subgroups_of_prime_index(_ORACLE_GROUPS[name])]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["A4", "S4", "D6", "D3xC6", "G36_1", "gnk:2,0"]), st.data())
+def test_normality_quotients_and_kernels_follow_a_relabelling(name, data):
+    g = _ORACLE_GROUPS[name]
+    p = [0, *data.draw(st.permutations(range(1, g.order)))]
+    relabelled = _relabelled(g, p)
+    sub = data.draw(st.sampled_from(_all_subgroups(relabelled)))
+    _assert_normality_and_quotient_match_the_scans(relabelled, sub)
+    expected = sorted(
+        ((tuple(sorted(p[x] for x in s)), q) for s, q in _prime_index_kernels(name)),
+        key=lambda t: (t[1], t[0]),
+    )
+    found = [(s.members, q) for s, q in normal_subgroups_of_prime_index(relabelled)]
+    assert found == expected
 
 
 _ORDER_36 = {
