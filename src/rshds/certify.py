@@ -10,21 +10,21 @@ preconditions raise :class:`PreconditionError` instead of reporting.
 
 The Schur-ring, spectrum and Hadamard checks share one table of structure
 constants of {1, H-1, D, D^-1}, read from six convolutions (H*H, H*D, D*H,
-D*D, D*D^-1, D^-1*D).  Once an m = 0 set is certified, the four classes
-are disjoint, non-empty and cover G; once their span is certified closed,
-the map to class coordinates is an injective ring homomorphism onto Z^4
-with that table as its product.  So an element of the span is zero exactly
-when its four coordinates are, a polynomial in D vanishes in the group
-algebra exactly when it vanishes in Z^4, and a trace is the group order
-times the coordinate on {1}.  The spectral and Hadamard identities are
-evaluated there, on 4-vectors of ints: exact, not sampled.
+D*D, D*D^-1, D^-1*D); ``run_checks`` builds it once for all three.  Once an
+m = 0 set is certified, the four classes are disjoint, non-empty and cover
+G; once their span is certified closed, the map to class coordinates is an
+injective ring homomorphism onto Z^4 with that table as its product.  So
+an element of the span is zero exactly when its four coordinates are, a
+polynomial in D vanishes in the group algebra exactly when it vanishes in
+Z^4, and a trace is the group order times the coordinate on {1}.  The
+spectral and Hadamard identities are evaluated there, on 4-vectors of ints:
+exact, not sampled.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, convolve, from_set, regular_matrix
 from .groups import (
@@ -50,15 +50,37 @@ class PreconditionError(ValueError):
     pass
 
 
-@dataclass
+# the checks of ``run_checks`` (and ``rshds certify``), in report order
+CHECK_ORDER = ("dset", "rshds", "profile", "schur", "spectrum", "hadamard")
+
+
 class CertReport:
     """Structured pass/fail record; a failed report always carries a witness."""
 
-    check_name: str
-    passed: bool
-    params: Optional[ParameterSet] = None
-    witnesses: Dict[str, object] = field(default_factory=dict)
-    warnings: List[str] = field(default_factory=list)
+    __slots__ = ("check_name", "passed", "params", "witnesses", "warnings")
+
+    def __init__(
+        self,
+        check_name: str,
+        passed: bool,
+        params: Optional[ParameterSet] = None,
+        witnesses: Optional[Dict[str, object]] = None,
+        warnings: Optional[List[str]] = None,
+    ):
+        self.check_name = check_name
+        self.passed = passed
+        self.params = params
+        self.witnesses = {} if witnesses is None else witnesses
+        self.warnings = [] if warnings is None else warnings
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CertReport):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"CertReport({fields})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,8 +297,7 @@ _BASIS: Tuple[Coords, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0
 _G: Coords = (1, 1, 1, 1)  # the whole group, which m = 0 splits into the four classes
 
 
-@dataclass(frozen=True)
-class SchurStructure:
+class SchurStructure(NamedTuple):
     """Structure constants of the 4-class partition {1, H-1, D, D^-1}.
 
     ``coordinates[i][j]`` expresses class_i * class_j in the basis, in the
@@ -307,9 +328,15 @@ def _star(x: Sequence[int]) -> Coords:
 
 
 def _schur_structure(
-    group: FiniteGroup, sub: Subgroup, elements: Sequence[int]
+    group: FiniteGroup,
+    sub: Subgroup,
+    elements: Sequence[int],
+    base: Optional[CertReport] = None,
 ) -> Tuple[CertReport, Optional[SchurStructure], Dict[str, object]]:
     """The m = 0 report and the structure constants of {1, H-1, D, D^-1}.
+
+    ``base`` is the ``check_rshds`` report of the same set when the caller
+    has one already; otherwise it is computed here.
 
     Only H*H, H*D, D*H, D*D, D*D^-1 and D^-1*D are convolved.  The unit
     row and column are the basis, H-1 = H - 1, and star, an
@@ -319,7 +346,8 @@ def _schur_structure(
     negative coordinate, the structure is None and the witness names the
     first such class product in row order.
     """
-    base = check_rshds(group, sub, elements)
+    if base is None:
+        base = check_rshds(group, sub, elements)
     if not base.passed or base.params is None or base.params.m != 0:
         raise PreconditionError(
             "candidate is not a certified m=0 relative skew Hadamard difference set"
@@ -384,7 +412,12 @@ def check_schur_ring(
     and with D^-1, are compared coordinate by coordinate, which is exact by
     the injectivity argument in the module docstring.
     """
-    base, structure, witnesses = _schur_structure(group, sub, elements)
+    return _schur_ring(*_schur_structure(group, sub, elements))
+
+
+def _schur_ring(
+    base: CertReport, structure: Optional[SchurStructure], witnesses: Dict[str, object]
+) -> Tuple[CertReport, Optional[SchurStructure]]:
     warns = _degenerate_warnings(base.params.h)
     if structure is None:
         return CertReport("schur-ring", False, base.params, witnesses, warns), None
@@ -416,10 +449,11 @@ def check_schur_ring(
     return CertReport("schur-ring", True, base.params, witnesses, warns), structure
 
 
-def _closed_structure(
-    group: FiniteGroup, sub: Subgroup, elements: Sequence[int]
+def _closed(
+    found: Tuple[CertReport, Optional[SchurStructure], Dict[str, object]]
 ) -> Tuple[CertReport, SchurStructure]:
-    base, structure, _ = _schur_structure(group, sub, elements)
+    """The report and structure of ``_schur_structure``, which must have closed."""
+    base, structure, _ = found
     if structure is None:
         raise PreconditionError("{1, H-1, D, D^-1} does not span a Schur ring")
     return base, structure
@@ -450,7 +484,10 @@ def spectrum(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> Cert
     when it vanishes in Z^4, and a trace is the group order times the
     coordinate on {1}.
     """
-    base, s = _closed_structure(group, sub, elements)
+    return _spectrum(*_closed(_schur_structure(group, sub, elements)))
+
+
+def _spectrum(base: CertReport, s: SchurStructure) -> CertReport:
     h = base.params.h
     k = base.params.k
     t = h // 2
@@ -476,7 +513,7 @@ def spectrum(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> Cert
     powers = [one]
     for _ in range(4):
         powers.append(s.mul(powers[-1], d))
-    traces = [group.order * p[0] for p in powers[:4]]
+    traces = [base.params.v * p[0] for p in powers[:4]]
     witnesses["traces"] = traces
     eigs = [(k, 0), (-t, 0), (0, t), (0, -t)]
     mults = [1, h - 1, k, k]
@@ -515,7 +552,10 @@ def check_hadamard(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -
     M lies in the span of the four classes, so M M* = h^2 and the
     annihilation are evaluated in Z^4, exactly as in :func:`spectrum`.
     """
-    base, s = _closed_structure(group, sub, elements)
+    return _hadamard(*_closed(_schur_structure(group, sub, elements)))
+
+
+def _hadamard(base: CertReport, s: SchurStructure) -> CertReport:
     h = base.params.h
     one, _, d, _ = _BASIS
     m_el = _comb((2, d), (-1, _G))
@@ -531,6 +571,36 @@ def check_hadamard(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -
     witnesses["factors_nonzero"] = factors_nonzero
     passed = gram_ok and ann_ok and factors_nonzero
     return CertReport("hadamard", passed, base.params, witnesses, warns)
+
+
+def run_checks(
+    group: FiniteGroup, sub: Subgroup, elements: Sequence[int], names: Sequence[str]
+) -> List[CertReport]:
+    """The named checks of :data:`CHECK_ORDER`, in the order given.
+
+    The checks of one call share one ``check_rshds`` report and one Schur
+    structure, each built on first use and dropped on return, so a run of
+    every check convolves the six class products once, not once per check.
+    A check whose precondition fails reports under its name with a
+    ``precondition`` witness.
+    """
+    base = lru_cache(maxsize=None)(lambda: check_rshds(group, sub, elements))
+    found = lru_cache(maxsize=None)(lambda: _schur_structure(group, sub, elements, base()))
+    checks = {
+        "dset": lambda: check_difference_set(group, elements),
+        "rshds": base,
+        "profile": lambda: coset_profile(group, sub, elements),
+        "schur": lambda: _schur_ring(*found())[0],
+        "spectrum": lambda: _spectrum(*_closed(found())),
+        "hadamard": lambda: _hadamard(*_closed(found())),
+    }
+    reports = []
+    for name in names:
+        try:
+            reports.append(checks[name]())
+        except PreconditionError as exc:
+            reports.append(CertReport(name, False, None, {"precondition": str(exc)}))
+    return reports
 
 
 def hadamard_matrix(group: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:

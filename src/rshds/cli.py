@@ -5,6 +5,10 @@ file error, 3 search budget exceeded.  All output is deterministic: reruns
 produce byte-identical bytes.  The one exception is the line ``search``
 prints to stderr when it stops, which reports its nodes, leaves and wall
 time.
+
+Each process runs one subcommand, and each subcommand imports the layers it
+uses: only ``construct``, ``thm81`` and ``search`` import ``constructions``
+(and with it ``f2``), so ``certify`` and ``export-hadamard`` never load them.
 """
 from __future__ import annotations
 
@@ -15,9 +19,8 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from . import certify, constructions, formats
-from .certify import CertReport, PreconditionError
-from .constructions import BudgetExceededError, ConstructionError
+from . import certify, formats
+from .certify import CHECK_ORDER, CertReport, PreconditionError
 from .formats import FormatError, GroupSpec
 from .groups import (
     FiniteGroup,
@@ -32,8 +35,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-CHECK_ORDER = ("dset", "rshds", "profile", "schur", "spectrum", "hadamard")
 
 _AUTO_RE = re.compile(r"^auto-[a-z]*(\d+)$")
 
@@ -103,6 +104,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+
     spec = GroupSpec.parse(args.spec)
     if spec.kind == "gnk":
         candidate = constructions.gnk_difference_set(spec.n, spec.k)
@@ -124,25 +127,6 @@ def _cmd_construct(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _run_check(name: str, group, sub, elements) -> CertReport:
-    try:
-        if name == "dset":
-            return certify.check_difference_set(group, elements)
-        if name == "rshds":
-            return certify.check_rshds(group, sub, elements)
-        if name == "profile":
-            return certify.coset_profile(group, sub, elements)
-        if name == "schur":
-            return certify.check_schur_ring(group, sub, elements)[0]
-        if name == "spectrum":
-            return certify.spectrum(group, sub, elements)
-        if name == "hadamard":
-            return certify.check_hadamard(group, sub, elements)
-    except PreconditionError as exc:
-        return CertReport(name, False, None, {"precondition": str(exc)})
-    raise FormatError(f"unknown check {name!r}")
-
-
 def _cmd_certify(args) -> int:
     group, sub, elements, _ = formats.read_dset(args.dset)
     if args.checks:
@@ -155,7 +139,7 @@ def _cmd_certify(args) -> int:
         names = [c for c in CHECK_ORDER if c in names]
     else:
         names = list(CHECK_ORDER)
-    reports = [_run_check(c, group, sub, elements) for c in names]
+    reports = certify.run_checks(group, sub, elements, names)
     _emit_reports(reports, args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
@@ -168,6 +152,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_thm81(args) -> int:
+    from . import constructions
+
     spec = GroupSpec.parse(args.spec)
     group = formats.build_group(spec)
     sub = _parse_subgroup(group, args.subgroup)
@@ -215,15 +201,21 @@ def _search_stats(nodes: int, leaves: int, seconds: float) -> None:
 
 
 def _cmd_search(args) -> int:
+    from .constructions import BudgetExceededError, exhaustive_search
+
     spec = GroupSpec.parse(args.spec)
     group = formats.build_group(spec)
     sub = _parse_subgroup(group, args.subgroup)
     start = time.perf_counter()
     try:
-        result = constructions.exhaustive_search(group, sub, budget=args.budget)
+        result = exhaustive_search(group, sub, budget=args.budget)
     except BudgetExceededError as exc:
         _search_stats(exc.nodes, exc.leaves, time.perf_counter() - start)
-        raise
+        print(
+            f"budget exceeded: {exc} (nodes={exc.nodes}, leaves={exc.leaves}, found={exc.found})",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
     _search_stats(result.nodes, result.leaves, time.perf_counter() - start)
     print(f"found {result.count} difference set(s) "
           f"({result.nodes} nodes, {result.leaves} leaves)")
@@ -353,13 +345,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(
-            f"budget exceeded: {exc} (nodes={exc.nodes}, leaves={exc.leaves}, found={exc.found})",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-    except (FormatError, GroupError, ConstructionError, PreconditionError, OSError) as exc:
+    except (FormatError, GroupError, PreconditionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        # only construct, thm81 and search raise it, so its module is loaded by then
+        from .constructions import ConstructionError
+
+        if not isinstance(exc, ConstructionError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,8 +18,7 @@ Three producers of :class:`DifferenceSetCandidate`:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import f2
 from .groups import (
@@ -57,10 +56,7 @@ class BudgetExceededError(RuntimeError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class DifferenceSetCandidate:
-    """A subset of G \\ H proposed as a difference set, with its provenance."""
-
+class _CandidateFields(NamedTuple):
     group: FiniteGroup
     subgroup: Subgroup
     elements: Tuple[int, ...]
@@ -68,20 +64,39 @@ class DifferenceSetCandidate:
     provenance: str
     self_inverse_expected: bool = False
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        object.__setattr__(self, "elements", elems)
-        if len(elems) != self.params.k:
+
+class DifferenceSetCandidate(_CandidateFields):
+    """A subset of G \\ H proposed as a difference set, with its provenance.
+
+    ``elements`` is stored sorted and without repeats.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        group: FiniteGroup,
+        subgroup: Subgroup,
+        elements: Sequence[int],
+        params: ParameterSet,
+        provenance: str,
+        self_inverse_expected: bool = False,
+    ) -> "DifferenceSetCandidate":
+        elems = tuple(sorted(set(elements)))
+        if len(elems) != params.k:
             raise ConstructionError(
-                f"candidate has {len(elems)} elements, expected k={self.params.k}"
+                f"candidate has {len(elems)} elements, expected k={params.k}"
             )
         for g in elems:
-            if not (0 <= g < self.group.order):
+            if not (0 <= g < group.order):
                 raise ConstructionError(f"element index {g} out of range")
-            if g in self.subgroup:
+            if g in subgroup:
                 raise ConstructionError(
                     f"element {g} lies in the excluded subgroup"
                 )
+        return super().__new__(
+            cls, group, subgroup, elems, params, provenance, self_inverse_expected
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +148,14 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperplaneAssignment:
+class HyperplaneAssignment(NamedTuple):
     """A matching of hyperplanes of H to the nontrivial cosets of H.
 
     ``h_coords`` maps each member of H to its F_2 vector (an int bitmask, see
     ``f2``).  ``pairing[i]`` is the coset index j with t_i^-1 in H t_j, and
     ``normals[i]`` is the normal of the hyperplane assigned to coset i, in
-    those coordinates; both are indexed by coset index 1..h-1.
+    those coordinates; both are indexed by coset index 1..h-1.  Equality and
+    hashing leave ``h_coords`` out.
     """
 
     group: FiniteGroup
@@ -148,7 +163,18 @@ class HyperplaneAssignment:
     decomposition: CosetDecomposition
     pairing: Tuple[int, ...]
     normals: Tuple[Optional[int], ...]
-    h_coords: Dict[int, int] = field(compare=False)
+    h_coords: Dict[int, int]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HyperplaneAssignment):
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other: object) -> bool:  # tuple's own would compare h_coords
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
     def hyperplane_members(self, coset_index: int) -> FrozenSet[int]:
         return _hyperplanes(self.h_coords, [self.normals[coset_index]])[0]
@@ -408,15 +434,30 @@ DEFAULT_SEARCH_BUDGET = 1_000_000_000
 UNAIDED_SEARCH_LIMIT = 64
 
 
-@dataclass
 class SearchResult:
-    candidates: List[DifferenceSetCandidate]
-    nodes: int
-    leaves: int
+    """The sets ``exhaustive_search`` found and the size of the tree it walked."""
+
+    __slots__ = ("candidates", "nodes", "leaves")
+
+    def __init__(self, candidates: List[DifferenceSetCandidate], nodes: int, leaves: int):
+        self.candidates = candidates
+        self.nodes = nodes
+        self.leaves = leaves
 
     @property
     def count(self) -> int:
         return len(self.candidates)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchResult):
+            return NotImplemented
+        return (self.candidates, self.nodes, self.leaves) == (
+            other.candidates, other.nodes, other.leaves
+        )
+
+    def __repr__(self) -> str:
+        return (f"SearchResult(candidates={self.candidates!r}, "
+                f"nodes={self.nodes!r}, leaves={self.leaves!r})")
 
 
 def exhaustive_search(

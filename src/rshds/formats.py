@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .groups import (
     C4PowerGroup,
@@ -24,6 +23,7 @@ from .groups import (
 CAYLEY_FORMAT = "cayley-v1"
 DSET_GROUP_KEY = "group"
 HADAMARD_HEADER = "hadamard-v1"
+_HADAMARD_TOKENS = {1: "1", -1: "-1"}
 
 
 class FormatError(ValueError):
@@ -44,8 +44,7 @@ _GNK_RE = re.compile(r"^gnk:(\d+),(\d+)$")
 _C4N_RE = re.compile(r"^c4n:(\d+)$")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Parseable group description: gnk:n,k | c4n:n | file:<path>."""
 
     kind: str
@@ -199,14 +198,25 @@ def read_dset(
 
 
 def write_hadamard(path: Union[str, Path], matrix: Sequence[Sequence[int]]) -> None:
+    """Write a square matrix of entries equal to 1 or -1 as hadamard-v1.
+
+    Each entry is written as the token ``1`` or ``-1`` whatever its type
+    (``True`` and ``1.0`` equal 1), which is all that ``read_hadamard``
+    accepts; any other entry is refused.
+    """
     n = len(matrix)
     if n == 0:
         raise FormatError("hadamard-v1 matrix must not be empty")
     lines = [f"{HADAMARD_HEADER} {n}"]
+    token = _HADAMARD_TOKENS.__getitem__
     for row in matrix:
-        if len(row) != n or any(x not in (1, -1) for x in row):
+        try:
+            line = " ".join(map(token, row))
+        except (KeyError, TypeError):  # an entry other than 1 or -1
+            line = None
+        if line is None or len(row) != n:
             raise FormatError("hadamard-v1 rows must be +-1 entries of full length")
-        lines.append(" ".join(str(x) for x in row))
+        lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

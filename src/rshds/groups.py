@@ -23,8 +23,7 @@ are immutable after construction and all functions here are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 IDENTITY = 0
 
@@ -43,8 +42,15 @@ class GroupTableError(GroupError):
         self.witness = witness or {}
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class _ParameterFields(NamedTuple):
+    h: int
+    v: int
+    k: int
+    lam: int
+    m: Optional[int] = 0
+
+
+class ParameterSet(_ParameterFields):
     """Difference-set parameters tied to an even subgroup order h.
 
     v = h^2, k = h(h-1)/2, lam = h(h-2)/4; m counts the H-cosets inside
@@ -52,23 +58,20 @@ class ParameterSet:
     not apply).  h = 2 is legal but degenerate (lam = 0).
     """
 
-    h: int
-    v: int
-    k: int
-    lam: int
-    m: Optional[int] = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.h < 2 or self.h % 2:
-            raise GroupError(f"subgroup order h={self.h} must be even and >= 2")
-        if self.v != self.h * self.h:
-            raise GroupError(f"v={self.v} != h^2={self.h * self.h}")
-        if self.k != self.h * (self.h - 1) // 2:
-            raise GroupError(f"k={self.k} != h(h-1)/2")
-        if self.lam != self.h * (self.h - 2) // 4:
-            raise GroupError(f"lambda={self.lam} != h(h-2)/4")
-        if self.m is not None and not (0 <= self.m <= (self.h - 1) // 4):
-            raise GroupError(f"m={self.m} outside 0..(h-1)/4")
+    def __new__(cls, h: int, v: int, k: int, lam: int, m: Optional[int] = 0) -> "ParameterSet":
+        if h < 2 or h % 2:
+            raise GroupError(f"subgroup order h={h} must be even and >= 2")
+        if v != h * h:
+            raise GroupError(f"v={v} != h^2={h * h}")
+        if k != h * (h - 1) // 2:
+            raise GroupError(f"k={k} != h(h-1)/2")
+        if lam != h * (h - 2) // 4:
+            raise GroupError(f"lambda={lam} != h(h-2)/4")
+        if m is not None and not (0 <= m <= (h - 1) // 4):
+            raise GroupError(f"m={m} outside 0..(h-1)/4")
+        return super().__new__(cls, h, v, k, lam, m)
 
     @classmethod
     def from_subgroup_order(cls, h: int, m: Optional[int] = 0) -> "ParameterSet":
@@ -98,7 +101,11 @@ class FiniteGroup:
     _table: Optional[List[List[int]]] = None
 
     def __init__(self) -> None:
-        self._inv = [row.index(IDENTITY) for row in self.table]
+        self._inv = self._inverses()
+
+    def _inverses(self) -> List[int]:
+        """Inverse of every element, by scanning its table row for the identity."""
+        return [row.index(IDENTITY) for row in self.table]
 
     def mul(self, a: int, b: int) -> int:
         return self._table[a][b]
@@ -241,6 +248,16 @@ class GnkGroup(FiniteGroup):
 
     def _build_table(self) -> List[List[int]]:
         return _twisted_table(self.n, self.k)
+
+    def _inverses(self) -> List[int]:
+        """(e, f)^-1 = (e, f ^ twist(e, e)), read in closed form off the table.
+
+        (e, f)(e, f') = (0, f ^ f' ^ twist(e, e)) is the identity exactly when
+        f' = f ^ twist(e, e), and twist(e, e) is the index of (e, 0)^2.
+        """
+        n, table = self.n, self.table
+        squares = [table[e << n][e << n] for e in range(1 << n)]
+        return [a ^ squares[a >> n] for a in range(self.order)]
 
     def _bits(self, v: int) -> List[int]:
         """Coordinates of an n-bit vector, first coordinate first."""
@@ -454,8 +471,7 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
                for g in _generators(table, range(group.order)) for s in sub_gens)
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(NamedTuple):
     """Right cosets Hg with lexicographically least representatives, H first."""
 
     subgroup: Subgroup

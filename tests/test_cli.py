@@ -138,6 +138,36 @@ def test_certify_convolution_count(tmp_path, monkeypatch, capsys):
     assert len(calls) <= 23
 
 
+# a default run convolves D*D^-1 for dset and for rshds, and the six class
+# products once for schur, spectrum and hadamard together; the self-inverse
+# c4n:4 set fails the m = 0 precondition of the last three
+@pytest.mark.parametrize("spec,code,stdout_sha,failed", [
+    ("gnk:3,1", cli.EXIT_OK, "eecaf1821c715139", []),
+    ("c4n:4", cli.EXIT_FAIL, "544665b8dce7f8f7", ["rshds-structure", "schur", "spectrum", "hadamard"]),
+])
+def test_certify_builds_the_schur_structure_once(
+    tmp_path, monkeypatch, capsys, spec, code, stdout_sha, failed
+):
+    dset = tmp_path / "d.json"
+    assert cli.main(["construct", spec, "--out", str(dset)]) == cli.EXIT_OK
+    capsys.readouterr()
+    calls = []
+    real = certify.convolve
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(certify, "convolve", counted)
+    assert cli.main(["certify", str(dset), "--json"]) == code
+    out = capsys.readouterr().out
+    assert sha16(out.encode()) == stdout_sha
+    reports = json.loads(out)
+    assert [r["checkName"] for r in reports if not r["pass"]] == failed
+    assert [r["checkName"] for r in reports if "precondition" in r["witnesses"]] == failed[1:]
+    assert len(calls) <= 8
+
+
 def test_search_out_round_trips_through_certify(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert cli.main(["search", "gnk:2,0", "distinguished", "--out", str(out)]) == cli.EXIT_OK

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -185,13 +184,13 @@ def test_verifier_reports_each_tampering(gnk31):
     swapped = dict(good.h_coords)
     swapped[1], swapped[2] = swapped[2], swapped[1]
     cases = [
-        (replace(good, normals=tuple(duplicate)), "assigned hyperplanes are not pairwise distinct"),
-        (replace(good, normals=tuple(duplicate)), "t_2 t_2 not in assigned subgroup of coset 2"),
-        (replace(good, normals=tuple(missing)), "assignment is incomplete or has a normal outside H"),
-        (replace(good, normals=tuple(outside)), "assignment is incomplete or has a normal outside H"),
-        (replace(good, h_coords=swapped), "coordinates are not a GF(2) homomorphism"),
-        (replace(good, h_coords={m: 0 for m in swapped}), "coordinates are not a bijection"),
-        (replace(good, h_coords={m: m << 1 for m in swapped}), "coordinates are not a bijection"),
+        (good._replace(normals=tuple(duplicate)), "assigned hyperplanes are not pairwise distinct"),
+        (good._replace(normals=tuple(duplicate)), "t_2 t_2 not in assigned subgroup of coset 2"),
+        (good._replace(normals=tuple(missing)), "assignment is incomplete or has a normal outside H"),
+        (good._replace(normals=tuple(outside)), "assignment is incomplete or has a normal outside H"),
+        (good._replace(h_coords=swapped), "coordinates are not a GF(2) homomorphism"),
+        (good._replace(h_coords={m: 0 for m in swapped}), "coordinates are not a bijection"),
+        (good._replace(h_coords={m: m << 1 for m in swapped}), "coordinates are not a bijection"),
     ]
     for bad, problem in cases:
         ok, problems = verify_hyperplane_assignment(bad)

@@ -107,6 +107,20 @@ def test_write_hadamard_refuses_an_empty_matrix(tmp_path):
         write_hadamard(tmp_path / "empty.hadamard.txt", [])
 
 
+@pytest.mark.parametrize("matrix", [[[True]], [[1.0]], [[1, -1.0], [1, 1]]])
+def test_write_hadamard_writes_what_read_hadamard_reads(tmp_path, matrix):
+    # entries equal to 1 or -1 are written as the tokens 1 and -1
+    path = tmp_path / "h.txt"
+    write_hadamard(path, matrix)
+    assert read_hadamard(path) == [[int(x) for x in row] for row in matrix]
+
+
+@pytest.mark.parametrize("matrix", [[[2]], [[False]], [["1"]], [[0.5]], [[[1]]], [[1, 1], [1]]])
+def test_write_hadamard_refuses_other_entries(tmp_path, matrix):
+    with pytest.raises(FormatError):
+        write_hadamard(tmp_path / "h.txt", matrix)
+
+
 def test_missing_files(tmp_path):
     for reader in (read_dset, read_cayley, read_hadamard):
         with pytest.raises(FormatError):

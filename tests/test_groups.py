@@ -133,6 +133,13 @@ def test_group_axioms_all_backends():
                 assert g.inv(g.mul(a, b)) == g.mul(g.inv(b), g.inv(a))
 
 
+def test_closed_form_inverses_match_the_row_scan():
+    used = [C4PowerGroup(n) for n in range(1, 5)]
+    used += [GnkGroup(n, k) for n in range(2, 5) for k in range(n - 1)]
+    for g in used:
+        assert [g.inv(a) for a in g.elements()] == [row.index(0) for row in g.table]
+
+
 _gnk = lru_cache(maxsize=None)(GnkGroup)
 _c4n = lru_cache(maxsize=None)(C4PowerGroup)
 

@@ -1,11 +1,14 @@
-"""Every rshds module and test module uses what it imports, and the CLI starts without numpy.
+"""Every rshds module and test module uses what it imports, the package
+exports what it always has, and the CLI starts without the layers it does not run.
 
 No linter is a dependency of this project, so the unused-import check is an
-AST scan of each module's top-level imports against the names it reads.
+AST scan: each import must be read in the scope that binds it, the module for
+a module-level import and the function for one inside a function.
 """
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -20,21 +23,41 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 TESTS = Path(__file__).parent
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_imports(scope: ast.AST):
+    """Import statements whose innermost enclosing function is ``scope``."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source: str) -> list:
-    """Names bound by top-level imports that the module never reads."""
+    """Names bound by imports that the module or function binding them never reads."""
     tree = ast.parse(source)
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound.update(a.asname or a.name for a in node.names)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(bound - read)
+    unused = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        bound = set()
+        for node in _own_imports(scope):
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused += bound - read
+    return sorted(unused)
 
 
 def test_unused_imports_are_found():
     assert unused_imports("import os, a.b\nfrom x import y as z, w\nw(os)\n") == ["a", "z"]
+    # a function's import counts only where that function reads it
+    source = "def f():\n    import json, re\n    return re\ndef g():\n    return json\n"
+    assert unused_imports(source) == ["json"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -48,12 +71,43 @@ def test_test_module_has_no_unused_imports(module):
 
 
 def test_cli_import_leaves_numpy_out():
+    # nor the modules only construct, thm81 and search use, nor dataclasses
+    # and the inspect module it imports
+    unwanted = ("numpy", "dataclasses", "inspect", "rshds.constructions", "rshds.f2")
+    code = f"import sys, rshds.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, rshds.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+# every name `rshds/__init__` exported when it imported its submodules eagerly,
+# by the module that defines it
+EXPORTS = {
+    "algebra": "AlgebraElement convolve from_set full_sum unit",
+    "certify": "CertReport PreconditionError SchurStructure check_difference_set check_hadamard "
+               "check_rshds check_schur_ring coset_profile hadamard_matrix m_bound "
+               "parameter_formulas quotient_check spectrum structural_tests",
+    "constructions": "BudgetExceededError ConstructionError DifferenceSetCandidate "
+                     "HyperplaneAssignment SearchResult assignment_difference_set "
+                     "c4n_difference_set c4n_standard_assignment exhaustive_search "
+                     "find_hyperplane_assignment gnk_difference_set verify_hyperplane_assignment",
+    "formats": "GroupSpec build_group read_cayley read_dset write_cayley write_dset",
+    "groups": "C4PowerGroup CayleyTableGroup CosetDecomposition FiniteGroup GnkGroup GroupError "
+              "ParameterSet Subgroup closure cosets involutions is_normal "
+              "normal_subgroups_of_prime_index quotient subgroups_of_order",
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_package_exports_resolve_to_their_modules(module):
+    names = EXPORTS[module].split()
+    namespace: dict = {}
+    exec(f"from rshds import {', '.join(names)}", namespace)
+    source = importlib.import_module(f"rshds.{module}")
+    assert [name for name in names if namespace[name] is not getattr(source, name)] == []
