@@ -8,7 +8,7 @@ its subcommand runs.
 import importlib
 
 _EXPORTS = {
-    "algebra": ("AlgebraElement", "convolve", "from_set", "full_sum", "unit"),
+    "algebra": ("AlgebraElement", "convolve", "from_set"),
     "certify": (
         "CertReport",
         "PreconditionError",

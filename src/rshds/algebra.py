@@ -1,15 +1,20 @@
-"""Exact integer group-algebra arithmetic.
+"""Exact integer group-algebra arithmetic, as much of it as certification uses.
 
 Elements are dense coefficient vectors over a finite group, with Python
 integers throughout: every identity certified downstream is an exact
 equality, never a floating-point comparison.  Python integers are
-arbitrary precision, so products can never silently wrap.
+arbitrary precision, so products can never silently wrap.  An element
+offers its support and its star (the pullback along inversion); the
+operations are the indicator of a set, the convolution product and the
+regular representation.  Sums and scalar multiples have no operators here:
+``certify`` forms them on class coordinates, after reading the class
+products off convolutions.
 """
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from .groups import IDENTITY, FiniteGroup
+from .groups import FiniteGroup
 
 
 class AlgebraError(ValueError):
@@ -33,49 +38,6 @@ class AlgebraElement:
         if self.group is not other.group:
             raise AlgebraError("elements belong to different groups")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same_group(other)
-        return AlgebraElement(
-            self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same_group(other)
-        return AlgebraElement(
-            self.group, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, [-a for a in self.coeffs])
-
-    def __rmul__(self, scalar: int) -> "AlgebraElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return AlgebraElement(self.group, [scalar * a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return convolve(self, other)
-        if isinstance(other, int):
-            return AlgebraElement(self.group, [other * a for a in self.coeffs])
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.group is other.group
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), tuple(self.coeffs)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def identity_coefficient(self) -> int:
-        return self.coeffs[IDENTITY]
-
     def support(self) -> List[int]:
         return [g for g, c in enumerate(self.coeffs) if c]
 
@@ -83,18 +45,6 @@ class AlgebraElement:
         """Coefficientwise pullback along inversion: star(x)[g] = x[g^-1]."""
         inv = self.group.inv
         return AlgebraElement(self.group, [self.coeffs[inv(g)] for g in self.group.elements()])
-
-    def __repr__(self) -> str:
-        terms = [
-            f"{c}*{self.group.element_name(g)}" for g, c in enumerate(self.coeffs) if c
-        ]
-        return " + ".join(terms) if terms else "0"
-
-
-def unit(group: FiniteGroup) -> AlgebraElement:
-    coeffs = [0] * group.order
-    coeffs[IDENTITY] = 1
-    return AlgebraElement(group, coeffs)
 
 
 def from_set(group: FiniteGroup, indices: Iterable[int]) -> AlgebraElement:
@@ -108,10 +58,6 @@ def from_set(group: FiniteGroup, indices: Iterable[int]) -> AlgebraElement:
             raise AlgebraError(f"duplicate element index {i}")
         coeffs[i] = 1
     return AlgebraElement(group, coeffs)
-
-
-def full_sum(group: FiniteGroup) -> AlgebraElement:
-    return AlgebraElement(group, [1] * group.order)
 
 
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -9,10 +9,12 @@ screening tests.  Checks return a :class:`CertReport`; violated
 preconditions raise :class:`PreconditionError` instead of reporting.
 
 The Schur-ring, spectrum and Hadamard checks share one table of structure
-constants of {1, H-1, D, D^-1}, read from six convolutions (H*H, H*D, D*H,
-D*D, D*D^-1, D^-1*D); ``run_checks`` builds it once for all three.  Once an
-m = 0 set is certified, the four classes are disjoint, non-empty and cover
-G; once their span is certified closed, the map to class coordinates is an
+constants of {1, H-1, D, D^-1}, read from five convolutions (H*H, H*D, D*H,
+D*D, D^-1*D) and from the difference equation D*D^-1 = k + lam(G-1) that
+``check_rshds`` certified; ``run_checks`` builds it once for all three, so
+a run of every check makes 7 convolutions.  Once an m = 0 set is
+certified, the four classes are disjoint, non-empty and cover G; once their
+span is certified closed, the map to class coordinates is an
 injective ring homomorphism onto Z^4 with that table as its product.  So
 an element of the span is zero exactly when its four coordinates are, a
 polynomial in D vanishes in the group algebra exactly when it vanishes in
@@ -33,6 +35,7 @@ from .groups import (
     GroupError,
     ParameterSet,
     Subgroup,
+    _prime_factors,
     closure,
     cosets,
     cyclic_group,
@@ -100,6 +103,11 @@ class CertReport:
         return f"{tag} {self.check_name}{ptxt}"
 
 
+def _unpinned_params(h: int) -> Optional[ParameterSet]:
+    """The parameters of subgroup order h with m left open, or None if h is not even >= 2."""
+    return ParameterSet.from_subgroup_order(h, m=None) if h >= 2 and h % 2 == 0 else None
+
+
 def _degenerate_warnings(h: int) -> List[str]:
     if h == 2:
         return ["degenerate h=2: lambda = 0, the structural theorems are vacuous"]
@@ -113,8 +121,6 @@ def _degenerate_warnings(h: int) -> List[str]:
 
 def parameter_formulas(h: int) -> ParameterSet:
     """(v, k, lambda) = (h^2, h(h-1)/2, h(h-2)/4) for even h >= 2."""
-    if h < 2 or h % 2:
-        raise GroupError(f"subgroup order h={h} must be even and >= 2")
     return ParameterSet.from_subgroup_order(h)
 
 
@@ -197,16 +203,19 @@ def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> C
     Verifies |G| = |H|^2 and D disjoint from H, then that D intersect D^-1
     is a union of m cosets of H and that the complement of D union D^-1 is H
     plus m further cosets, with m within its proven bound, and certifies
-    the difference-set equation for every m.  For m = 0 the three-part
-    partition is certified as well.
+    the difference-set equation for every m.
+
+    No size or partition check follows, since these conditions imply both.
+    |D| = k: D and D^-1 have the same size, their intersection is m cosets
+    and the complement of their union m + 1, so 2|D| = h^2 - h for every m.
+    At m = 0, G = D + D^-1 + H disjointly: the intersection is empty and the
+    complement is exactly H.
     """
     name = "rshds-structure"
     h = sub.order
     witnesses: Dict[str, object] = {}
-    params = None
-    if h >= 2 and h % 2 == 0:
-        params = ParameterSet.from_subgroup_order(h, m=None)
-    if h < 2 or h % 2:
+    params = _unpinned_params(h)
+    if params is None:
         return CertReport(name, False, None, {"subgroup_order": h},
                           ["subgroup order must be even and at least 2"])
     if group.order != h * h:
@@ -250,16 +259,8 @@ def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> C
             name, False, params, witnesses,
             [f"m={m} exceeds the proven bound floor((h-1)/4)={m_bound(h)}"],
         )
-    k = h * (h - 1) // 2
-    if len(dset) != k:
-        witnesses["size"] = len(dset)
-        witnesses["expected_size"] = k
-        return CertReport(name, False, params, witnesses)
     params = ParameterSet.from_subgroup_order(h, m=m)
     warns = _degenerate_warnings(h)
-    if m == 0 and (dset | dinv | sub.member_set != set(range(group.order)) or inter or overlap):
-        witnesses["partition"] = False
-        return CertReport(name, False, params, witnesses, warns)
     eq = check_difference_set(group, sorted(dset))
     witnesses["difference_equation"] = eq.passed
     if not eq.passed:
@@ -276,7 +277,7 @@ def coset_profile(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) ->
         profile[dec.coset_of[g]] += 1
     h = sub.order
     witnesses: Dict[str, object] = {"profile": profile}
-    params = ParameterSet.from_subgroup_order(h, m=None) if h % 2 == 0 and h >= 2 else None
+    params = _unpinned_params(h)
     if profile[0] != 0:
         witnesses["bad_coset"] = 0
         return CertReport("coset-profile", False, params, witnesses)
@@ -305,7 +306,6 @@ class SchurStructure(NamedTuple):
     """
 
     coordinates: Tuple[Tuple[Coords, ...], ...]
-    class_names: Tuple[str, ...] = ("1", "H-1", "D", "D^-1")
 
     def mul(self, x: Sequence[int], y: Sequence[int]) -> Coords:
         """Product of two elements of the span, both given in class coordinates."""
@@ -338,8 +338,10 @@ def _schur_structure(
     ``base`` is the ``check_rshds`` report of the same set when the caller
     has one already; otherwise it is computed here.
 
-    Only H*H, H*D, D*H, D*D, D*D^-1 and D^-1*D are convolved.  The unit
-    row and column are the basis, H-1 = H - 1, and star, an
+    Only H*H, H*D, D*H, D*D and D^-1*D are convolved.  D*D^-1 is not: the
+    passing m = 0 ``base`` has certified D*D^-1 = k + lam(G-1) exactly, and
+    G is the sum of the four classes, so its coordinates are (k, lam, lam,
+    lam).  The unit row and column are the basis, H-1 = H - 1, and star, an
     anti-automorphism that swaps D and D^-1, gives D^-1 D^-1 = (DD)*,
     D^-1 H = (HD)* and H D^-1 = (DH)*; so a class product closes exactly
     when the product it is read from does.  If one does not close or has a
@@ -371,10 +373,12 @@ def _schur_structure(
             coords.append(vals.pop())
         return tuple(coords)
 
-    hh, hd, dh, dd, ddi, did = (
+    hh, hd, dh, dd, did = (
         expand(convolve(x, y))
-        for x, y in ((h_el, h_el), (h_el, d), (d, h_el), (d, d), (d, dinv), (dinv, d))
+        for x, y in ((h_el, h_el), (h_el, d), (d, h_el), (d, d), (dinv, d))
     )
+    lam = base.params.lam
+    ddi = (base.params.k, lam, lam, lam)
     e, a, dv, bv = _BASIS
 
     def cell(src: Optional[Coords], *terms, star: bool = False) -> Optional[Coords]:
@@ -405,12 +409,13 @@ def check_schur_ring(
 ) -> Tuple[CertReport, Optional[SchurStructure]]:
     """Certify that {1, H-1, D, D^-1} spans a commutative Schur ring.
 
-    The 16 class products, read from six convolutions, must resolve exactly
-    into the four classes with non-negative integer coordinates.  Then the
-    closed forms H*D = (h/2)(G-H), D^2 = (k-lam-h/2)(D+D^-1) + (k-lam)(H-1)
-    and D*D^-1 = lam(D + D^-1 + (H-1)) + k, and the commutation of D with H
-    and with D^-1, are compared coordinate by coordinate, which is exact by
-    the injectivity argument in the module docstring.
+    The 16 class products, read from five convolutions and the certified
+    D*D^-1 = lam(D + D^-1 + (H-1)) + k, must resolve exactly into the four
+    classes with non-negative integer coordinates.  Then the closed forms
+    H*D = (h/2)(G-H) and D^2 = (k-lam-h/2)(D+D^-1) + (k-lam)(H-1), and the
+    commutation of D with H and with D^-1 (the convolved D^-1*D against
+    the certified D*D^-1), are compared coordinate by coordinate, which is
+    exact by the injectivity argument in the module docstring.
     """
     return _schur_ring(*_schur_structure(group, sub, elements))
 
@@ -430,8 +435,6 @@ def _schur_ring(
         problems.append("H*D != (h/2)(G-H)")
     if table[2][2] != (0, k - lam, k - lam - t, k - lam - t):
         problems.append("D^2 != (k-lam-h/2)(D+D^-1) + (k-lam)(H-1)")
-    if table[2][3] != (k, lam, lam, lam):
-        problems.append("D*D^-1 != lam(D+D^-1+(H-1)) + k")
     if dh != hd:
         problems.append("D and H do not commute")
     if table[2][3] != table[3][2]:
@@ -580,7 +583,9 @@ def run_checks(
 
     The checks of one call share one ``check_rshds`` report and one Schur
     structure, each built on first use and dropped on return, so a run of
-    every check convolves the six class products once, not once per check.
+    every check convolves the five class products once, not once per check,
+    and makes 7 convolutions in all: D*D^-1 for dset and for rshds, and the
+    five for the structure.
     A check whose precondition fails reports under its name with a
     ``precondition`` witness.
     """
@@ -637,15 +642,6 @@ def _swallowing_fingerprints() -> frozenset:
     return frozenset(g.fingerprint() for g in reference)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def quotient_check(
     group: FiniteGroup,
     sub: Subgroup,
@@ -670,15 +666,13 @@ def quotient_check(
         ys[proj[m]] += 1
     h = sub.order
     k = len(set(elements))
-    params = (
-        ParameterSet.from_subgroup_order(h, m=None) if h >= 2 and h % 2 == 0 else None
-    )
+    params = _unpinned_params(h)
     witnesses: Dict[str, object] = {"quotient_order": u, "x": xs, "y": ys}
     warnings: List[str] = []
     problems: List[str] = []
     if sum(xs) != k or sum(ys) != h:
         problems.append("profile totals are inconsistent")
-    if _is_prime(u):
+    if _prime_factors(u) == [u]:
         p = u
         witnesses["case"] = "prime-index"
         if ys[0] != h:
@@ -801,7 +795,4 @@ def structural_tests(
         witnesses["T4"] = {"pass": None}
         warnings.append("T4 skipped: no candidate subgroup given")
     passed = t1 and t2 and t3 and (t4 is not False)
-    params = (
-        ParameterSet.from_subgroup_order(h, m=None) if h % 2 == 0 and h >= 2 else None
-    )
-    return CertReport("structural-tests", passed, params, witnesses, warnings)
+    return CertReport("structural-tests", passed, _unpinned_params(h), witnesses, warnings)

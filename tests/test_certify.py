@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gnk_index, naive_difference_tally
+from oracles import class_products_reference, gnk_index, naive_difference_tally
 from rshds.algebra import from_set, regular_matrix
 from rshds.certify import (
     PreconditionError,
@@ -23,8 +23,9 @@ from rshds.certify import (
     spectrum,
     structural_tests,
 )
-from rshds import certify, fixtures
+from rshds import certify, constructions, fixtures, groups
 from rshds.constructions import (
+    BudgetExceededError,
     assignment_difference_set,
     c4n_difference_set,
     exhaustive_search,
@@ -254,6 +255,40 @@ def test_schur_ring_gnk31(cand31):
     assert structure.coordinates[2][3] == (28, 12, 12, 12)
 
 
+def _search_finds(spec, budget):
+    """The sets a node-budgeted search on the distinguished H finds before it stops."""
+    group = build_group(spec)
+    found = []
+    real = constructions.DifferenceSetCandidate
+
+    def recorded(*args):
+        found.append(args[2])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "DifferenceSetCandidate", recorded)
+        with pytest.raises(BudgetExceededError):
+            exhaustive_search(group, group.distinguished_subgroup(), budget=budget)
+    return group, found
+
+
+def test_schur_table_matches_the_class_products_oracle(cand20, cand31, gnk4_candidates):
+    # every one of the 16 class products, the D*D^-1 cell included, must be
+    # what a naive tally of that product gives
+    cases = [(cand20.group, c.elements)
+             for c in exhaustive_search(cand20.group, cand20.subgroup).candidates]
+    assert len(cases) == 16
+    cases += [(c.group, c.elements) for c in (cand31, gnk4_candidates[2])]
+    c4n3, found = _search_finds("c4n:3", 10_000)
+    assert len(found) == 16
+    cases += [(c4n3, elements) for elements in found]
+    for group, elements in cases:
+        sub = group.distinguished_subgroup()
+        report, structure = check_schur_ring(group, sub, elements)
+        assert report.passed
+        assert structure.coordinates == class_products_reference(group, sub, elements)
+
+
 def test_schur_ring_precondition():
     cand = c4n_difference_set(2)
     with pytest.raises(PreconditionError):
@@ -471,6 +506,25 @@ def test_structural_tests_order_256_certified_group():
     report = structural_tests(g, 16, g.distinguished_subgroup())
     assert report.passed
     assert all(report.witnesses[t]["pass"] for t in ("T1", "T2", "T3", "T4"))
+
+
+@pytest.mark.parametrize("spec", ["c4n:3", "gnk:3,1"])
+def test_screen_finds_the_group_generators_once(monkeypatch, spec):
+    # every is_normal call and the prime-index kernels conjugate by the same
+    # generators of G, which the group finds on first use
+    group = build_group(spec)
+    whole = []
+    real = groups._generators
+
+    def counted(table, members):
+        members = list(members)
+        if table is group.table and members == list(range(group.order)):
+            whole.append(1)
+        return real(table, members)
+
+    monkeypatch.setattr(groups, "_generators", counted)
+    assert structural_tests(group, 8, group.distinguished_subgroup()).passed
+    assert len(whole) == 1
 
 
 def test_structural_tests_t4_names_the_first_complement():

@@ -1,9 +1,12 @@
-"""Every rshds module and test module uses what it imports, the package
-exports what it always has, and the CLI starts without the layers it does not run.
+"""Every rshds module and test module uses what it imports, every private
+helper of the package has a caller in it, the package exports what it
+should, and the CLI starts without the layers it does not run.
 
-No linter is a dependency of this project, so the unused-import check is an
-AST scan: each import must be read in the scope that binds it, the module for
-a module-level import and the function for one inside a function.
+No linter is a dependency of this project, so both checks are AST scans.
+Each import must be read in the scope that binds it, the module for a
+module-level import and the function for one inside a function; each
+module-level ``_name`` function or class must be referred to somewhere in
+the package.
 """
 from __future__ import annotations
 
@@ -70,6 +73,48 @@ def test_test_module_has_no_unused_imports(module):
     assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
 
 
+def private_helpers_without_callers(sources: dict) -> list:
+    """Module-level ``_name`` functions and classes that no module refers to.
+
+    ``sources`` maps module names to their source.  A reference is a name
+    read, an attribute read (``groups._generators``) or a name imported;
+    dunder names are the interpreter's and never count as helpers.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    )
+
+
+def test_private_helpers_without_callers_are_found():
+    sources = {
+        "a": "def _used():\n    pass\ndef _unused():\n    pass\nclass _Lone:\n    pass\n"
+             "def __getattr__(name):\n    pass\ndef public():\n    return _used()\n",
+        "b": "from .a import _imported\nimport a\na._attribute\n",
+        "c": "def _imported():\n    pass\ndef _attribute():\n    pass\n",
+    }
+    assert private_helpers_without_callers(sources) == ["a._Lone", "a._unused"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert private_helpers_without_callers(sources) == []
+
+
 def test_cli_import_leaves_numpy_out():
     # nor the modules only construct, thm81 and search use, nor dataclasses
     # and the inspect module it imports
@@ -86,10 +131,11 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "[]"
 
 
-# every name `rshds/__init__` exported when it imported its submodules eagerly,
-# by the module that defines it
+# every name `rshds/__init__` exports, by the module that defines it: what it
+# exported when it imported its submodules eagerly, less the algebra helpers
+# `full_sum` and `unit`, which nothing in the package calls
 EXPORTS = {
-    "algebra": "AlgebraElement convolve from_set full_sum unit",
+    "algebra": "AlgebraElement convolve from_set",
     "certify": "CertReport PreconditionError SchurStructure check_difference_set check_hadamard "
                "check_rshds check_schur_ring coset_profile hadamard_matrix m_bound "
                "parameter_formulas quotient_check spectrum structural_tests",
