@@ -19,7 +19,6 @@ _EXPORTS = {
         "check_schur_ring",
         "coset_profile",
         "hadamard_matrix",
-        "m_bound",
         "parameter_formulas",
         "quotient_check",
         "spectrum",

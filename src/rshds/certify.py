@@ -8,12 +8,26 @@ property of 2D - J, quotient distributions, and the four structural
 screening tests.  Checks return a :class:`CertReport`; violated
 preconditions raise :class:`PreconditionError` instead of reporting.
 
+The coset lemma: if D is a (h^2, h(h-1)/2, h(h-2)/4) difference set in G
+that misses a subgroup H of order h, then |D meet Hx| = h/2 for every right
+coset Hx other than H.  Write a_x = |D meet Hx|.  Two elements d, e of D lie
+in one right coset exactly when d e^-1 lies in H; the difference equation
+gives k such pairs with d e^-1 = 1 and lam for each of the h - 1 other
+elements of H, so sum a_x^2 = k + lam(h-1), while sum a_x = k over the h - 1
+cosets other than H.  Cauchy-Schwarz, k^2 <= (h-1)(k + lam(h-1)), holds
+here with equality (both sides are h^2(h-1)^2/4), so every a_x is
+k/(h-1) = h/2.  Hence D contains no whole coset of H, D meet D^-1 can be a
+union of m cosets only with m = 0, and ``check_rshds`` proves the partition
+G = D + D^-1 + H directly: D misses H, |D| = k and D meets D^-1 nowhere,
+and 2k + h = h^2 leaves no room for anything else.
+
 The Schur-ring, spectrum and Hadamard checks share one table of structure
 constants of {1, H-1, D, D^-1}, read from five convolutions (H*H, H*D, D*H,
 D*D, D^-1*D) and from the difference equation D*D^-1 = k + lam(G-1) that
-``check_rshds`` certified; ``run_checks`` builds it once for all three, so
-a run of every check makes 7 convolutions.  Once an m = 0 set is
-certified, the four classes are disjoint, non-empty and cover G; once their
+``check_rshds`` certified; ``run_checks`` builds it once for all three and
+convolves D*D^-1 once for dset and rshds together, so a run of every check
+makes 6 convolutions.  Once the partition is certified, the four classes
+are disjoint, non-empty and cover G; once their
 span is certified closed, the map to class coordinates is an
 injective ring homomorphism onto Z^4 with that table as its product.  So
 an element of the span is zero exactly when its four coordinates are, a
@@ -26,7 +40,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, convolve, from_set, regular_matrix
 from .groups import (
@@ -124,13 +138,6 @@ def parameter_formulas(h: int) -> ParameterSet:
     return ParameterSet.from_subgroup_order(h)
 
 
-def m_bound(h: int) -> int:
-    """Largest number of H-cosets that D can share with D^-1: floor((h-1)/4)."""
-    if h < 2 or h % 2:
-        raise GroupError(f"subgroup order h={h} must be even and >= 2")
-    return (h - 1) // 4
-
-
 # ---------------------------------------------------------------------------
 # the difference-set equation
 # ---------------------------------------------------------------------------
@@ -169,12 +176,10 @@ def check_difference_set(group: FiniteGroup, elements: Sequence[int]) -> CertRep
 
 
 def _matching_params(v: int, k: int, lam: int) -> Optional[ParameterSet]:
-    h = math.isqrt(v)
-    if h * h != v or h < 2 or h % 2:
+    params = _unpinned_params(math.isqrt(v))
+    if params is None or (params.v, params.k, params.lam) != (v, k, lam):
         return None
-    if k != h * (h - 1) // 2 or lam != h * (h - 2) // 4:
-        return None
-    return ParameterSet.from_subgroup_order(h, m=None)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -182,35 +187,33 @@ def _matching_params(v: int, k: int, lam: int) -> Optional[ParameterSet]:
 # ---------------------------------------------------------------------------
 
 
-def _exact_coset_union(
-    dec, subset: set
-) -> Tuple[Optional[List[int]], Optional[int]]:
-    """Coset indices whose union is exactly `subset`, or (None, witness coset).
-
-    Every coset touched by the subset must lie fully inside it; then the
-    subset is precisely the union of the touched cosets.
-    """
-    touched = sorted({dec.coset_of[g] for g in subset})
-    for ci in touched:
-        if not set(dec.coset_members(ci)) <= subset:
-            return None, ci
-    return touched, None
+def _index_set(group: FiniteGroup, elements: Sequence[int]) -> set:
+    """The candidate as a set of ints, each a repeat-free index in range(v)."""
+    dset = {int(g) for g in elements}
+    if len(dset) != len(elements):
+        raise PreconditionError("duplicate elements in candidate set")
+    if dset and not (0 <= min(dset) and max(dset) < group.order):
+        raise PreconditionError(f"element index outside 0..{group.order - 1}")
+    return dset
 
 
 def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> CertReport:
-    """Certify the defining coset conditions of the partition structure.
+    """Certify G = D + D^-1 + H disjointly, then the difference equation.
 
-    Verifies |G| = |H|^2 and D disjoint from H, then that D intersect D^-1
-    is a union of m cosets of H and that the complement of D union D^-1 is H
-    plus m further cosets, with m within its proven bound, and certifies
-    the difference-set equation for every m.
-
-    No size or partition check follows, since these conditions imply both.
-    |D| = k: D and D^-1 have the same size, their intersection is m cosets
-    and the complement of their union m + 1, so 2|D| = h^2 - h for every m.
-    At m = 0, G = D + D^-1 + H disjointly: the intersection is empty and the
-    complement is exactly H.
+    |G| = h^2, D misses H, |D| = k and D meets D^-1 nowhere; D^-1 misses H
+    too, and 2k + h = h^2, so the three parts cover G.  By the coset lemma
+    in the module docstring a difference set that misses H meets every
+    other coset in h/2 points, so none holds a whole coset and m = 0 is the
+    only partition.  When D meets D^-1 the witness is the least coset the
+    intersection meets but does not fill, or else m, with a warning.
     """
+    return _rshds(group, sub, elements, lambda: check_difference_set(group, elements))
+
+
+def _rshds(
+    group: FiniteGroup, sub: Subgroup, elements: Sequence[int], equation: Callable[[], CertReport]
+) -> CertReport:
+    """``check_rshds``, with the difference-equation report from ``equation()``."""
     name = "rshds-structure"
     h = sub.order
     witnesses: Dict[str, object] = {}
@@ -222,58 +225,43 @@ def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> C
         witnesses["group_order"] = group.order
         witnesses["required_order"] = h * h
         return CertReport(name, False, params, witnesses)
-    dset = set(int(g) for g in elements)
-    if len(dset) != len(elements):
-        raise PreconditionError("duplicate elements in candidate set")
+    dset = _index_set(group, elements)
     overlap = dset & sub.member_set
     if overlap:
         witnesses["element_in_subgroup"] = min(overlap)
         return CertReport(name, False, params, witnesses)
-    inv = group.inv
-    dinv = {inv(g) for g in dset}
-    inter = dset & dinv
-    dec = cosets(group, sub)
-    inter_cosets, bad = _exact_coset_union(dec, inter)
-    if inter_cosets is None:
-        witnesses["intersection_not_coset_union_at"] = bad
+    if len(dset) != params.k:
+        witnesses["size"] = len(dset)
         return CertReport(name, False, params, witnesses)
-    outside = set(range(group.order)) - dset - dinv
-    outside_cosets, bad = _exact_coset_union(dec, outside)
-    if outside_cosets is None:
-        witnesses["complement_not_coset_union_at"] = bad
-        return CertReport(name, False, params, witnesses)
-    m = len(inter_cosets)
-    witnesses["m"] = m
-    witnesses["intersection_cosets"] = inter_cosets
-    witnesses["complement_cosets"] = outside_cosets
-    if 0 not in outside_cosets:
-        witnesses["subgroup_not_in_complement"] = True
-        return CertReport(name, False, params, witnesses)
-    if len(outside_cosets) != m + 1:
-        witnesses["complement_coset_count"] = len(outside_cosets)
-        witnesses["expected_complement_cosets"] = m + 1
-        return CertReport(name, False, params, witnesses)
-    if m > m_bound(h):
-        witnesses["m_bound"] = m_bound(h)
-        return CertReport(
-            name, False, params, witnesses,
-            [f"m={m} exceeds the proven bound floor((h-1)/4)={m_bound(h)}"],
-        )
-    params = ParameterSet.from_subgroup_order(h, m=m)
-    warns = _degenerate_warnings(h)
-    eq = check_difference_set(group, sorted(dset))
+    inter = {g for g in dset if group.inv(g) in dset}
+    if inter:
+        dec = cosets(group, sub)
+        touched = sorted({dec.coset_of[g] for g in inter})
+        for ci in touched:
+            if not set(dec.coset_members(ci)) <= inter:
+                witnesses["intersection_not_coset_union_at"] = ci
+                return CertReport(name, False, params, witnesses)
+        witnesses["m"] = len(touched)
+        return CertReport(name, False, params, witnesses, [
+            f"D meet D^-1 fills {len(touched)} coset(s) of H; a difference set that "
+            "misses H meets every other coset in h/2 points, so m = 0"
+        ])
+    witnesses["m"] = 0
+    witnesses["intersection_cosets"] = []
+    witnesses["complement_cosets"] = [0]
+    params = ParameterSet.from_subgroup_order(h, m=0)
+    eq = equation()
     witnesses["difference_equation"] = eq.passed
     if not eq.passed:
         witnesses["difference_equation_witness"] = eq.witnesses
-        return CertReport(name, False, params, witnesses, warns)
-    return CertReport(name, True, params, witnesses, warns)
+    return CertReport(name, eq.passed, params, witnesses, _degenerate_warnings(h))
 
 
 def coset_profile(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> CertReport:
     """Certify |D meet Hg| = h/2 on every nontrivial coset and 0 on H."""
     dec = cosets(group, sub)
     profile = [0] * dec.num_cosets
-    for g in elements:
+    for g in _index_set(group, elements):
         profile[dec.coset_of[g]] += 1
     h = sub.order
     witnesses: Dict[str, object] = {"profile": profile}
@@ -295,7 +283,7 @@ def coset_profile(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) ->
 
 Coords = Tuple[int, int, int, int]
 _BASIS: Tuple[Coords, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-_G: Coords = (1, 1, 1, 1)  # the whole group, which m = 0 splits into the four classes
+_G: Coords = (1, 1, 1, 1)  # the whole group, which the partition splits into the four classes
 
 
 class SchurStructure(NamedTuple):
@@ -333,13 +321,13 @@ def _schur_structure(
     elements: Sequence[int],
     base: Optional[CertReport] = None,
 ) -> Tuple[CertReport, Optional[SchurStructure], Dict[str, object]]:
-    """The m = 0 report and the structure constants of {1, H-1, D, D^-1}.
+    """The partition report and the structure constants of {1, H-1, D, D^-1}.
 
     ``base`` is the ``check_rshds`` report of the same set when the caller
     has one already; otherwise it is computed here.
 
     Only H*H, H*D, D*H, D*D and D^-1*D are convolved.  D*D^-1 is not: the
-    passing m = 0 ``base`` has certified D*D^-1 = k + lam(G-1) exactly, and
+    passing ``base`` has certified D*D^-1 = k + lam(G-1) exactly, and
     G is the sum of the four classes, so its coordinates are (k, lam, lam,
     lam).  The unit row and column are the basis, H-1 = H - 1, and star, an
     anti-automorphism that swaps D and D^-1, gives D^-1 D^-1 = (DD)*,
@@ -350,7 +338,7 @@ def _schur_structure(
     """
     if base is None:
         base = check_rshds(group, sub, elements)
-    if not base.passed or base.params is None or base.params.m != 0:
+    if not base.passed:
         raise PreconditionError(
             "candidate is not a certified m=0 relative skew Hadamard difference set"
         )
@@ -581,18 +569,19 @@ def run_checks(
 ) -> List[CertReport]:
     """The named checks of :data:`CHECK_ORDER`, in the order given.
 
-    The checks of one call share one ``check_rshds`` report and one Schur
-    structure, each built on first use and dropped on return, so a run of
-    every check convolves the five class products once, not once per check,
-    and makes 7 convolutions in all: D*D^-1 for dset and for rshds, and the
-    five for the structure.
+    The checks of one call share one difference-equation report, one
+    ``check_rshds`` report and one Schur structure, each built on first use
+    and dropped on return.  So a run of every check convolves D*D^-1 once
+    for dset and rshds together and the five class products once, not once
+    per check: 6 convolutions in all.
     A check whose precondition fails reports under its name with a
     ``precondition`` witness.
     """
-    base = lru_cache(maxsize=None)(lambda: check_rshds(group, sub, elements))
+    equation = lru_cache(maxsize=None)(lambda: check_difference_set(group, elements))
+    base = lru_cache(maxsize=None)(lambda: _rshds(group, sub, elements, equation))
     found = lru_cache(maxsize=None)(lambda: _schur_structure(group, sub, elements, base()))
     checks = {
-        "dset": lambda: check_difference_set(group, elements),
+        "dset": equation,
         "rshds": base,
         "profile": lambda: coset_profile(group, sub, elements),
         "schur": lambda: _schur_ring(*found())[0],
@@ -656,22 +645,20 @@ def quotient_check(
     fingerprint list of H-swallowing shapes: H must lie in N.  Anything
     else: the profile is reported without judgment.
     """
+    dset = _index_set(group, elements)
     q, proj = quotient(group, normal_sub)
     u = q.order
     xs = [0] * u
     ys = [0] * u
-    for g in set(int(e) for e in elements):
+    for g in dset:
         xs[proj[g]] += 1
     for m in sub.members:
         ys[proj[m]] += 1
     h = sub.order
-    k = len(set(elements))
     params = _unpinned_params(h)
     witnesses: Dict[str, object] = {"quotient_order": u, "x": xs, "y": ys}
     warnings: List[str] = []
     problems: List[str] = []
-    if sum(xs) != k or sum(ys) != h:
-        problems.append("profile totals are inconsistent")
     if _prime_factors(u) == [u]:
         p = u
         witnesses["case"] = "prime-index"

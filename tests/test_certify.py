@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from rshds.certify import (
     check_schur_ring,
     coset_profile,
     hadamard_matrix,
-    m_bound,
     parameter_formulas,
     quotient_check,
     spectrum,
@@ -41,9 +41,11 @@ from rshds.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    elementary_abelian_2_group,
     involutions,
     normal_subgroups_of_prime_index,
     quotient,
+    subgroups_of_order,
 )
 
 
@@ -60,15 +62,6 @@ def test_parameter_formulas():
     for bad in (5, 3, 0, -2, 1):
         with pytest.raises(GroupError):
             parameter_formulas(bad)
-
-
-def test_m_bound():
-    assert m_bound(4) == 0
-    assert m_bound(6) == 1
-    assert m_bound(8) == 1
-    assert m_bound(18) == 4
-    with pytest.raises(GroupError):
-        m_bound(7)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +167,16 @@ def test_check_rshds_fails_for_self_inverse_set():
     assert check_difference_set(cand.group, cand.elements).passed
 
 
+def _assert_rejected_by_the_lemma(group, d):
+    # D meet D^-1 is one whole coset of H: check_rshds names m = 1 and stops
+    # before the equation, and the equation fails too, as the lemma says
+    report = check_rshds(group, group.distinguished_subgroup(), d)
+    assert not report.passed
+    assert report.witnesses == {"m": 1}
+    assert "h/2" in report.warnings[0]
+    assert not check_difference_set(group, d).passed
+
+
 def test_check_rshds_rejects_m1_at_h4(gnk20):
     sub = gnk20.distinguished_subgroup()
     dec = cosets(gnk20, sub)
@@ -182,11 +185,7 @@ def test_check_rshds_rejects_m1_at_h4(gnk20):
     x = coset3[0]
     xi = gnk20.inv(x)
     rest = [y for y in coset3 if y not in (x, xi)]
-    d = sorted(coset1 + [x, rest[0]])
-    report = check_rshds(gnk20, sub, d)
-    assert not report.passed
-    assert report.witnesses["m"] == 1
-    assert report.witnesses["m_bound"] == 0
+    _assert_rejected_by_the_lemma(gnk20, sorted(coset1 + [x, rest[0]]))
 
 
 def _m1_coset_set(group):
@@ -200,15 +199,82 @@ def _m1_coset_set(group):
 
 @pytest.mark.parametrize("spec", ["gnk:3,0", "gnk:3,1", "c4n:3"])
 def test_check_rshds_runs_difference_equation_for_m1(spec):
-    # the coset conditions hold with m = 1, but the set is no difference set
+    # the shape of an m = 1 partition: D meet D^-1 is coset 1 and the
+    # complement of D + D^-1 is H and coset 2; the lemma says no difference
+    # set has it
     group = build_group(spec)
     d = _m1_coset_set(group)
     assert len(d) == 28
-    report = check_rshds(group, group.distinguished_subgroup(), d)
-    assert not report.passed
-    assert report.witnesses["m"] == 1 and report.params.m == 1
-    assert report.witnesses["difference_equation"] is False
-    assert not check_difference_set(group, d).passed
+    _assert_rejected_by_the_lemma(group, d)
+
+
+def test_check_rshds_reports_a_wrong_size(gnk20):
+    sub = gnk20.distinguished_subgroup()
+    report = check_rshds(gnk20, sub, [4, 7, 8, 9, 12])
+    assert not report.passed and report.witnesses == {"size": 5}
+
+
+def test_a_passing_check_rshds_builds_no_coset_decomposition(monkeypatch, cand31):
+    def refused(*args):
+        raise AssertionError("cosets() called on the passing path")
+
+    monkeypatch.setattr(certify, "cosets", refused)
+    assert check_rshds(cand31.group, cand31.subgroup, cand31.elements).passed
+
+
+def _right_coset_profile(group, sub, elements):
+    """|D meet Hg| over the right cosets Hg, H first, from the cosets' members."""
+    covered, profile = set(), []
+    for g in range(group.order):
+        if g not in covered:
+            coset = {group.mul(s, g) for s in sub.members}
+            covered |= coset
+            profile.append(len(coset & set(elements)))
+    return profile
+
+
+@pytest.mark.parametrize("spec, dset_counts", [("gnk:2,0", [48] + [16] * 6), ("c2^4", [48])])
+def test_coset_lemma_by_brute_force_at_order_16(spec, dset_counts):
+    # every 6-subset of G - H, for every order-4 H of gnk:2,0 and the first
+    # of C2^4: each difference set meets every coset outside H in h/2 = 2
+    # points, and check_rshds passes exactly the skew ones (D meet D^-1
+    # empty), which exist only on the distinguished H of gnk:2,0
+    group = elementary_abelian_2_group(4) if spec == "c2^4" else build_group(spec)
+    subs = subgroups_of_order(group, 4)[:len(dset_counts)]
+    assert len(subs) == len(dset_counts)
+    for sub, dset_count in zip(subs, dset_counts):
+        outside = [g for g in range(16) if g not in sub]
+        found = skew = 0
+        for d in combinations(outside, 6):
+            tally = naive_difference_tally(group, d)
+            is_dset = all(tally.get(g, 0) == 2 for g in range(1, 16))
+            is_skew = not any(group.inv(g) in d for g in d)
+            if is_dset:
+                found += 1
+                assert _right_coset_profile(group, sub, d) == [0, 2, 2, 2]
+            assert check_rshds(group, sub, d).passed == (is_dset and is_skew)
+            skew += is_dset and is_skew
+        assert found == dset_count
+        distinguished = sub == group.distinguished_subgroup()
+        assert skew == (16 if distinguished else 0)
+
+
+@pytest.mark.parametrize("check", [check_rshds, coset_profile])
+def test_repeated_and_out_of_range_indices_are_refused(cand20, check):
+    group, sub, elements = cand20.group, cand20.subgroup, list(cand20.elements)
+    for bad in ([12 if x == 14 else x for x in elements],
+                [-2 if x == 14 else x for x in elements],
+                elements[:-1] + [group.order]):
+        with pytest.raises(PreconditionError):
+            check(group, sub, bad)
+
+
+def test_quotient_check_refuses_repeated_and_negative_indices(cand20):
+    group, sub, elements = cand20.group, cand20.subgroup, list(cand20.elements)
+    kernel = normal_subgroups_of_prime_index(group)[0][0]
+    for bad in (elements + [elements[0]], elements[:-1] + [-1]):
+        with pytest.raises(PreconditionError):
+            quotient_check(group, sub, bad, kernel)
 
 
 def test_check_rshds_wrong_group_order(gnk20):

@@ -120,8 +120,8 @@ def test_construct_certify_export_chain(tmp_path, capsys, spec, v):
 
 
 def test_certify_convolution_count(tmp_path, monkeypatch, capsys):
-    # dset and rshds take D*D^-1 once each; schur, spectrum and hadamard share
-    # one structure, read from five products and the certified D*D^-1
+    # dset and rshds share one D*D^-1; schur, spectrum and hadamard share one
+    # structure, read from five products and the certified D*D^-1
     dset = tmp_path / "d.json"
     assert cli.main(["construct", "gnk:3,1", "--out", str(dset)]) == cli.EXIT_OK
     calls = []
@@ -135,12 +135,12 @@ def test_certify_convolution_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(certify, "convolve", counted)
     assert cli.main(["certify", str(dset)]) == cli.EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
-# a default run convolves D*D^-1 for dset and for rshds, and five class
-# products once for schur, spectrum and hadamard together, which read D*D^-1
-# off the rshds report; the self-inverse c4n:4 set fails the m = 0
+# a default run convolves D*D^-1 once for dset and rshds together, and five
+# class products once for schur, spectrum and hadamard together, which read
+# D*D^-1 off the rshds report; the self-inverse c4n:4 set fails the m = 0
 # precondition of the last three
 @pytest.mark.parametrize("spec,code,stdout_sha,failed", [
     ("gnk:3,1", cli.EXIT_OK, "eecaf1821c715139", []),
@@ -166,7 +166,16 @@ def test_certify_builds_the_schur_structure_once(
     reports = json.loads(out)
     assert [r["checkName"] for r in reports if not r["pass"]] == failed
     assert [r["checkName"] for r in reports if "precondition" in r["witnesses"]] == failed[1:]
-    assert len(calls) <= 7
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("h, stdout", [
+    ("8", "(v,k,lambda)=(64,28,12)\n"),
+    ("4", "(v,k,lambda)=(16,6,2)\n"),
+])
+def test_params_prints_the_parameters_only(capsys, h, stdout):
+    assert cli.main(["params", h]) == cli.EXIT_OK
+    assert capsys.readouterr().out == stdout
 
 
 def test_search_out_round_trips_through_certify(tmp_path, capsys):

@@ -313,6 +313,17 @@ def test_validate_rejects_one_swapped_intercalate():
     _assert_real_witness(table, exc.value)
 
 
+def test_generating_set_is_irredundant():
+    # G/H is F_2^5, so no fewer than 5 elements generate gnk:5,3; the greedy
+    # pass alone keeps 10
+    g = GnkGroup(5, 3)
+    gens = g._generating_set()
+    assert len(gens) == 5
+    assert closure(g, gens).order == g.order
+    for b in gens:
+        assert closure(g, [x for x in gens if x != b]).order < g.order
+
+
 # ---------------------------------------------------------------------------
 # subgroups, cosets, quotients
 # ---------------------------------------------------------------------------
@@ -585,7 +596,9 @@ def test_parameter_set_validation():
     with pytest.raises(GroupError):
         ParameterSet.from_subgroup_order(5)
     with pytest.raises(GroupError):
-        ParameterSet(4, 16, 6, 2, m=1)  # m over the h=4 bound
+        ParameterSet(4, 16, 6, 2, m=1)  # the coset lemma allows only m = 0
+    with pytest.raises(GroupError):
+        ParameterSet(8, 64, 28, 12, m=1)
     with pytest.raises(GroupError):
         ParameterSet(4, 16, 7, 2)
     none_m = ParameterSet.from_subgroup_order(8, m=None)

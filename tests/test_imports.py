@@ -133,11 +133,12 @@ def test_cli_import_leaves_numpy_out():
 
 # every name `rshds/__init__` exports, by the module that defines it: what it
 # exported when it imported its submodules eagerly, less the algebra helpers
-# `full_sum` and `unit`, which nothing in the package calls
+# `full_sum` and `unit`, which nothing in the package calls, and the bound on
+# m, which the coset lemma made constant 0
 EXPORTS = {
     "algebra": "AlgebraElement convolve from_set",
     "certify": "CertReport PreconditionError SchurStructure check_difference_set check_hadamard "
-               "check_rshds check_schur_ring coset_profile hadamard_matrix m_bound "
+               "check_rshds check_schur_ring coset_profile hadamard_matrix "
                "parameter_formulas quotient_check spectrum structural_tests",
     "constructions": "BudgetExceededError ConstructionError DifferenceSetCandidate "
                      "HyperplaneAssignment SearchResult assignment_difference_set "
