@@ -144,8 +144,11 @@ def parameter_formulas(h: int) -> ParameterSet:
 
 
 def check_difference_set(group: FiniteGroup, elements: Sequence[int]) -> CertReport:
-    """Certify D * star(D) = lambda*G + (k - lambda)*1 by exact convolution."""
-    d = from_set(group, elements)
+    """Certify D * star(D) = lambda*G + (k - lambda)*1 by exact convolution.
+
+    A repeated index or one outside range(v) raises :class:`PreconditionError`.
+    """
+    d = from_set(group, _index_set(group, elements))
     k = len(d.support())
     v = group.order
     witnesses: Dict[str, object] = {"k": k}
@@ -455,13 +458,6 @@ def _closed(
 # ---------------------------------------------------------------------------
 
 
-def _gauss_pow(z: Tuple[int, int], e: int) -> Tuple[int, int]:
-    out = (1, 0)
-    for _ in range(e):
-        out = (out[0] * z[0] - out[1] * z[1], out[0] * z[1] + out[1] * z[0])
-    return out
-
-
 def spectrum(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> CertReport:
     """Certify the minimal polynomial and eigenvalue multiplicities of D.
 
@@ -506,18 +502,10 @@ def _spectrum(base: CertReport, s: SchurStructure) -> CertReport:
         powers.append(s.mul(powers[-1], d))
     traces = [base.params.v * p[0] for p in powers[:4]]
     witnesses["traces"] = traces
-    eigs = [(k, 0), (-t, 0), (0, t), (0, -t)]
-    mults = [1, h - 1, k, k]
-    expected = []
-    for e in range(4):
-        re = im = 0
-        for mult, z in zip(mults, eigs):
-            zr, zi = _gauss_pow(z, e)
-            re += mult * zr
-            im += mult * zi
-        if im != 0:
-            raise AssertionError("eigenvalue power sums must be real")
-        expected.append(re)
+    # sum of z^e over the eigenvalues; (it)^e + (-it)^e = 2 t^e Re(i^e)
+    expected = [
+        k**e + (h - 1) * (-t) ** e + 2 * k * t**e * (1, 0, -1, 0)[e % 4] for e in range(4)
+    ]
     witnesses["expected_traces"] = expected
     if traces != expected:
         return CertReport("spectrum", False, base.params, witnesses, warns)

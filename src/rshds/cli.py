@@ -108,19 +108,15 @@ def _cmd_construct(args) -> int:
     spec = GroupSpec.parse(args.spec)
     if spec.kind == "gnk":
         candidate = constructions.gnk_difference_set(spec.n, spec.k)
+        report = certify.check_rshds(*candidate)
     elif spec.kind == "c4n":
         candidate = constructions.c4n_difference_set(spec.n)
+        report = certify.check_difference_set(candidate.group, candidate.elements)
     else:
         raise FormatError("construct needs a gnk: or c4n: spec")
     out = args.out or _default_out(spec, "dset.json")
     formats.write_dset(out, spec, "distinguished", candidate.elements)
     print(_params_line(candidate.params))
-    if candidate.self_inverse_expected:
-        report = certify.check_difference_set(candidate.group, candidate.elements)
-    else:
-        report = certify.check_rshds(
-            candidate.group, candidate.subgroup, candidate.elements
-        )
     _emit_reports([report], args.json)
     print(f"wrote {out}")
     return EXIT_OK if report.passed else EXIT_FAIL

@@ -1,19 +1,26 @@
 """Difference-set constructions and the exhaustive coset-paired search.
 
-Three producers of :class:`DifferenceSetCandidate`:
+A difference set D with G = D + D^-1 + H (disjointly) meets every nontrivial
+coset of H in h/2 points.  Each construction here picks, for an elementary
+abelian H, one hyperplane (index-2 subgroup) H_i of H for every nontrivial
+coset i, recorded by its normal in a :class:`HyperplaneAssignment`, and
+``assignment_difference_set`` alone turns that choice into
+D = union of H_i t_i over the coset representatives t_i:
 
-* ``gnk_difference_set`` -- the two-parameter family construction.  Each
-  nontrivial coset of the distinguished subgroup H contributes the half-coset
-  ``rep * M`` where M is the index-2 subgroup of H avoiding the square of the
-  coset representative.  Pairing reps to subgroups through the square keeps
-  the map one-to-one and makes D, D^-1 and H a partition of the group.
-* ``assignment_difference_set`` -- the transversal/maximal-subgroup matching
-  (CLI subcommand ``thm81``): a backtracking search assigns a distinct
-  hyperplane H_i of H to every nontrivial coset so that conjugation by the
-  representative maps partner cosets' subgroups onto each other and
-  ``t_i t_j(i)`` lands in H_i; the resulting D is self-inverse.
-* ``exhaustive_search`` -- complete enumeration of all difference sets D with
-  G = D + D^-1 + H (disjointly), used for nonexistence certificates.
+* ``gnk_difference_set`` -- the two-parameter family.  Coset i gets the
+  nonorthogonal mate of the square t_i^2, so the square avoids H_i; pairing
+  cosets to hyperplanes through the square keeps the map one-to-one and
+  makes D, D^-1 and H a partition of the group.
+* ``c4n_standard_assignment`` -- powers of C4.  Coset i gets the orthogonal
+  mate of t_i^2, so the square lies in H_i and D is self-inverse.
+* ``find_hyperplane_assignment`` -- the transversal/maximal-subgroup
+  matching (CLI subcommand ``thm81``): a backtracking search assigns
+  distinct hyperplanes so that conjugation by t_i maps the partner coset's
+  hyperplane onto H_i and ``t_i t_j(i)`` lands in H_i; D is self-inverse.
+
+``exhaustive_search`` enumerates every D with G = D + D^-1 + H, for
+nonexistence certificates.  A :class:`DifferenceSetCandidate` records only
+(G, H, D): what D is, ``certify`` proves.
 """
 from __future__ import annotations
 
@@ -60,131 +67,73 @@ class _CandidateFields(NamedTuple):
     group: FiniteGroup
     subgroup: Subgroup
     elements: Tuple[int, ...]
-    params: ParameterSet
-    provenance: str
-    self_inverse_expected: bool = False
 
 
 class DifferenceSetCandidate(_CandidateFields):
-    """A subset of G \\ H proposed as a difference set, with its provenance.
+    """A k-subset D of G \\ H proposed as a difference set, k = h(h-1)/2.
 
-    ``elements`` is stored sorted and without repeats.
+    ``elements`` is stored sorted; a repeated element is refused.  The
+    candidate records neither its origin nor a self-inverse flag, and ``params.m``
+    is None: m = 0 holds once ``certify.check_rshds`` has proved the skew
+    partition, which no construction claims for itself.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        group: FiniteGroup,
-        subgroup: Subgroup,
-        elements: Sequence[int],
-        params: ParameterSet,
-        provenance: str,
-        self_inverse_expected: bool = False,
+        cls, group: FiniteGroup, subgroup: Subgroup, elements: Sequence[int]
     ) -> "DifferenceSetCandidate":
-        elems = tuple(sorted(set(elements)))
-        if len(elems) != params.k:
+        self = super().__new__(cls, group, subgroup, tuple(sorted(elements)))
+        if len(set(self.elements)) != len(self.elements):
+            raise ConstructionError("candidate repeats an element")
+        if len(self.elements) != self.params.k:
             raise ConstructionError(
-                f"candidate has {len(elems)} elements, expected k={params.k}"
+                f"candidate has {len(self.elements)} elements, expected k={self.params.k}"
             )
-        for g in elems:
+        for g in self.elements:
             if not (0 <= g < group.order):
                 raise ConstructionError(f"element index {g} out of range")
             if g in subgroup:
                 raise ConstructionError(
                     f"element {g} lies in the excluded subgroup"
                 )
-        return super().__new__(
-            cls, group, subgroup, elems, params, provenance, self_inverse_expected
-        )
+        return self
 
-
-# ---------------------------------------------------------------------------
-# the two-parameter family
-# ---------------------------------------------------------------------------
-
-
-def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
-    """Build the canonical difference set in the order-2^(2n) family group.
-
-    For every nonzero a-exponent vector e, the coset word (e, 0), whose index
-    is e * 2^n, is paired with the hyperplane of H whose normal is the
-    nonorthogonal mate of the word's square; the square therefore avoids the
-    hyperplane, which is asserted during construction together with
-    distinctness of the assigned hyperplanes.  Either assertion firing
-    indicates an implementation bug.
-    """
-    group = GnkGroup(n, k)
-    sub = group.distinguished_subgroup()
-    used: Dict[int, int] = {}
-    elements: List[int] = []
-    for e in range(1, 1 << n):
-        rep = e << n
-        sq = group.h_vector(group.mul(rep, rep))
-        if not sq:
-            raise PairingInvariantError(
-                f"transversal word {e:0{n}b} has trivial square; cannot avoid any hyperplane"
-            )
-        normal = f2.nonorthogonal_mate(sq, n)
-        if f2.dot(sq, normal) != 1:
-            raise PairingInvariantError(
-                f"square {sq:0{n}b} of word {e:0{n}b} lies in its assigned hyperplane {normal:0{n}b}"
-            )
-        if normal in used:
-            raise PairingInvariantError(
-                f"hyperplane {normal:0{n}b} assigned to both {used[normal]:0{n}b} and {e:0{n}b}"
-            )
-        used[normal] = e
-        for m in f2.hyperplane_members(normal, n):
-            elements.append(group.mul(rep, m))
-    params = ParameterSet.from_subgroup_order(1 << n, m=0)
-    return DifferenceSetCandidate(
-        group, sub, tuple(elements), params, "gnk-construction"
-    )
-
-
-# ---------------------------------------------------------------------------
-# transversal / maximal-subgroup matching
-# ---------------------------------------------------------------------------
+    @property
+    def params(self) -> ParameterSet:
+        return ParameterSet.from_subgroup_order(self.subgroup.order, m=None)
 
 
 class HyperplaneAssignment(NamedTuple):
-    """A matching of hyperplanes of H to the nontrivial cosets of H.
+    """A hyperplane of H for each nontrivial coset of H.
 
-    ``h_coords`` maps each member of H to its F_2 vector (an int bitmask, see
-    ``f2``).  ``pairing[i]`` is the coset index j with t_i^-1 in H t_j, and
-    ``normals[i]`` is the normal of the hyperplane assigned to coset i, in
-    those coordinates; both are indexed by coset index 1..h-1.  Equality and
-    hashing leave ``h_coords`` out.
+    ``normals[i]`` is the normal of the hyperplane H_i given to coset i of
+    ``decomposition`` (i = 1..h-1; ``normals[0]`` is None), in the F_2
+    coordinates that ``_subgroup_f2_coordinates`` puts on H.  Those
+    coordinates and the pairing of each coset with its inverse coset follow
+    from (G, H) and are derived where they are needed, not stored, so
+    equality and hashing are a tuple's own.
     """
 
     group: FiniteGroup
     subgroup: Subgroup
     decomposition: CosetDecomposition
-    pairing: Tuple[int, ...]
     normals: Tuple[Optional[int], ...]
-    h_coords: Dict[int, int]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HyperplaneAssignment):
-            return NotImplemented
-        return self[:5] == other[:5]
-
-    def __ne__(self, other: object) -> bool:  # tuple's own would compare h_coords
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:5])
-
-    def hyperplane_members(self, coset_index: int) -> FrozenSet[int]:
-        return _hyperplanes(self.h_coords, [self.normals[coset_index]])[0]
 
 
-def _hyperplanes(h_coords: Dict[int, int], normals: Sequence[int]) -> List[FrozenSet[int]]:
-    """The members of H in the hyperplane of each normal, under ``h_coords``."""
-    member = {v: m for m, v in h_coords.items()}
-    n = len(h_coords).bit_length() - 1
-    return [frozenset(member[v] for v in f2.hyperplane_members(w, n)) for w in normals]
+def assignment_difference_set(assignment: HyperplaneAssignment) -> DifferenceSetCandidate:
+    """D = union over the nontrivial cosets i of H_i t_i, t_i their representatives.
+
+    The one place where a choice of hyperplanes becomes a set.
+    """
+    group, sub, dec, normals = assignment
+    members_of = _hyperplanes(group, sub)
+    elements = [
+        group.mul(m, t)
+        for i, t in enumerate(dec.transversal[1:], 1)
+        for m in members_of[normals[i]]
+    ]
+    return DifferenceSetCandidate(group, sub, elements)
 
 
 def _subgroup_f2_coordinates(group: FiniteGroup, sub: Subgroup) -> Dict[int, int]:
@@ -205,6 +154,72 @@ def _subgroup_f2_coordinates(group: FiniteGroup, sub: Subgroup) -> Dict[int, int
     return coords
 
 
+def _hyperplanes(group: FiniteGroup, sub: Subgroup) -> Dict[int, FrozenSet[int]]:
+    """The members of every hyperplane of H, by its normal 1..h-1."""
+    member = {v: m for m, v in _subgroup_f2_coordinates(group, sub).items()}
+    n = sub.order.bit_length() - 1
+    return {
+        w: frozenset(member[v] for v in f2.hyperplane_members(w, n))
+        for w in range(1, sub.order)
+    }
+
+
+def _conjugate(group: FiniteGroup, g: int, members: FrozenSet[int]) -> FrozenSet[int]:
+    """{g m g^-1 : m in members}."""
+    gi = group.inv(g)
+    return frozenset(group.mul(group.mul(g, m), gi) for m in members)
+
+
+def _coset_pairing(group: FiniteGroup, dec: CosetDecomposition) -> Tuple[int, ...]:
+    """Coset index j with t_i^-1 in H t_j, for each coset index i."""
+    return tuple(dec.coset_of[group.inv(rep)] for rep in dec.transversal)
+
+
+# ---------------------------------------------------------------------------
+# the two-parameter family
+# ---------------------------------------------------------------------------
+
+
+def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
+    """Build the canonical difference set in the order-2^(2n) family group.
+
+    The coset representatives are the words (e, 0), index e * 2^n, for the
+    nonzero a-exponent vectors e.  Each coset gets the hyperplane of H whose
+    normal is the nonorthogonal mate of its representative's square; the
+    square therefore avoids the hyperplane, which is asserted here together
+    with distinctness of the assigned hyperplanes.  Either assertion firing
+    indicates an implementation bug.  H is central, so H_i t_i = t_i H_i.
+    """
+    group = GnkGroup(n, k)
+    sub = group.distinguished_subgroup()
+    dec = cosets(group, sub)
+    used: Dict[int, int] = {}
+    for rep in dec.transversal[1:]:
+        e = rep >> n
+        sq = group.h_vector(group.mul(rep, rep))
+        if not sq:
+            raise PairingInvariantError(
+                f"transversal word {e:0{n}b} has trivial square; cannot avoid any hyperplane"
+            )
+        normal = f2.nonorthogonal_mate(sq, n)
+        if f2.dot(sq, normal) != 1:
+            raise PairingInvariantError(
+                f"square {sq:0{n}b} of word {e:0{n}b} lies in its assigned hyperplane {normal:0{n}b}"
+            )
+        if normal in used:
+            raise PairingInvariantError(
+                f"hyperplane {normal:0{n}b} assigned to both {used[normal]:0{n}b} and {e:0{n}b}"
+            )
+        used[normal] = e
+    normals = (None, *used)  # in coset order
+    return assignment_difference_set(HyperplaneAssignment(group, sub, dec, normals))
+
+
+# ---------------------------------------------------------------------------
+# transversal / maximal-subgroup matching
+# ---------------------------------------------------------------------------
+
+
 def _check_assignment_preconditions(group: FiniteGroup, sub: Subgroup) -> None:
     h = sub.order
     if group.order != h * h:
@@ -219,174 +234,83 @@ def _check_assignment_preconditions(group: FiniteGroup, sub: Subgroup) -> None:
         raise AssignmentPreconditionError("subgroup is not normal")
 
 
-def _coset_pairing(group: FiniteGroup, dec: CosetDecomposition) -> Tuple[int, ...]:
-    pairing = [0] * dec.num_cosets
-    for i, rep in enumerate(dec.transversal):
-        pairing[i] = dec.coset_of[group.inv(rep)]
-    return tuple(pairing)
-
-
-class _AssignmentContext:
-    def __init__(self, group: FiniteGroup, sub: Subgroup):
-        _check_assignment_preconditions(group, sub)
-        self.group = group
-        self.sub = sub
-        self.dec = cosets(group, sub)
-        self.pairing = _coset_pairing(group, self.dec)
-        self.h_coords = _subgroup_f2_coordinates(group, sub)
-        self.all_normals = range(1, sub.order)
-        self.members_of = dict(zip(self.all_normals, _hyperplanes(self.h_coords, self.all_normals)))
-        self.normal_of_set = {s: w for w, s in self.members_of.items()}
-
-    def conj_normal(self, w: int, by: int) -> Optional[int]:
-        """Normal of {g m g^-1 : m in hyperplane w}, or None if not a hyperplane."""
-        g = by
-        gi = self.group.inv(g)
-        conj = frozenset(
-            self.group.mul(self.group.mul(g, m), gi) for m in self.members_of[w]
-        )
-        return self.normal_of_set.get(conj)
-
-
 def find_hyperplane_assignment(group: FiniteGroup, sub: Subgroup) -> Optional[HyperplaneAssignment]:
     """Search for a valid hyperplane-to-coset matching by backtracking.
 
-    Cosets are coupled in inverse pairs: assigning H_i to coset i forces
-    ``H_j = t_i^-1 H_i t_i`` on its partner j, and ``t_i t_j in H_i`` prunes
-    candidates.  Normals are tried in increasing (lexicographic) order and
-    blocks in increasing coset order, so the first solution found is the
-    lexicographically least.
+    Cosets are coupled in inverse pairs (i, j), and assigning H_i to coset i
+    forces its partner ``H_j = t_i^-1 H_i t_i`` on coset j: another unused
+    hyperplane on a cross pair, H_i itself on a self-paired coset (a
+    subgroup is fixed by conjugation with t_i exactly when it is fixed by
+    t_i^-1).  ``t_i t_j in H_i`` prunes candidates.  Normals are tried in
+    increasing (lexicographic) order and blocks in increasing coset order,
+    so the first solution found is the lexicographically least.
 
     Returns a :class:`HyperplaneAssignment`, or None when no matching exists.
     Precondition violations raise :class:`AssignmentPreconditionError`
     distinctly.
     """
-    ctx = _AssignmentContext(group, sub)
+    _check_assignment_preconditions(group, sub)
     h = sub.order
-    reps = ctx.dec.transversal
-    blocks: List[Tuple[int, int]] = []
-    for i in range(1, h):
-        j = ctx.pairing[i]
-        if i <= j:
-            blocks.append((i, j))
-    assigned: Dict[int, int] = {}
+    dec = cosets(group, sub)
+    reps = dec.transversal
+    pairing = _coset_pairing(group, dec)
+    members_of = _hyperplanes(group, sub)
+    normal_of = {s: w for w, s in members_of.items()}
+    blocks = [(i, pairing[i]) for i in range(1, h) if i <= pairing[i]]
+    normals: List[Optional[int]] = [None] * h
     used: set = set()
 
     def extend(depth: int) -> bool:
         if depth == len(blocks):
             return True
         i, j = blocks[depth]
-        ti, tj = reps[i], reps[j]
-        anchor = group.mul(ti, tj)
-        for w in ctx.all_normals:
-            if w in used:
+        anchor = group.mul(reps[i], reps[j])
+        ti_inv = group.inv(reps[i])
+        for w, members in members_of.items():
+            if w in used or anchor not in members:
                 continue
-            if anchor not in ctx.members_of[w]:
+            partner = normal_of.get(_conjugate(group, ti_inv, members))
+            if partner is None or (partner == w) != (i == j) or partner in used:
                 continue
-            if i == j:
-                if ctx.conj_normal(w, by=ti) != w:
-                    continue
-                assigned[i] = w
-                used.add(w)
-                if extend(depth + 1):
-                    return True
-                del assigned[i]
-                used.discard(w)
-            else:
-                partner = ctx.conj_normal(w, by=group.inv(ti))
-                if partner is None or partner == w or partner in used:
-                    continue
-                assigned[i] = w
-                assigned[j] = partner
-                used.add(w)
-                used.add(partner)
-                if extend(depth + 1):
-                    return True
-                del assigned[i]
-                del assigned[j]
-                used.discard(w)
-                used.discard(partner)
+            normals[i], normals[j] = w, partner
+            used.update((w, partner))
+            if extend(depth + 1):
+                return True
+            used.difference_update((w, partner))
         return False
 
     if not extend(0):
         return None
-    normals: List[Optional[int]] = [None] * h
-    for idx, w in assigned.items():
-        normals[idx] = w
-    return HyperplaneAssignment(group, sub, ctx.dec, ctx.pairing, tuple(normals), ctx.h_coords)
+    return HyperplaneAssignment(group, sub, dec, tuple(normals))
 
 
 def verify_hyperplane_assignment(assignment: HyperplaneAssignment) -> Tuple[bool, List[str]]:
     """Re-check every condition of a matching; returns (ok, problems).
 
-    Self-contained: works from the assignment's own coordinates, and also
-    re-verifies that those coordinates are a GF(2) isomorphism on H.
+    Self-contained: the coordinates on H and the coset pairing are derived
+    from (G, H) and the decomposition, as the search derives them.
     """
-    group = assignment.group
-    sub = assignment.subgroup
-    dec = assignment.decomposition
+    group, sub, dec, normals = assignment
     h = sub.order
-    problems: List[str] = []
     _check_assignment_preconditions(group, sub)
-    if tuple(assignment.pairing) != _coset_pairing(group, dec):
-        problems.append("pairing does not match the transversal's inverse cosets")
-    coords = assignment.h_coords
-    if sorted(coords) != list(sub.members):
-        problems.append("coordinates do not cover the subgroup")
-        return False, problems
-    for a in sub.members:
-        for b in sub.members:
-            if coords[group.mul(a, b)] != coords[a] ^ coords[b]:
-                problems.append("coordinates are not a GF(2) homomorphism")
-                return False, problems
-    if sorted(coords.values()) != list(range(h)):
-        problems.append("coordinates are not a bijection")
-        return False, problems
-    members_of = dict(zip(range(1, h), _hyperplanes(coords, range(1, h))))
-    normals = [assignment.normals[i] for i in range(1, h)]
-    if any(w not in members_of for w in normals):
+    pairing = _coset_pairing(group, dec)
+    members_of = _hyperplanes(group, sub)
+    problems: List[str] = []
+    if any(normals[i] not in members_of for i in range(1, h)):
         problems.append("assignment is incomplete or has a normal outside H")
         return False, problems
-    if len(set(normals)) != h - 1:
+    if len(set(normals[1:h])) != h - 1:
         problems.append("assigned hyperplanes are not pairwise distinct")
     for i in range(1, h):
-        w = assignment.normals[i]
-        j = assignment.pairing[i]
+        j = pairing[i]
         ti, tj = dec.transversal[i], dec.transversal[j]
-        if group.mul(ti, tj) not in members_of[w]:
+        if group.mul(ti, tj) not in members_of[normals[i]]:
             problems.append(f"t_{i} t_{j} not in assigned subgroup of coset {i}")
-        wj = assignment.normals[j]
-        gi = group.inv(ti)
-        conj = frozenset(
-            group.mul(group.mul(ti, m), gi) for m in members_of[wj]
-        )
-        if conj != members_of[w]:
+        if _conjugate(group, ti, members_of[normals[j]]) != members_of[normals[i]]:
             problems.append(
                 f"conjugate by t_{i} of coset {j}'s subgroup is not coset {i}'s subgroup"
             )
     return not problems, problems
-
-
-def assignment_difference_set(assignment: HyperplaneAssignment) -> DifferenceSetCandidate:
-    """D = union over nontrivial cosets i of H_i * t_i; self-inverse by design."""
-    group = assignment.group
-    sub = assignment.subgroup
-    dec = assignment.decomposition
-    h = sub.order
-    elements: List[int] = []
-    for i in range(1, h):
-        ti = dec.transversal[i]
-        for m in assignment.hyperplane_members(i):
-            elements.append(group.mul(m, ti))
-    params = ParameterSet.from_subgroup_order(h, m=None)
-    return DifferenceSetCandidate(
-        group,
-        sub,
-        tuple(elements),
-        params,
-        "thm81",
-        self_inverse_expected=True,
-    )
 
 
 def c4n_standard_assignment(group: C4PowerGroup) -> HyperplaneAssignment:
@@ -400,30 +324,18 @@ def c4n_standard_assignment(group: C4PowerGroup) -> HyperplaneAssignment:
         raise AssignmentPreconditionError("orthogonal mate needs dimension >= 2")
     sub = group.distinguished_subgroup()
     dec = cosets(group, sub)
-    pairing = _coset_pairing(group, dec)
-    h_coords = {m: group.h_vector(m) for m in sub.members}
-    h = sub.order
-    normals: List[Optional[int]] = [None] * h
-    for i in range(1, h):
-        rep = dec.transversal[i]
-        normals[i] = f2.orthogonal_mate(group.h_vector(group.mul(rep, rep)), group.n)
-    return HyperplaneAssignment(group, sub, dec, pairing, tuple(normals), h_coords)
+    normals = (None, *(
+        f2.orthogonal_mate(group.h_vector(group.mul(t, t)), group.n)
+        for t in dec.transversal[1:]
+    ))
+    return HyperplaneAssignment(group, sub, dec, normals)
 
 
 def c4n_difference_set(n: int) -> DifferenceSetCandidate:
     """Self-inverse difference set in the n-th power of C4 (n >= 2)."""
     if n < 2:
         raise ConstructionError("c4n construction needs n >= 2")
-    group = C4PowerGroup(n)
-    candidate = assignment_difference_set(c4n_standard_assignment(group))
-    return DifferenceSetCandidate(
-        group,
-        candidate.subgroup,
-        candidate.elements,
-        candidate.params,
-        "c4n",
-        self_inverse_expected=True,
-    )
+    return assignment_difference_set(c4n_standard_assignment(C4PowerGroup(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +493,6 @@ def exhaustive_search(
     found: List[DifferenceSetCandidate] = []
     nodes = 0
     leaves = 0
-    params = ParameterSet.from_subgroup_order(h, m=0)
 
     def extend(depth: int, total: int) -> None:
         nonlocal nodes, leaves
@@ -589,9 +500,7 @@ def exhaustive_search(
             leaves += 1
             if total == target:
                 elements = tuple(sorted(a for _, q in path for a in elements_of[q]))
-                found.append(
-                    DifferenceSetCandidate(group, sub, elements, params, "search")
-                )
+                found.append(DifferenceSetCandidate(group, sub, elements))
             return
         for c in depths[depth]:
             nodes += 1

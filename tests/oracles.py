@@ -3,13 +3,16 @@
 Nothing here goes through the algebra or certificate code paths: tallies are
 naive double loops, counts come from closed formulas computed on the spot.
 ``exhaustive_search_reference`` is the search's first tally loop, one
-counter per element, kept to pin the packed-tally search to the same tree.
+counter per element, kept to pin the packed-tally search to the same tree;
+``find_hyperplane_assignment_reference`` is the matching search with its
+first two-branch partner test, kept to pin the one-branch search.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from rshds import f2
 from rshds.constructions import (
     DEFAULT_SEARCH_BUDGET,
     UNAIDED_SEARCH_LIMIT,
@@ -17,8 +20,10 @@ from rshds.constructions import (
     ConstructionError,
     DifferenceSetCandidate,
     SearchResult,
+    _check_assignment_preconditions,
+    _subgroup_f2_coordinates,
 )
-from rshds.groups import IDENTITY, FiniteGroup, ParameterSet, Subgroup, cosets
+from rshds.groups import IDENTITY, FiniteGroup, Subgroup, cosets
 
 Word = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -316,7 +321,6 @@ def exhaustive_search_reference(
     found: List[DifferenceSetCandidate] = []
     nodes = 0
     leaves = 0
-    params = ParameterSet.from_subgroup_order(h, m=0)
 
     def apply(new: Sequence[int]) -> List[int]:
         touched = []
@@ -349,9 +353,7 @@ def exhaustive_search_reference(
                 counts[g] == lam for g in range(1, group.order)
             ):
                 elements = tuple(sorted(flat))
-                found.append(
-                    DifferenceSetCandidate(group, sub, elements, params, "search")
-                )
+                found.append(DifferenceSetCandidate(group, sub, elements))
             return
         for choice in blocks[depth]:
             nodes += 1
@@ -375,6 +377,75 @@ def exhaustive_search_reference(
     extend(0)
     found.sort(key=lambda c: c.elements)
     return SearchResult(found, nodes=nodes, leaves=leaves)
+
+
+
+def find_hyperplane_assignment_reference(
+    group: FiniteGroup, sub: Subgroup
+) -> Optional[Tuple[Tuple[Optional[int], ...], Tuple[int, ...]]]:
+    """``constructions.find_hyperplane_assignment`` as it was written first.
+
+    A self-paired coset i takes a hyperplane that conjugation by t_i fixes;
+    a cross pair (i, j) takes a hyperplane w and its conjugate by t_i^-1,
+    another unused one.  Same blocks, same normal order, so the same first
+    solution: returns (normals, transversal), or None when no matching
+    exists.
+    """
+    _check_assignment_preconditions(group, sub)
+    h = sub.order
+    n = h.bit_length() - 1
+    dec = cosets(group, sub)
+    reps = dec.transversal
+    pairing = [dec.coset_of[group.inv(rep)] for rep in reps]
+    member = {v: m for m, v in _subgroup_f2_coordinates(group, sub).items()}
+    members_of = {
+        w: frozenset(member[v] for v in f2.hyperplane_members(w, n)) for w in range(1, h)
+    }
+    normal_of_set = {s: w for w, s in members_of.items()}
+
+    def conj_normal(w: int, g: int) -> Optional[int]:
+        gi = group.inv(g)
+        return normal_of_set.get(
+            frozenset(group.mul(group.mul(g, m), gi) for m in members_of[w])
+        )
+
+    blocks = [(i, pairing[i]) for i in range(1, h) if i <= pairing[i]]
+    assigned: Dict[int, int] = {}
+    used: set = set()
+
+    def extend(depth: int) -> bool:
+        if depth == len(blocks):
+            return True
+        i, j = blocks[depth]
+        ti, tj = reps[i], reps[j]
+        anchor = group.mul(ti, tj)
+        for w in range(1, h):
+            if w in used or anchor not in members_of[w]:
+                continue
+            if i == j:
+                if conj_normal(w, ti) != w:
+                    continue
+                assigned[i] = w
+                used.add(w)
+                if extend(depth + 1):
+                    return True
+                del assigned[i]
+                used.discard(w)
+            else:
+                partner = conj_normal(w, group.inv(ti))
+                if partner is None or partner == w or partner in used:
+                    continue
+                assigned[i], assigned[j] = w, partner
+                used.update((w, partner))
+                if extend(depth + 1):
+                    return True
+                del assigned[i], assigned[j]
+                used.difference_update((w, partner))
+        return False
+
+    if not extend(0):
+        return None
+    return tuple(assigned.get(i) for i in range(h)), reps
 
 
 # A Latin square of order 5 with two-sided identity at 0 that is not a group:

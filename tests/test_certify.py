@@ -269,6 +269,17 @@ def test_repeated_and_out_of_range_indices_are_refused(cand20, check):
             check(group, sub, bad)
 
 
+def test_difference_equation_refuses_repeated_and_negative_indices(cand20):
+    group, sub, elements = cand20.group, cand20.subgroup, list(cand20.elements)
+    assert elements == [4, 7, 8, 9, 12, 14]
+    for bad in ([4, 7, 8, 9, 12, 12], [4, 7, 8, 9, 12, -2]):
+        with pytest.raises(PreconditionError):
+            check_difference_set(group, bad)
+        for name in ("dset", "rshds", "profile"):
+            (report,) = certify.run_checks(group, sub, bad, [name])
+            assert not report.passed and list(report.witnesses) == ["precondition"]
+
+
 def test_quotient_check_refuses_repeated_and_negative_indices(cand20):
     group, sub, elements = cand20.group, cand20.subgroup, list(cand20.elements)
     kernel = normal_subgroups_of_prime_index(group)[0][0]

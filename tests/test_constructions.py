@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -11,6 +13,7 @@ from oracles import (
     c4n_index,
     c4n_word,
     exhaustive_search_reference,
+    find_hyperplane_assignment_reference,
     naive_difference_tally,
 )
 from rshds import certify, f2, fixtures
@@ -18,7 +21,9 @@ from rshds.constructions import (
     AssignmentPreconditionError,
     BudgetExceededError,
     ConstructionError,
+    DifferenceSetCandidate,
     HyperplaneAssignment,
+    _subgroup_f2_coordinates,
     assignment_difference_set,
     c4n_difference_set,
     c4n_standard_assignment,
@@ -181,16 +186,11 @@ def test_verifier_reports_each_tampering(gnk31):
     normals = list(good.normals)
     duplicate, missing, outside = normals[:], normals[:], normals[:]
     duplicate[2], missing[3], outside[3] = normals[1], None, 8
-    swapped = dict(good.h_coords)
-    swapped[1], swapped[2] = swapped[2], swapped[1]
     cases = [
         (good._replace(normals=tuple(duplicate)), "assigned hyperplanes are not pairwise distinct"),
         (good._replace(normals=tuple(duplicate)), "t_2 t_2 not in assigned subgroup of coset 2"),
         (good._replace(normals=tuple(missing)), "assignment is incomplete or has a normal outside H"),
         (good._replace(normals=tuple(outside)), "assignment is incomplete or has a normal outside H"),
-        (good._replace(h_coords=swapped), "coordinates are not a GF(2) homomorphism"),
-        (good._replace(h_coords={m: 0 for m in swapped}), "coordinates are not a bijection"),
-        (good._replace(h_coords={m: m << 1 for m in swapped}), "coordinates are not a bijection"),
     ]
     for bad, problem in cases:
         ok, problems = verify_hyperplane_assignment(bad)
@@ -204,13 +204,101 @@ def test_verifier_checks_conjugation_on_a_noncentral_subgroup():
     sub = Subgroup(group, [0, 4, 8, 12])
     assert find_hyperplane_assignment(group, sub) is None
     dec = cosets(group, sub)
-    pairing = tuple(dec.coset_of[group.inv(t)] for t in dec.transversal)
-    coords = {0: 0b00, 4: 0b10, 8: 0b01, 12: 0b11}
     for normals in permutations([1, 2, 3]):
-        assignment = HyperplaneAssignment(group, sub, dec, pairing, (None, *normals), coords)
+        assignment = HyperplaneAssignment(group, sub, dec, (None, *normals))
         ok, problems = verify_hyperplane_assignment(assignment)
         assert not ok
         assert any(p.startswith("conjugate by t_") for p in problems)
+
+
+def _f2_cubed_by_c4_x_c2():
+    """F_2^3 x| (C4 x C2), element (v, a, b) at index (2a + b) * 8 + v.
+
+    The C4 acts by the unipotent (x, y, z) -> (x + y, y + z, z) of order 4,
+    the C2 by the transvection (x, y, z) -> (x + z, y, z), which commutes
+    with it.  Conjugation by t and by t^-1 then differ on H = F_2^3 for t
+    of order 4 mod H, so the direction of the partner test matters.
+    """
+    def act(a, b, v):
+        for _ in range(a):
+            v ^= (v << 1) & 0b110
+        return v ^ (v & 1) << 2 if b else v
+
+    def mul(x, y):
+        (k1, v1), (k2, v2) = divmod(x, 8), divmod(y, 8)
+        (a1, b1), (a2, b2) = divmod(k1, 2), divmod(k2, 2)
+        return (2 * ((a1 + a2) % 4) + (b1 ^ b2)) * 8 + (v1 ^ act(a1, b1, v2))
+
+    return CayleyTableGroup([[mul(x, y) for y in range(64)] for x in range(64)], validate=True)
+
+
+# every elementary abelian normal subgroup of order h = sqrt|G|: 54 (G, H)
+# pairs, 44 of them with a matching
+MATCHING_GROUPS = {
+    "gnk:2,0": (lambda: build_group("gnk:2,0"), 1, 1),
+    "c4n:2": (lambda: build_group("c4n:2"), 1, 1),
+    "C2^4": (lambda: elementary_abelian_2_group(4), 35, 35),
+    "D4xC2": (lambda: direct_product(dihedral_group(4), cyclic_group(2)), 5, 1),
+    "gnk:3,0": (lambda: build_group("gnk:3,0"), 1, 1),
+    "gnk:3,1": (lambda: build_group("gnk:3,1"), 1, 1),
+    "c4n:3": (lambda: build_group("c4n:3"), 1, 1),
+    "C2^3:(C4xC2)": (_f2_cubed_by_c4_x_c2, 9, 5),
+}
+
+
+@lru_cache(maxsize=None)
+def _matching_subgroups(name):
+    group = MATCHING_GROUPS[name][0]()
+    subs = subgroups_of_order(group, math.isqrt(group.order), normal=True)
+    return group, [sub for sub in subs if sub.is_elementary_abelian_2()]
+
+
+@pytest.mark.parametrize("name", sorted(MATCHING_GROUPS))
+def test_matching_search_matches_the_reference(name):
+    group, subs = _matching_subgroups(name)
+    _, pairs, matched = MATCHING_GROUPS[name]
+    assert len(subs) == pairs
+    found = [find_hyperplane_assignment(group, sub) for sub in subs]
+    assert sum(a is not None for a in found) == matched
+    for sub, a in zip(subs, found):
+        got = None if a is None else (a.normals, a.decomposition.transversal)
+        assert got == find_hyperplane_assignment_reference(group, sub), sub.members
+        assert a is None or verify_hyperplane_assignment(a) == (True, [])
+
+
+@pytest.mark.parametrize("name", sorted(MATCHING_GROUPS))
+def test_subgroup_coordinates_are_an_f2_isomorphism(name):
+    group, subs = _matching_subgroups(name)
+    for sub in subs:
+        coords = _subgroup_f2_coordinates(group, sub)
+        assert sorted(coords) == list(sub.members)
+        assert sorted(coords.values()) == list(range(sub.order))
+        for a in sub.members:
+            for b in sub.members:
+                assert coords[group.mul(a, b)] == coords[a] ^ coords[b]
+
+
+def test_two_searches_give_equal_assignments(gnk31):
+    sub = gnk31.distinguished_subgroup()
+    first = find_hyperplane_assignment(gnk31, sub)
+    second = find_hyperplane_assignment(gnk31, sub)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != first._replace(normals=(None, *reversed(first.normals[1:])))
+
+
+def test_construction_types_record_only_what_they_decide(cand20):
+    assert DifferenceSetCandidate._fields == ("group", "subgroup", "elements")
+    assert HyperplaneAssignment._fields == ("group", "subgroup", "decomposition", "normals")
+    assert cand20.params == (4, 16, 6, 2, None)
+
+
+def test_candidate_refuses_a_repeated_element(cand20):
+    elements = list(cand20.elements)
+    elements[-1] = elements[0]
+    with pytest.raises(ConstructionError, match="repeats an element"):
+        DifferenceSetCandidate(cand20.group, cand20.subgroup, elements)
+    assert DifferenceSetCandidate(*cand20) == cand20
 
 
 def test_kappa_assignment_accepted_by_verifier():
@@ -225,7 +313,6 @@ def test_c4n_difference_sets():
         cand = c4n_difference_set(n)
         group = cand.group
         assert (group.order, len(cand.elements)) == (v, k)
-        assert cand.self_inverse_expected
         assert {group.inv(g) for g in cand.elements} == set(cand.elements)
         report = certify.check_difference_set(group, cand.elements)
         assert report.passed
