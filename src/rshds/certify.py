@@ -22,13 +22,13 @@ G = D + D^-1 + H directly: D misses H, |D| = k and D meets D^-1 nowhere,
 and 2k + h = h^2 leaves no room for anything else.
 
 The Schur-ring, spectrum and Hadamard checks share one table of structure
-constants of {1, H-1, D, D^-1}, read from five convolutions (H*H, H*D, D*H,
-D*D, D^-1*D) and from the difference equation D*D^-1 = k + lam(G-1) that
-``check_rshds`` certified; ``run_checks`` builds it once for all three and
-convolves D*D^-1 once for dset and rshds together, so a run of every check
-makes 6 convolutions.  Once the partition is certified, the four classes
-are disjoint, non-empty and cover G; once their
-span is certified closed, the map to class coordinates is an
+constants of {1, H-1, D, D^-1}, read from five convolutions ((H-1)^2,
+(H-1)D, (H-1)D^-1, D*D, D^-1*D) and from the difference equation
+D*D^-1 = k + lam(G-1) that ``check_rshds`` certified; ``run_checks`` builds
+it once for all three and convolves D*D^-1 once for dset and rshds
+together, so a run of every check makes 6 convolutions.  Once the partition
+is certified, the four classes are disjoint, non-empty and cover G; once
+their span is certified closed, the map to class coordinates is an
 injective ring homomorphism onto Z^4 with that table as its product.  So
 an element of the span is zero exactly when its four coordinates are, a
 polynomial in D vanishes in the group algebra exactly when it vanishes in
@@ -71,33 +71,30 @@ class PreconditionError(ValueError):
 CHECK_ORDER = ("dset", "rshds", "profile", "schur", "spectrum", "hadamard")
 
 
-class CertReport:
+class _ReportFields(NamedTuple):
+    check_name: str
+    passed: bool
+    params: Optional[ParameterSet] = None
+    witnesses: Optional[Dict[str, object]] = None
+    warnings: Optional[List[str]] = None
+
+
+class CertReport(_ReportFields):
     """Structured pass/fail record; a failed report always carries a witness."""
 
-    __slots__ = ("check_name", "passed", "params", "witnesses", "warnings")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         check_name: str,
         passed: bool,
         params: Optional[ParameterSet] = None,
         witnesses: Optional[Dict[str, object]] = None,
         warnings: Optional[List[str]] = None,
-    ):
-        self.check_name = check_name
-        self.passed = passed
-        self.params = params
-        self.witnesses = {} if witnesses is None else witnesses
-        self.warnings = [] if warnings is None else warnings
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CertReport):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"CertReport({fields})"
+    ) -> "CertReport":
+        witnesses = {} if witnesses is None else witnesses
+        warnings = [] if warnings is None else warnings
+        return super().__new__(cls, check_name, passed, params, witnesses, warnings)
 
     def to_json_dict(self) -> dict:
         return {
@@ -313,9 +310,13 @@ def _comb(*terms: Tuple[int, Sequence[int]]) -> Coords:
     return tuple(sum(c * x[i] for c, x in terms) for i in range(4))
 
 
+# star fixes 1 and H-1 and swaps D with D^-1: class i goes to class _STAR[i]
+_STAR = (0, 1, 3, 2)
+
+
 def _star(x: Sequence[int]) -> Coords:
-    """star in class coordinates: inversion fixes 1 and H-1 and swaps D with D^-1."""
-    return (x[0], x[1], x[3], x[2])
+    """star in class coordinates."""
+    return tuple(x[i] for i in _STAR)
 
 
 def _schur_structure(
@@ -329,15 +330,14 @@ def _schur_structure(
     ``base`` is the ``check_rshds`` report of the same set when the caller
     has one already; otherwise it is computed here.
 
-    Only H*H, H*D, D*H, D*D and D^-1*D are convolved.  D*D^-1 is not: the
-    passing ``base`` has certified D*D^-1 = k + lam(G-1) exactly, and
-    G is the sum of the four classes, so its coordinates are (k, lam, lam,
-    lam).  The unit row and column are the basis, H-1 = H - 1, and star, an
-    anti-automorphism that swaps D and D^-1, gives D^-1 D^-1 = (DD)*,
-    D^-1 H = (HD)* and H D^-1 = (DH)*; so a class product closes exactly
-    when the product it is read from does.  If one does not close or has a
-    negative coordinate, the structure is None and the witness names the
-    first such class product in row order.
+    Only (H-1)^2, (H-1)D, (H-1)D^-1, D*D and D^-1*D are convolved.  D*D^-1
+    is not: the passing ``base`` has certified D*D^-1 = k + lam(G-1)
+    exactly, and G is the sum of the four classes, so its coordinates are
+    (k, lam, lam, lam).  The unit row and column are the basis, and each
+    product XY also fills the cell of its star, (XY)* = Y*X*, since star is
+    an anti-automorphism permuting the classes as ``_STAR``.  If a class
+    product does not close or has a negative coordinate, the structure is
+    None and the witness names the first such product in row order.
     """
     if base is None:
         base = check_rshds(group, sub, elements)
@@ -346,14 +346,8 @@ def _schur_structure(
             "candidate is not a certified m=0 relative skew Hadamard difference set"
         )
     d = from_set(group, elements)
-    dinv = d.star()
-    h_el = from_set(group, sub.members)
-    class_members = (
-        [IDENTITY],
-        [m for m in sub.members if m != IDENTITY],
-        d.support(),
-        dinv.support(),
-    )
+    classes = (None, from_set(group, [m for m in sub.members if m != IDENTITY]), d, d.star())
+    class_members = [[IDENTITY]] + [x.support() for x in classes[1:]]
 
     def expand(x: AlgebraElement) -> Optional[Coords]:
         coords = []
@@ -364,27 +358,13 @@ def _schur_structure(
             coords.append(vals.pop())
         return tuple(coords)
 
-    hh, hd, dh, dd, did = (
-        expand(convolve(x, y))
-        for x, y in ((h_el, h_el), (h_el, d), (d, h_el), (d, d), (dinv, d))
-    )
     lam = base.params.lam
-    ddi = (base.params.k, lam, lam, lam)
-    e, a, dv, bv = _BASIS
-
-    def cell(src: Optional[Coords], *terms, star: bool = False) -> Optional[Coords]:
-        """A class product read from ``src``; None if ``src`` does not close."""
-        if src is None:
-            return None
-        return _comb((1, _star(src) if star else src), *terms)
-
-    # (H-1)^2 = HH - 2(H-1) - 1, (H-1)D = HD - D, D^-1(H-1) = (HD)* - D^-1, ...
-    table = [
-        list(_BASIS),
-        [a, cell(hh, (-1, e), (-2, a)), cell(hd, (-1, dv)), cell(dh, (-1, bv), star=True)],
-        [dv, cell(dh, (-1, dv)), dd, ddi],
-        [bv, cell(hd, (-1, bv), star=True), did, cell(dd, star=True)],
-    ]
+    table = [list(_BASIS)] + [[b, None, None, None] for b in _BASIS[1:]]
+    table[2][3] = (base.params.k, lam, lam, lam)
+    for i, j in ((1, 1), (1, 2), (1, 3), (2, 2), (3, 2)):
+        coords = expand(convolve(classes[i], classes[j]))
+        table[i][j] = coords
+        table[_STAR[j]][_STAR[i]] = None if coords is None else _star(coords)
     for i in range(4):
         for j in range(4):
             coords = table[i][j]
@@ -662,30 +642,19 @@ def quotient_check(
         witnesses["case"] = "cyclic-4"
         gen = min(a for a in range(1, 4) if q.element_order(a) == 4)
         seq = [IDENTITY, gen, q.mul(gen, gen), q.mul(q.mul(gen, gen), gen)]
-        xo = [xs[i] for i in seq]
-        yo = [ys[i] for i in seq]
-        low, high = h * (h - 2), h * (h + 2)
-        half_y = [2 * yo[0] == h, yo[1] == 0, 2 * yo[2] == h, yo[3] == 0]
-        fam_i = (
-            all(half_y)
-            and [8 * x for x in xo] == [low, low, low, high]
-        )
-        fam_ii = (
-            all(half_y)
-            and [8 * x for x in xo] == [low, high, low, low]
-        )
-        fam_iii = (
-            yo == [h, 0, 0, 0]
-            and [8 * x for x in xo] == [h * h - 4 * h, h * h, h * h, h * h]
-        )
-        if fam_i:
-            witnesses["family"] = "i"
-        elif fam_ii:
-            witnesses["family"] = "ii"
-        elif fam_iii:
-            witnesses["family"] = "iii"
-        else:
+        low, high, sq = h * (h - 2), h * (h + 2), h * h
+        # the solved families as (2y, 8x), both read along 1, g, g^2, g^3
+        families = {
+            "i": ([h, 0, h, 0], [low, low, low, high]),
+            "ii": ([h, 0, h, 0], [low, high, low, low]),
+            "iii": ([2 * h, 0, 0, 0], [sq - 4 * h, sq, sq, sq]),
+        }
+        profile = ([2 * ys[a] for a in seq], [8 * xs[a] for a in seq])
+        family = next((f for f, shape in families.items() if shape == profile), None)
+        if family is None:
             problems.append("profile matches none of the three solved families")
+        else:
+            witnesses["family"] = family
     elif q.fingerprint() in _swallowing_fingerprints():
         witnesses["case"] = "swallowing-quotient"
         witnesses["quotient_fingerprint_order"] = u
@@ -727,7 +696,7 @@ def structural_tests(
         core &= s.member_set
     swallowing = _swallowing_fingerprints()
     extra_count = 0
-    for d in (4, 6, 8, 9, 10, 12):
+    for d in sorted({fingerprint[0] for fingerprint in swallowing}):
         if group.order % d:
             continue
         for s in subgroups_of_order(group, group.order // d, normal=True):
@@ -746,10 +715,7 @@ def structural_tests(
     if sub is not None:
         t2 = all(m in sub for m in inv_closure.members)
     else:
-        elementary = all(
-            group.mul(m, m) == IDENTITY for m in inv_closure.members
-        )
-        t2 = elementary and h % inv_closure.order == 0
+        t2 = inv_closure.is_elementary_abelian_2() and h % inv_closure.order == 0
     witnesses["T2"] = {"pass": t2, "involution_closure_order": inv_closure.order}
     normal_h = subgroups_of_order(group, h, normal=True)
     t3 = bool(normal_h)

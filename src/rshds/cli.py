@@ -124,7 +124,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_certify(args) -> int:
     group, sub, elements, _ = formats.read_dset(args.dset)
-    if args.checks:
+    if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not names:
             raise FormatError(f"--checks {args.checks!r} names no check")

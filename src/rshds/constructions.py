@@ -346,30 +346,16 @@ DEFAULT_SEARCH_BUDGET = 1_000_000_000
 UNAIDED_SEARCH_LIMIT = 64
 
 
-class SearchResult:
+class SearchResult(NamedTuple):
     """The sets ``exhaustive_search`` found and the size of the tree it walked."""
 
-    __slots__ = ("candidates", "nodes", "leaves")
-
-    def __init__(self, candidates: List[DifferenceSetCandidate], nodes: int, leaves: int):
-        self.candidates = candidates
-        self.nodes = nodes
-        self.leaves = leaves
+    candidates: List[DifferenceSetCandidate]
+    nodes: int
+    leaves: int
 
     @property
     def count(self) -> int:
         return len(self.candidates)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SearchResult):
-            return NotImplemented
-        return (self.candidates, self.nodes, self.leaves) == (
-            other.candidates, other.nodes, other.leaves
-        )
-
-    def __repr__(self) -> str:
-        return (f"SearchResult(candidates={self.candidates!r}, "
-                f"nodes={self.nodes!r}, leaves={self.leaves!r})")
 
 
 def exhaustive_search(
@@ -446,15 +432,7 @@ def exhaustive_search(
             mem = members_by_coset[i]
             if any(inv[x] == x for x in mem):
                 return SearchResult([], nodes=0, leaves=0)
-            pairs: List[Tuple[int, int]] = []
-            seen = set()
-            for x in mem:
-                if x in seen:
-                    continue
-                y = inv[x]
-                seen.add(x)
-                seen.add(y)
-                pairs.append((x, y))
+            pairs = [(x, inv[x]) for x in mem if x < inv[x]]
             blocks.append([tuple(choice) for choice in itertools.product(*pairs)])
         else:
             mem_i = members_by_coset[i]

@@ -31,7 +31,8 @@ class FormatError(ValueError):
 
 
 def _index_list(value: object, field: str) -> List[int]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    # a JSON true or false decodes to a bool, which isinstance(x, int) would take
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise FormatError(f"{field} field must be a list of integers")
     return value
 
@@ -111,7 +112,7 @@ def read_cayley(path: Union[str, Path]) -> CayleyTableGroup:
         raise FormatError(f"not a {CAYLEY_FORMAT} document: {p}")
     order = doc.get("order")
     table = doc.get("table")
-    if not isinstance(order, int) or not isinstance(table, list) or len(table) != order:
+    if type(order) is not int or not isinstance(table, list) or len(table) != order:
         raise FormatError(f"order/table mismatch in {p}")
     names = doc.get("names")
     if names is not None:

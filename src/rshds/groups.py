@@ -537,9 +537,7 @@ def involutions(group: FiniteGroup) -> List[int]:
     return [g for g in range(1, group.order) if group.mul(g, g) == IDENTITY]
 
 
-def subgroups_of_order(
-    group: FiniteGroup, m: int, *, cap: int = SUBGROUP_ENUM_CAP, normal: bool = False
-) -> List[Subgroup]:
+def subgroups_of_order(group: FiniteGroup, m: int, *, normal: bool = False) -> List[Subgroup]:
     """All subgroups of order m, or with ``normal=True`` all normal ones.
 
     Deterministic output, sorted lexicographically by member tuple.  Both
@@ -560,8 +558,8 @@ def subgroups_of_order(
     closures ncl(x), x in it, and each partial join lies inside it, so its
     order divides m and the pruning never drops it.
     """
-    if group.order > cap:
-        raise GroupError(f"group order {group.order} exceeds enumeration cap {cap}")
+    if group.order > SUBGROUP_ENUM_CAP:
+        raise GroupError(f"group order {group.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
     if m <= 0 or group.order % m:
         raise GroupError(f"order {m} does not divide group order {group.order}")
     seen = _normal_subgroups_dividing(group, m) if normal else _subgroups_dividing(group, m)

@@ -520,6 +520,38 @@ def test_quotient_c4_families(cand20):
         assert report.witnesses["family"] in ("i", "ii", "iii")
 
 
+def _c4_quotient_case(name):
+    """(G, H, N) with G/N cyclic of order 4 for one of the synthetic cases."""
+    if name == "C16":
+        group = cyclic_group(16)
+        sub = closure(group, [4])
+        return group, sub, sub
+    # C4 x C4, element (a, b) at index 4a + b; N = <(1,0)>, so the coset of
+    # (a, b) is read off b, and H = <(2,0), (0,2)> meets N and (0,2)N twice
+    group = direct_product(cyclic_group(4), cyclic_group(4))
+    return group, closure(group, [8, 2]), closure(group, [4])
+
+
+@pytest.mark.parametrize("name, elements, family", [
+    ("C4xC4", [0, 1, 2, 3, 7, 11], "i"),
+    ("C4xC4", [0, 1, 5, 9, 2, 3], "ii"),
+    ("C16", [1, 5, 2, 6, 3, 7], "iii"),
+    ("C4xC4", [0, 4, 1, 5, 2, 3], None),
+])
+def test_quotient_c4_family_of_a_synthetic_profile(name, elements, family):
+    # the sets need not be difference sets: only their counts per coset of N
+    # are read, along 1, g, g^2, g^3 for the least quotient label g of order 4
+    group, sub, kernel = _c4_quotient_case(name)
+    report = quotient_check(group, sub, elements, kernel)
+    assert report.witnesses["case"] == "cyclic-4"
+    assert report.passed is (family is not None)
+    assert report.witnesses.get("family") == family
+    if family is None:
+        assert report.witnesses["problems"] == [
+            "profile matches none of the three solved families"
+        ]
+
+
 def test_quotient_requires_normal_kernel():
     from rshds.groups import dihedral_group
 

@@ -225,6 +225,7 @@ def test_exit_codes_usage_errors(tmp_path, capsys):
         ["quotient", "DSET", "--kernel", "gens=1,b"],
         ["certify", "DSET", "--checks", ","],
         ["certify", "DSET", "--checks", " , "],
+        ["certify", "DSET", "--checks", ""],
     ],
 )
 def test_bad_subgroup_tokens_and_empty_check_lists_are_usage_errors(tmp_path, capsys, argv):
@@ -234,14 +235,6 @@ def test_bad_subgroup_tokens_and_empty_check_lists_are_usage_errors(tmp_path, ca
     assert cli.main([str(dset) if a == "DSET" else a for a in argv]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_empty_checks_value_runs_every_check(tmp_path, capsys):
-    dset = tmp_path / "d.json"
-    assert cli.main(["construct", "gnk:2,0", "--out", str(dset)]) == cli.EXIT_OK
-    capsys.readouterr()
-    assert cli.main(["certify", str(dset), "--checks", ""]) == cli.EXIT_OK
-    assert capsys.readouterr().out.count("PASS") == len(cli.CHECK_ORDER)
 
 
 def test_exit_code_budget(capsys):

@@ -47,6 +47,8 @@ MALFORMED_DSET = {
     "elements-not-integers": _json({**_DSET, "elements": ["x"]}),
     "element-out-of-range": _json({**_DSET, "elements": [16]}),
     "duplicate-elements": _json({**_DSET, "elements": [4, 4]}),
+    "elements-boolean": _json({**_DSET, "elements": [True, 5, 6]}),
+    "subgroup-boolean": _json({**_DSET, "subgroup": [True, 2]}),
 }
 MALFORMED_CAYLEY = {
     "not-json": "{",
@@ -58,6 +60,9 @@ MALFORMED_CAYLEY = {
     "row-not-a-list": _json({"format": "cayley-v1", "order": 2, "table": [[0, 1], 1]}),
     "not-a-group": _json({"format": "cayley-v1", "order": 2, "table": [[0, 1], [0, 1]]}),
     "short-names": _json({"format": "cayley-v1", "order": 2, "table": _TABLE, "names": ["1"]}),
+    "boolean-entries": _json({"format": "cayley-v1", "order": 2,
+                              "table": [[False, True], [True, False]]}),
+    "boolean-order": _json({"format": "cayley-v1", "order": True, "table": [[0]]}),
 }
 MALFORMED_HADAMARD = {
     "empty": "",

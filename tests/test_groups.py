@@ -23,6 +23,7 @@ from oracles import (
 )
 from rshds import fixtures
 from rshds.groups import (
+    SUBGROUP_ENUM_CAP,
     C4PowerGroup,
     CayleyTableGroup,
     GnkGroup,
@@ -417,9 +418,10 @@ def test_subgroups_of_order_examples(c2_4):
 
 
 def test_subgroups_of_order_cap():
+    assert SUBGROUP_ENUM_CAP < 512
+    with pytest.raises(GroupError, match="exceeds enumeration cap"):
+        subgroups_of_order(elementary_abelian_2_group(9), 2)
     g = C4PowerGroup(2)
-    with pytest.raises(GroupError):
-        subgroups_of_order(g, 4, cap=8)
     with pytest.raises(GroupError):
         subgroups_of_order(g, 3)
 
