@@ -44,7 +44,7 @@ class AlgebraElement:
     def star(self) -> "AlgebraElement":
         """Coefficientwise pullback along inversion: star(x)[g] = x[g^-1]."""
         inv = self.group.inv
-        return AlgebraElement(self.group, [self.coeffs[inv(g)] for g in self.group.elements()])
+        return AlgebraElement(self.group, [self.coeffs[inv(g)] for g in range(self.group.order)])
 
 
 def from_set(group: FiniteGroup, indices: Iterable[int]) -> AlgebraElement:

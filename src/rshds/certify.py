@@ -39,6 +39,7 @@ exact, not sampled.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -116,7 +117,7 @@ class CertReport(_ReportFields):
 
 def _unpinned_params(h: int) -> Optional[ParameterSet]:
     """The parameters of subgroup order h with m left open, or None if h is not even >= 2."""
-    return ParameterSet.from_subgroup_order(h, m=None) if h >= 2 and h % 2 == 0 else None
+    return ParameterSet(h, m=None) if h >= 2 and h % 2 == 0 else None
 
 
 def _degenerate_warnings(h: int) -> List[str]:
@@ -132,7 +133,7 @@ def _degenerate_warnings(h: int) -> List[str]:
 
 def parameter_formulas(h: int) -> ParameterSet:
     """(v, k, lambda) = (h^2, h(h-1)/2, h(h-2)/4) for even h >= 2."""
-    return ParameterSet.from_subgroup_order(h)
+    return ParameterSet(h)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,10 @@ def _matching_params(v: int, k: int, lam: int) -> Optional[ParameterSet]:
 
 def _index_set(group: FiniteGroup, elements: Sequence[int]) -> set:
     """The candidate as a set of ints, each a repeat-free index in range(v)."""
-    dset = {int(g) for g in elements}
+    try:
+        dset = set(map(operator.index, elements))
+    except TypeError as exc:
+        raise PreconditionError(f"element indices must be integers: {exc}") from None
     if len(dset) != len(elements):
         raise PreconditionError("duplicate elements in candidate set")
     if dset and not (0 <= min(dset) and max(dset) < group.order):
@@ -249,7 +253,7 @@ def _rshds(
     witnesses["m"] = 0
     witnesses["intersection_cosets"] = []
     witnesses["complement_cosets"] = [0]
-    params = ParameterSet.from_subgroup_order(h, m=0)
+    params = ParameterSet(h, m=0)
     eq = equation()
     witnesses["difference_equation"] = eq.passed
     if not eq.passed:
@@ -335,9 +339,9 @@ def _schur_structure(
     exactly, and G is the sum of the four classes, so its coordinates are
     (k, lam, lam, lam).  The unit row and column are the basis, and each
     product XY also fills the cell of its star, (XY)* = Y*X*, since star is
-    an anti-automorphism permuting the classes as ``_STAR``.  If a class
-    product does not close or has a negative coordinate, the structure is
-    None and the witness names the first such product in row order.
+    an anti-automorphism permuting the classes as ``_STAR``.  Every
+    coordinate is a count, never negative.  If a class product does not
+    close, the structure is None and the witness names the first in row order.
     """
     if base is None:
         base = check_rshds(group, sub, elements)
@@ -365,13 +369,9 @@ def _schur_structure(
         coords = expand(convolve(classes[i], classes[j]))
         table[i][j] = coords
         table[_STAR[j]][_STAR[i]] = None if coords is None else _star(coords)
-    for i in range(4):
-        for j in range(4):
-            coords = table[i][j]
-            if coords is None:
-                return base, None, {"non_closing_product": [i, j]}
-            if any(c < 0 for c in coords):
-                return base, None, {"negative_structure_constant": [i, j, list(coords)]}
+    for i, row in enumerate(table):
+        if None in row:
+            return base, None, {"non_closing_product": [i, row.index(None)]}
     return base, SchurStructure(tuple(tuple(row) for row in table)), {}
 
 

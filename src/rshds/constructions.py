@@ -29,13 +29,13 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import f2
 from .groups import (
-    IDENTITY,
     C4PowerGroup,
     CosetDecomposition,
     FiniteGroup,
     GnkGroup,
     ParameterSet,
     Subgroup,
+    coordinatize_elementary_abelian,
     cosets,
     is_normal,
 )
@@ -101,7 +101,7 @@ class DifferenceSetCandidate(_CandidateFields):
 
     @property
     def params(self) -> ParameterSet:
-        return ParameterSet.from_subgroup_order(self.subgroup.order, m=None)
+        return ParameterSet(self.subgroup.order, m=None)
 
 
 class HyperplaneAssignment(NamedTuple):
@@ -137,21 +137,16 @@ def assignment_difference_set(assignment: HyperplaneAssignment) -> DifferenceSet
 
 
 def _subgroup_f2_coordinates(group: FiniteGroup, sub: Subgroup) -> Dict[int, int]:
-    """F_2 coordinates on an elementary abelian 2-subgroup.
+    """F_2 coordinates, as bitmasks, on an elementary abelian 2-subgroup.
 
-    The distinguished subgroup of a gnk or c4n group has its own; otherwise
-    the basis is picked among the members in increasing order, the first
-    basis element in the highest bit.
+    The members of H in a gnk or c4n group are their own vectors; otherwise
+    ``coordinatize_elementary_abelian`` picks the basis among the members in
+    increasing order, its first coordinate read as the highest bit.
     """
     if isinstance(group, GnkGroup) and sub == group.distinguished_subgroup():
-        return {m: group.h_vector(m) for m in sub.members}
-    coords = {IDENTITY: 0}
-    for g in sub.members:
-        if g not in coords:
-            coords = {x: c << 1 for x, c in coords.items()}
-            for x, c in list(coords.items()):
-                coords[group.mul(x, g)] = c | 1
-    return coords
+        return {m: m for m in sub.members}
+    coords = coordinatize_elementary_abelian(group, 2, sub.members)
+    return {m: sum(b << i for i, b in enumerate(reversed(c))) for m, c in coords.items()}
 
 
 def _hyperplanes(group: FiniteGroup, sub: Subgroup) -> Dict[int, FrozenSet[int]]:
@@ -196,7 +191,7 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
     used: Dict[int, int] = {}
     for rep in dec.transversal[1:]:
         e = rep >> n
-        sq = group.h_vector(group.mul(rep, rep))
+        sq = group.mul(rep, rep)
         if not sq:
             raise PairingInvariantError(
                 f"transversal word {e:0{n}b} has trivial square; cannot avoid any hyperplane"
@@ -325,7 +320,7 @@ def c4n_standard_assignment(group: C4PowerGroup) -> HyperplaneAssignment:
     sub = group.distinguished_subgroup()
     dec = cosets(group, sub)
     normals = (None, *(
-        f2.orthogonal_mate(group.h_vector(group.mul(t, t)), group.n)
+        f2.orthogonal_mate(group.mul(t, t), group.n)
         for t in dec.transversal[1:]
     ))
     return HyperplaneAssignment(group, sub, dec, normals)

@@ -18,6 +18,7 @@ from .groups import (
     GnkGroup,
     Subgroup,
     closure,
+    validate_group_table,
 )
 
 CAYLEY_FORMAT = "cayley-v1"
@@ -94,7 +95,7 @@ def write_cayley(group: FiniteGroup, path: Union[str, Path]) -> None:
         "format": CAYLEY_FORMAT,
         "order": group.order,
         "table": group.table,
-        "names": [group.element_name(a) for a in group.elements()],
+        "names": [group.element_name(a) for a in range(group.order)],
     }
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
@@ -122,7 +123,8 @@ def read_cayley(path: Union[str, Path]) -> CayleyTableGroup:
     for row in table:
         _index_list(row, "table row")
     try:
-        return CayleyTableGroup(table, names=names, validate=True)
+        validate_group_table(table)
+        return CayleyTableGroup(table, names=names)
     except ValueError as exc:  # GroupTableError, or rows of unequal length
         witness = getattr(exc, "witness", {})
         raise FormatError(f"invalid multiplication table in {p}: {exc} {witness}") from exc
@@ -229,7 +231,8 @@ def read_hadamard(path: Union[str, Path]) -> List[List[int]]:
     if not lines:
         raise FormatError(f"empty hadamard-v1 file: {p}")
     header = lines[0].split()
-    if len(header) != 2 or header[0] != HADAMARD_HEADER or not header[1].isdigit():
+    # ASCII digits only: str.isdigit also passes "²", which int refuses
+    if len(header) != 2 or header[0] != HADAMARD_HEADER or not re.fullmatch("[0-9]+", header[1]):
         raise FormatError(f"bad hadamard-v1 header: {lines[0]!r}")
     n = int(header[1])
     if n < 1:

@@ -8,22 +8,25 @@ order 4 (``c4n:``) are its untwisted case k = 0.  In these two the element
 with index e * 2^n + f is the normal-form word (e, f), where e and f are
 vectors of F_2^n held as int bitmasks, first coordinate in bit n-1 (the
 ``f2`` convention).  The distinguished subgroup H is the indices below 2^n,
-each its own F_2 vector, and index order is (coset of H, then lexicographic
-normal form inside the coset), so matrices written in this order are block
-aligned with H.
+each member its own F_2 vector, and index order is (coset of H, then
+lexicographic normal form inside the coset), so matrices written in this
+order are block aligned with H.
 
 Everything here is plain Python on lists of ints, and every check is exact
-at every order.  Group facts are proved on generators from ``_generators``:
-``validate_group_table`` proves associativity with Light's test, and
-``is_normal`` (which ``quotient`` calls) conjugates generators of the
-subgroup by generators of the group, since conjugation is an automorphism
-and every element of a finite group is a product of generators.  A group
-finds its own generating set once, on first use, with no spare generator.
-All groups are immutable after construction and all functions here are pure.
+at every order.  A subset is a subgroup exactly when it is its closure.
+Other group facts are proved on generators from ``_generators``:
+``validate_group_table`` proves associativity with Light's test,
+``is_abelian`` checks that they commute pairwise, and ``is_normal`` (which
+``quotient`` calls) conjugates generators of the subgroup by generators of
+the group, since conjugation is an automorphism and every element of a
+finite group is a product of generators.  A group finds its own generating
+set once, on first use, with no spare generator.  All groups are immutable
+after construction and all functions here are pure.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 IDENTITY = 0
@@ -48,11 +51,11 @@ class _ParameterFields(NamedTuple):
     v: int
     k: int
     lam: int
-    m: Optional[int] = 0
+    m: Optional[int]
 
 
 class ParameterSet(_ParameterFields):
-    """Difference-set parameters tied to an even subgroup order h.
+    """Difference-set parameters of an even subgroup order h: ``ParameterSet(h, m)``.
 
     v = h^2, k = h(h-1)/2, lam = h(h-2)/4.  m is 0 on a certified skew
     partition G = D + D^-1 + H, the only value a difference set disjoint
@@ -62,23 +65,15 @@ class ParameterSet(_ParameterFields):
 
     __slots__ = ()
 
-    def __new__(cls, h: int, v: int, k: int, lam: int, m: Optional[int] = 0) -> "ParameterSet":
+    def __new__(cls, h: int, m: Optional[int] = 0) -> "ParameterSet":
         if h < 2 or h % 2:
             raise GroupError(f"subgroup order h={h} must be even and >= 2")
-        if v != h * h:
-            raise GroupError(f"v={v} != h^2={h * h}")
-        if k != h * (h - 1) // 2:
-            raise GroupError(f"k={k} != h(h-1)/2")
-        if lam != h * (h - 2) // 4:
-            raise GroupError(f"lambda={lam} != h(h-2)/4")
         if m not in (0, None):
             raise GroupError(f"m={m} is neither 0 nor None")
-        return super().__new__(cls, h, v, k, lam, m)
+        return super().__new__(cls, h, h * h, h * (h - 1) // 2, h * (h - 2) // 4, m)
 
-    @classmethod
-    def from_subgroup_order(cls, h: int, m: Optional[int] = 0) -> "ParameterSet":
-        h = int(h)
-        return cls(h, h * h, h * (h - 1) // 2, h * (h - 2) // 4, m)
+    def __getnewargs__(self) -> Tuple[int, Optional[int]]:
+        return (self.h, self.m)
 
     def as_dict(self) -> dict:
         return {"h": self.h, "v": self.v, "k": self.k, "lambda": self.lam, "m": self.m}
@@ -114,9 +109,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def element_name(self, a: int) -> str:
         return str(a)
 
@@ -145,15 +137,9 @@ class FiniteGroup:
         return k
 
     def is_abelian(self) -> bool:
-        cached = getattr(self, "_abelian", None)
-        if cached is None:
-            cached = all(
-                self.mul(a, b) == self.mul(b, a)
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-            self._abelian = cached
-        return cached
+        """Whether the generators commute pairwise, which makes every pair commute."""
+        pairs = itertools.combinations(self._generating_set(), 2)
+        return all(self.mul(a, b) == self.mul(b, a) for a, b in pairs)
 
     def order_spectrum(self) -> Tuple[int, ...]:
         return tuple(sorted(self.element_order(a) for a in range(self.order)))
@@ -169,15 +155,7 @@ class FiniteGroup:
 class CayleyTableGroup(FiniteGroup):
     """Group given by an explicit multiplication table."""
 
-    def __init__(
-        self,
-        table: Sequence[Sequence[int]],
-        *,
-        names: Optional[Sequence[str]] = None,
-        validate: bool = False,
-    ):
-        if validate:
-            validate_group_table(table)
+    def __init__(self, table: Sequence[Sequence[int]], *, names: Optional[Sequence[str]] = None):
         self.order = len(table)
         self._table = [list(row) for row in table]
         self.names = list(names) if names is not None else None
@@ -278,12 +256,6 @@ class GnkGroup(FiniteGroup):
 
     def distinguished_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(1 << self.n), validate=False)
-
-    def h_vector(self, a: int) -> int:
-        """F_2 vector of a member of the distinguished subgroup: the index itself."""
-        if not 0 <= a < 1 << self.n:
-            raise GroupError("element is not in the distinguished subgroup")
-        return a
 
 
 class C4PowerGroup(GnkGroup):
@@ -407,26 +379,17 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int], *, validate: bool = True):
         self.parent = parent
-        self.members: Tuple[int, ...] = tuple(sorted(set(int(m) for m in members)))
+        self.members: Tuple[int, ...] = tuple(sorted(set(_indices(members))))
         self.member_set = frozenset(self.members)
         self.order = len(self.members)
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        if IDENTITY not in self.member_set:
-            raise GroupError("subgroup must contain the identity")
-        for m in self.members:
-            if not (0 <= m < self.parent.order):
-                raise GroupError(f"member index {m} out of range")
-        for a in self.members:
-            if self.parent.inv(a) not in self.member_set:
-                raise GroupError(f"subgroup not closed under inverse at {a}")
-            for b in self.members:
-                if self.parent.mul(a, b) not in self.member_set:
-                    raise GroupError(f"subgroup not closed under product at ({a},{b})")
-        if self.parent.order % self.order:
-            raise GroupError("subgroup order does not divide group order")
+        if self.members and not (0 <= self.members[0] and self.members[-1] < self.parent.order):
+            raise GroupError(f"member index outside 0..{self.parent.order - 1}")
+        if closure_members(self.parent, self.members) != self.member_set:
+            raise GroupError("members do not form a subgroup: they generate a larger set")
 
     def __contains__(self, a: int) -> bool:
         return a in self.member_set
@@ -445,21 +408,23 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={list(self.members)})"
 
     def is_elementary_abelian_2(self) -> bool:
-        return all(
-            self.parent.mul(a, a) == IDENTITY for a in self.members
-        ) and _is_power_of_two(self.order)
+        """Exponent 2: such a group is an F_2 space, so its order is already 2^r."""
+        return all(self.parent.mul(a, a) == IDENTITY for a in self.members)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def _indices(values: Iterable[int]) -> List[int]:
+    """Element indices as ints; a float or other non-index is refused, not truncated."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError as exc:
+        raise GroupError(f"element indices must be integers: {exc}") from None
 
 
 def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators."""
-    gens = [int(g) for g in generators]
-    for g in gens:
-        if not (0 <= g < group.order):
-            raise GroupError(f"generator index {g} out of range")
+    gens = _indices(generators)
+    if gens and not (0 <= min(gens) and max(gens) < group.order):
+        raise GroupError(f"generator index outside 0..{group.order - 1}")
     return Subgroup(group, closure_members(group, gens), validate=False)
 
 
@@ -639,14 +604,15 @@ def _prime_factors(n: int) -> List[int]:
 
 
 def coordinatize_elementary_abelian(
-    group: FiniteGroup, p: int
+    group: FiniteGroup, p: int, members: Sequence[int]
 ) -> Dict[int, Tuple[int, ...]]:
-    """Coordinates of an elementary abelian p-group over F_p.
+    """Coordinates over F_p of the elementary abelian p-group on ``members``.
 
-    Deterministic: basis elements are picked in increasing index order.
+    Deterministic: the basis is each member, in the given order, that the
+    earlier ones do not span, and the first basis element is coordinate 0.
     """
     coords: Dict[int, Tuple[int, ...]] = {IDENTITY: ()}
-    for g in range(1, group.order):
+    for g in members:
         if g in coords:
             continue
         if group.element_order(g) != p:
@@ -658,7 +624,7 @@ def coordinatize_elementary_abelian(
             power = group.mul(power, g)
             for x, cx in items:
                 coords[group.mul(x, power)] = cx[:-1] + (j,)
-    if len(coords) != group.order:
+    if len(coords) != len(members):
         raise GroupError("coordinatization failed; group not elementary abelian")
     return coords
 
@@ -688,7 +654,7 @@ def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, 
         w, proj = quotient(group, kernel)
         if w.order == 1:
             continue
-        coords = coordinatize_elementary_abelian(w, p)
+        coords = coordinatize_elementary_abelian(w, p, range(w.order))
         for phi in itertools.product(range(p), repeat=len(coords[IDENTITY])):
             if next((x for x in phi if x), 0) != 1:  # one functional per kernel: first nonzero 1
                 continue

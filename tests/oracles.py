@@ -5,7 +5,9 @@ naive double loops, counts come from closed formulas computed on the spot.
 ``exhaustive_search_reference`` is the search's first tally loop, one
 counter per element, kept to pin the packed-tally search to the same tree;
 ``find_hyperplane_assignment_reference`` is the matching search with its
-first two-branch partner test, kept to pin the one-branch search.
+first two-branch partner test, kept to pin the one-branch search;
+``f2_coordinates_reference`` is the first bitmask loop that put F_2
+coordinates on H, kept to pin the one F_p coordinatization.
 """
 from __future__ import annotations
 
@@ -157,6 +159,33 @@ def _closure(group: FiniteGroup, generators: Iterable[int]) -> FrozenSet[int]:
         frontier = [y for y in {table[x][g] for x in frontier for g in gens} if y not in members]
         members.update(frontier)
     return frozenset(members)
+
+
+def is_subgroup_reference(group: FiniteGroup, members: Iterable[int]) -> bool:
+    """Whether ``members`` holds the identity and the product of every pair of its members."""
+    s = set(members)
+    return IDENTITY in s and all(group.mul(a, b) in s for a in s for b in s)
+
+
+def is_abelian_reference(group: FiniteGroup) -> bool:
+    """Whether every pair of elements commutes, by the all-pairs scan."""
+    n = group.order
+    return all(group.mul(a, b) == group.mul(b, a) for a in range(n) for b in range(a + 1, n))
+
+
+def f2_coordinates_reference(group: FiniteGroup, sub: Subgroup) -> Dict[int, int]:
+    """F_2 coordinates on an elementary abelian 2-subgroup, by the first bitmask loop.
+
+    The basis is picked among the members in increasing order, each member
+    not yet spanned, and the first basis element lands in the highest bit.
+    """
+    coords = {IDENTITY: 0}
+    for g in sub.members:
+        if g not in coords:
+            coords = {x: c << 1 for x, c in coords.items()}
+            for x, c in list(coords.items()):
+                coords[group.mul(x, g)] = c | 1
+    return coords
 
 
 def subgroups_of_order_reference(group: FiniteGroup, m: int) -> List[Tuple[int, ...]]:

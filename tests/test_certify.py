@@ -3,6 +3,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,19 @@ def test_difference_equation_refuses_repeated_and_negative_indices(cand20):
         for name in ("dset", "rshds", "profile"):
             (report,) = certify.run_checks(group, sub, bad, [name])
             assert not report.passed and list(report.witnesses) == ["precondition"]
+
+
+def test_float_indices_are_refused_and_numpy_ints_pass(cand20):
+    # 4.5 is not the index 4: a float is no index, while a numpy int is one
+    group, sub, elements = cand20.group, cand20.subgroup, list(cand20.elements)
+    bad = [4.5, *elements[1:]]
+    with pytest.raises(PreconditionError):
+        check_difference_set(group, bad)
+    for name in ("dset", "rshds", "profile"):
+        (report,) = certify.run_checks(group, sub, bad, [name])
+        assert not report.passed and list(report.witnesses) == ["precondition"]
+    as_numpy = list(np.array(elements))
+    assert all(r.passed for r in certify.run_checks(group, sub, as_numpy, certify.CHECK_ORDER))
 
 
 def test_quotient_check_refuses_repeated_and_negative_indices(cand20):

@@ -13,7 +13,9 @@ from oracles import (
     c4n_index,
     c4n_word,
     exhaustive_search_reference,
+    f2_coordinates_reference,
     find_hyperplane_assignment_reference,
+    from_bits,
     naive_difference_tally,
 )
 from rshds import certify, f2, fixtures
@@ -40,12 +42,14 @@ from rshds.groups import (
     GnkGroup,
     Subgroup,
     closure,
+    coordinatize_elementary_abelian,
     cosets,
     cyclic_group,
     dihedral_group,
     direct_product,
     elementary_abelian_2_group,
     subgroups_of_order,
+    validate_group_table,
 )
 
 
@@ -77,7 +81,7 @@ def test_gnk_construction_and_square_law(n, k):
     seen = {}
     for e_mask in range(1 << n):
         t = e_mask << n  # the word (e, 0)
-        sq = bits(g.h_vector(g.mul(t, t)), n)
+        sq = bits(g.mul(t, t), n)  # a member of H is its own vector
         e = bits(e_mask, n)
         expected = [0] * n
         if e[0]:
@@ -229,7 +233,9 @@ def _f2_cubed_by_c4_x_c2():
         (a1, b1), (a2, b2) = divmod(k1, 2), divmod(k2, 2)
         return (2 * ((a1 + a2) % 4) + (b1 ^ b2)) * 8 + (v1 ^ act(a1, b1, v2))
 
-    return CayleyTableGroup([[mul(x, y) for y in range(64)] for x in range(64)], validate=True)
+    table = [[mul(x, y) for y in range(64)] for x in range(64)]
+    validate_group_table(table)
+    return CayleyTableGroup(table)
 
 
 # every elementary abelian normal subgroup of order h = sqrt|G|: 54 (G, H)
@@ -271,6 +277,13 @@ def test_subgroup_coordinates_are_an_f2_isomorphism(name):
     group, subs = _matching_subgroups(name)
     for sub in subs:
         coords = _subgroup_f2_coordinates(group, sub)
+        expected = f2_coordinates_reference(group, sub)
+        tuples = coordinatize_elementary_abelian(group, 2, sub.members)
+        assert {m: from_bits(c) for m, c in tuples.items()} == expected
+        if sub == group.distinguished_subgroup():  # H's members are their own vectors
+            assert coords == {m: m for m in sub.members}
+        else:
+            assert coords == expected
         assert sorted(coords) == list(sub.members)
         assert sorted(coords.values()) == list(range(sub.order))
         for a in sub.members:
@@ -325,9 +338,8 @@ def test_c4n_square_lands_in_assigned_hyperplane():
     t = c4n_index((1, 1))
     sq = group.mul(t, t)
     assert c4n_word(2, sq) == (2, 2)
-    vec = group.h_vector(sq)
-    assert vec == 0b11
-    assert f2.dot(vec, f2.orthogonal_mate(vec, 2)) == 0
+    assert sq == 0b11  # a member of H is its own vector
+    assert f2.dot(sq, f2.orthogonal_mate(sq, 2)) == 0
 
 
 def test_c4n_rejects_n1():

@@ -68,6 +68,7 @@ MALFORMED_HADAMARD = {
     "empty": "",
     "wrong-header": "hadamard-v0 2\n1 1\n1 -1\n",
     "size-not-a-number": "hadamard-v1 two\n1 1\n1 -1\n",
+    "size-not-ascii-digits": "hadamard-v1 \u00b2\n1 1\n1 -1\n",
     "missing-row": "hadamard-v1 2\n1 1\n",
     "entry-not-a-sign": "hadamard-v1 2\n1 1\n1 2\n",
     "entry-not-a-number": "hadamard-v1 2\n1 1\n1 a\n",

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,9 @@ from oracles import (
     gaussian_binomial,
     gnk_index,
     gnk_word,
+    is_abelian_reference,
     is_normal_reference,
+    is_subgroup_reference,
     nonassociative_triple,
     prime_index_reference,
     quotient_reference,
@@ -32,6 +37,7 @@ from rshds.groups import (
     ParameterSet,
     Subgroup,
     closure,
+    closure_members,
     cosets,
     cyclic_group,
     dihedral_group,
@@ -103,12 +109,10 @@ def test_gnk_element_names_read_the_index_bits():
     assert g.element_name(g.order - 1) == "a1*a2*a3*b1*b2*b3"
 
 
-def test_h_vector_is_the_index_inside_h():
+def test_h_members_are_their_own_vectors():
+    # the members of H are the indices below 2^n, each its own F_2 vector
     for g in (GnkGroup(3, 1), C4PowerGroup(3)):
-        assert [g.h_vector(a) for a in g.distinguished_subgroup().members] == list(range(8))
-        for a in (-1, 8, g.order - 1):
-            with pytest.raises(GroupError):
-                g.h_vector(a)
+        assert g.distinguished_subgroup().members == tuple(range(8))
 
 
 def test_group_axioms_all_backends():
@@ -138,7 +142,7 @@ def test_closed_form_inverses_match_the_row_scan():
     used = [C4PowerGroup(n) for n in range(1, 5)]
     used += [GnkGroup(n, k) for n in range(2, 5) for k in range(n - 1)]
     for g in used:
-        assert [g.inv(a) for a in g.elements()] == [row.index(0) for row in g.table]
+        assert [g.inv(a) for a in range(g.order)] == [row.index(0) for row in g.table]
 
 
 _gnk = lru_cache(maxsize=None)(GnkGroup)
@@ -352,6 +356,40 @@ def test_subgroup_validation():
         Subgroup(g, [1, 2])  # missing identity
 
 
+def _accepted(g, members):
+    try:
+        Subgroup(g, members)
+    except GroupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("g", [dihedral_group(4), cyclic_group(8)], ids=["D4", "C8"])
+def test_subgroup_acceptance_matches_the_reference_on_every_subset(g):
+    for mask in range(1 << g.order):
+        members = [a for a in range(g.order) if mask >> a & 1]
+        assert _accepted(g, members) == is_subgroup_reference(g, members), members
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sets(st.integers(0, 15)), st.booleans())
+def test_subgroup_acceptance_matches_the_reference_on_gnk20(members, close):
+    g = _gnk(2, 0)
+    if close:  # a closed set half the time, or hardly any draw is a subgroup
+        members = closure_members(g, members)
+    assert _accepted(g, members) == is_subgroup_reference(g, members)
+
+
+def test_float_indices_are_refused_and_numpy_ints_pass():
+    g = GnkGroup(2, 0)
+    with pytest.raises(GroupError):
+        Subgroup(g, [0, 1.5])
+    with pytest.raises(GroupError):
+        closure(g, [1.5])
+    h = g.distinguished_subgroup()
+    assert Subgroup(g, np.arange(4)) == closure(g, np.array([1, 2])) == h
+
+
 def test_is_normal_examples():
     g = GnkGroup(2, 0)
     assert is_normal(g, g.distinguished_subgroup())
@@ -481,6 +519,19 @@ def _all_subgroups(g):
     return [s for m in range(1, g.order + 1) if g.order % m == 0 for s in subgroups_of_order(g, m)]
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_abelian_and_exponent_two_match_the_scans(name):
+    g = REFERENCE_GROUPS[name]
+    assert g.is_abelian() == is_abelian_reference(g)
+    for s in _all_subgroups(g):
+        order_is_power_of_2 = s.order & (s.order - 1) == 0
+        expected = all(g.mul(a, a) == 0 for a in s.members) and order_is_power_of_2
+        assert s.is_elementary_abelian_2() == expected, s.members
+        if is_normal(g, s):
+            q = quotient(g, s)[0]
+            assert q.is_abelian() == is_abelian_reference(q), s.members
+
+
 def _assert_normality_and_quotient_match_the_scans(g, s):
     normal = is_normal_reference(g, s.members)
     assert is_normal(g, s) == normal, s.members
@@ -593,15 +644,19 @@ def test_direct_product_and_dihedral():
 
 
 def test_parameter_set_validation():
-    p = ParameterSet.from_subgroup_order(4)
+    p = ParameterSet(4)
     assert (p.v, p.k, p.lam, p.m) == (16, 6, 2, 0)
     with pytest.raises(GroupError):
-        ParameterSet.from_subgroup_order(5)
+        ParameterSet(5)
     with pytest.raises(GroupError):
-        ParameterSet(4, 16, 6, 2, m=1)  # the coset lemma allows only m = 0
+        ParameterSet(4, m=1)  # the coset lemma allows only m = 0
     with pytest.raises(GroupError):
-        ParameterSet(8, 64, 28, 12, m=1)
-    with pytest.raises(GroupError):
-        ParameterSet(4, 16, 7, 2)
-    none_m = ParameterSet.from_subgroup_order(8, m=None)
+        ParameterSet(8, m=1)
+    none_m = ParameterSet(8, m=None)
     assert none_m.as_dict()["m"] is None
+
+
+def test_parameter_set_copies_and_pickles():
+    for p in (ParameterSet(4), ParameterSet(8, m=None)):
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(twin) is ParameterSet and twin == p

@@ -6,7 +6,7 @@ No linter is a dependency of this project, so both checks are AST scans.
 Each import must be read in the scope that binds it, the module for a
 module-level import and the function for one inside a function; each
 module-level ``_name`` function or class must be referred to somewhere in
-the package.
+the package, and each ``_name`` method of a class must be read as ``._name``.
 """
 from __future__ import annotations
 
@@ -73,31 +73,45 @@ def test_test_module_has_no_unused_imports(module):
     assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
 
 
-def private_helpers_without_callers(sources: dict) -> list:
-    """Module-level ``_name`` functions and classes that no module refers to.
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
-    ``sources`` maps module names to their source.  A reference is a name
-    read, an attribute read (``groups._generators``) or a name imported;
-    dunder names are the interpreter's and never count as helpers.
+
+def private_helpers_without_callers(sources: dict) -> list:
+    """Private helpers that nothing in ``sources`` reaches.
+
+    ``sources`` maps module names to their source.  A module-level ``_name``
+    function or class is reached by a name read, an attribute read
+    (``groups._generators``) or a name imported; a ``_name`` method of a
+    module-level class only by an attribute read (``self._validate()``).
+    Dunder names are the interpreter's and never count as helpers.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    referenced = set()
+    referenced, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(a.name for a in node.names)
-    return sorted(
+    referenced |= attributes
+    helpers = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (*FUNCTIONS, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in referenced
-    )
+        and _private(node.name) and node.name not in referenced
+    ]
+    methods = [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, FUNCTIONS) and _private(node.name) and node.name not in attributes
+    ]
+    return sorted(helpers + methods)
 
 
 def test_private_helpers_without_callers_are_found():
@@ -108,6 +122,16 @@ def test_private_helpers_without_callers_are_found():
         "c": "def _imported():\n    pass\ndef _attribute():\n    pass\n",
     }
     assert private_helpers_without_callers(sources) == ["a._Lone", "a._unused"]
+
+
+def test_private_methods_without_readers_are_found():
+    # a method is read only as an attribute: the bare name _orphan is not a read
+    sources = {
+        "a": "class K:\n    def _read(self):\n        pass\n    def _orphan(self):\n        pass\n"
+             "    def __repr__(self):\n        return self._read()\n",
+        "b": "def f():\n    return _orphan\n",
+    }
+    assert private_helpers_without_callers(sources) == ["a.K._orphan"]
 
 
 def test_every_private_helper_has_a_caller():
