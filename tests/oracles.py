@@ -267,6 +267,76 @@ def prime_index_reference(group: FiniteGroup) -> List[Tuple[Tuple[int, ...], int
     ]
 
 
+def _fingerprint_reference(table: Sequence[Sequence[int]]) -> Tuple[int, bool, Tuple[int, ...]]:
+    """(order, abelian?, element-order multiset) of a table, by all-pairs and power scans."""
+    n = len(table)
+    abelian = all(table[a][b] == table[b][a] for a in range(n) for b in range(n))
+    orders = []
+    for a in range(n):
+        x, k = a, 1
+        while x != IDENTITY:
+            x, k = table[x][a], k + 1
+        orders.append(k)
+    return (n, abelian, tuple(sorted(orders)))
+
+
+def structural_tests_reference(
+    group: FiniteGroup, h: int, subs: Sequence[Optional[Sequence[int]]], swallowing: FrozenSet
+) -> List[Tuple[bool, Dict[str, dict]]]:
+    """(passed, witnesses) of the T1-T4 screen for each H in ``subs``, by full scans.
+
+    T1 intersects the prime-index kernels of ``prime_index_reference`` and
+    every normal subgroup of order |G|/d whose quotient has a fingerprint in
+    ``swallowing``, with d running over the orders in ``swallowing``; T2
+    closes the involutions; T3 counts the normal subgroups of order h; T4
+    names the least subgroup of order h, in member-tuple order, that meets H
+    in the identity alone (H = None skips T4).  Normality is
+    ``is_normal_reference`` and quotients are ``quotient_reference``.  Only
+    T2 and T4 depend on H, so T1 and T3 are found once for all of ``subs``.
+    """
+    n = group.order
+    prime_kernels = prime_index_reference(group)
+    core = set(range(n))
+    for s, _ in prime_kernels:
+        core &= set(s)
+    extra = 0
+    for d in sorted({f[0] for f in swallowing}):
+        if n % d:
+            continue
+        for s in subgroups_of_order_reference(group, n // d):
+            found = quotient_reference(group, s)
+            if found is not None and _fingerprint_reference(found[0]) in swallowing:
+                core &= set(s)
+                extra += 1
+    t1 = len(core) % h == 0
+    invs = _closure(group, [g for g in range(1, n) if group.mul(g, g) == IDENTITY])
+    order_h = subgroups_of_order_reference(group, h)
+    normal_h = [s for s in order_h if is_normal_reference(group, s)]
+    t3 = bool(normal_h)
+    screens = []
+    for sub in subs:
+        witnesses: Dict[str, dict] = {
+            "T1": {"pass": t1, "core_order": len(core),
+                   "prime_index_kernels": len(prime_kernels), "swallowing_kernels": extra},
+        }
+        if sub is not None:
+            t2 = invs <= set(sub)
+        else:
+            t2 = all(group.mul(g, g) == IDENTITY for g in invs) and h % len(invs) == 0
+        witnesses["T2"] = {"pass": t2, "involution_closure_order": len(invs)}
+        witnesses["T3"] = {"pass": t3, "normal_subgroups_of_order_h": len(normal_h)}
+        t4 = None
+        witnesses["T4"] = {"pass": None}
+        if sub is not None:
+            complement = next((s for s in order_h if len(set(sub).intersection(s)) == 1), None)
+            t4 = complement is None
+            witnesses["T4"] = {"pass": t4}
+            if complement is not None:
+                witnesses["T4"]["complement"] = list(complement)
+        screens.append((t1 and t2 and t3 and t4 is not False, witnesses))
+    return screens
+
+
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over F_q."""
     num = den = 1

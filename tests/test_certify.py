@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_products_reference, gnk_index, naive_difference_tally
+from oracles import (
+    class_products_reference,
+    gnk_index,
+    naive_difference_tally,
+    structural_tests_reference,
+    subgroups_of_order_reference,
+)
+from test_groups import REFERENCE_GROUPS
 from rshds.algebra import from_set, regular_matrix
 from rshds.certify import (
     PreconditionError,
@@ -655,6 +662,20 @@ def test_structural_tests_t4_names_the_first_complement():
     report = structural_tests(g, 4, closure(g, [1]))
     assert report.witnesses["T4"] == {"pass": False, "complement": [0, 4, 8, 12]}
     assert not report.passed
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, g in REFERENCE_GROUPS.items() if round(g.order ** 0.5) ** 2 == g.order
+))
+def test_structural_tests_match_the_reference_screen(name):
+    # H = None and every subgroup of order h, normal or not
+    g = REFERENCE_GROUPS[name]
+    h = round(g.order ** 0.5)
+    subs = [None, *subgroups_of_order_reference(g, h)]
+    expected = structural_tests_reference(g, h, subs, certify._swallowing_fingerprints())
+    for members, screen in zip(subs, expected):
+        report = structural_tests(g, h, None if members is None else groups.Subgroup(g, members))
+        assert (report.passed, report.witnesses) == screen, members
 
 
 def test_structural_tests_wrong_order(g36):
