@@ -51,6 +51,7 @@ from .groups import (
     ParameterSet,
     Subgroup,
     _prime_factors,
+    _subgroups_dividing,
     closure,
     cosets,
     cyclic_group,
@@ -684,6 +685,15 @@ def structural_tests(
     fits inside a subgroup of order h (containment in H exactly, when H is
     given).  T3: some normal subgroup of order h exists.  T4 (needs H): no
     order-h subgroup intersects H trivially.
+
+    Each normal walk runs once: T1 reads T3's normal subgroups of order h
+    when |G|/d = h, and every walk joins the class closures the group finds
+    once (``subgroups_of_order`` gives the walk and its proofs).  T4's
+    search meets only subgroups that meet H in the identity alone: it skips
+    generators in H and closures that meet H beyond the identity.  Every
+    subgroup of a complement of H meets H trivially too, so the chain to
+    each complement survives, and the witness is still the least complement
+    in member-tuple order.
     """
     h = h_candidate
     if group.order != h * h:
@@ -694,12 +704,14 @@ def structural_tests(
     core = set(range(group.order))
     for s, _ in prime_kernels:
         core &= s.member_set
+    normal_h = subgroups_of_order(group, h, normal=True)
     swallowing = _swallowing_fingerprints()
     extra_count = 0
     for d in sorted({fingerprint[0] for fingerprint in swallowing}):
         if group.order % d:
             continue
-        for s in subgroups_of_order(group, group.order // d, normal=True):
+        m = group.order // d
+        for s in normal_h if m == h else subgroups_of_order(group, m, normal=True):
             q, _ = quotient(group, s)
             if q.fingerprint() in swallowing:
                 core &= s.member_set
@@ -717,19 +729,16 @@ def structural_tests(
     else:
         t2 = inv_closure.is_elementary_abelian_2() and h % inv_closure.order == 0
     witnesses["T2"] = {"pass": t2, "involution_closure_order": inv_closure.order}
-    normal_h = subgroups_of_order(group, h, normal=True)
     t3 = bool(normal_h)
     witnesses["T3"] = {"pass": t3, "normal_subgroups_of_order_h": len(normal_h)}
     t4: Optional[bool]
     if sub is not None:
-        complement = next(
-            (s for s in subgroups_of_order(group, h) if len(s.member_set & sub.member_set) == 1),
-            None,
-        )
+        missing = _subgroups_dividing(group, h, sub.member_set - {IDENTITY})
+        complement = min((sorted(s) for s in missing if len(s) == h), default=None)
         t4 = complement is None
         entry: Dict[str, object] = {"pass": t4}
         if complement is not None:
-            entry["complement"] = list(complement.members)
+            entry["complement"] = complement
         witnesses["T4"] = entry
     else:
         t4 = None

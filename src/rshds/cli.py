@@ -36,7 +36,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_AUTO_RE = re.compile(r"^auto-[a-z]*(\d+)$")
+_AUTO_RE = re.compile(r"auto-[a-z]*([0-9]+)")
+_INDEX_RE = re.compile(r"[0-9]+")
 
 
 def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
@@ -48,7 +49,7 @@ def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
                 f"group has no distinguished subgroup; use gens=... ({token!r})"
             )
         return sub
-    m = _AUTO_RE.match(token)
+    m = _AUTO_RE.fullmatch(token)
     if m:
         order = int(m.group(1))
         candidates = subgroups_of_order(group, order, normal=True)
@@ -58,11 +59,10 @@ def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
             )
         return candidates[0]
     if token.startswith("gens="):
-        try:
-            gens = [int(x) for x in token[5:].split(",") if x != ""]
-        except ValueError:
-            raise FormatError(f"subgroup generators must be integers ({token!r})") from None
-        return closure(group, gens)
+        gens = [x for x in token[5:].split(",") if x != ""]
+        if not all(map(_INDEX_RE.fullmatch, gens)):
+            raise FormatError(f"subgroup generators must be ASCII integers ({token!r})")
+        return closure(group, [int(x) for x in gens])
     raise FormatError(f"unrecognized subgroup token {token!r}")
 
 

@@ -33,7 +33,7 @@ class FormatError(ValueError):
 
 def _index_list(value: object, field: str) -> List[int]:
     # a JSON true or false decodes to a bool, which isinstance(x, int) would take
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise FormatError(f"{field} field must be a list of integers")
     return value
 
@@ -42,8 +42,8 @@ def _index_list(value: object, field: str) -> List[int]:
 # group specs
 # ---------------------------------------------------------------------------
 
-_GNK_RE = re.compile(r"^gnk:(\d+),(\d+)$")
-_C4N_RE = re.compile(r"^c4n:(\d+)$")
+_GNK_RE = re.compile(r"^gnk:([0-9]+),([0-9]+)$")
+_C4N_RE = re.compile(r"^c4n:([0-9]+)$")
 
 
 class GroupSpec(NamedTuple):

@@ -26,6 +26,7 @@ after construction and all functions here are pure.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -95,6 +96,7 @@ class FiniteGroup:
     order: int
     _table: Optional[List[List[int]]] = None
     _gens: Optional[List[int]] = None
+    _ncl: Optional[List[Tuple[int, frozenset]]] = None
 
     def __init__(self) -> None:
         self._inv = self._inverses()
@@ -128,11 +130,38 @@ class FiniteGroup:
             self._gens = _irredundant_generators(self.table)
         return self._gens
 
+    def _class_closures(self) -> List[Tuple[int, frozenset]]:
+        """(x, ncl(x)) for each distinct normal closure of a conjugacy class, found once.
+
+        Each class is the ``_conjugates`` orbit of its least element x, and
+        each closure keeps the x of the first class that has it.  The class
+        of x^k, for k prime to the order of x, is skipped: its members y^k
+        generate the same cyclic groups as the members y of the class of x.
+        """
+        if self._ncl is None:
+            table = self.table
+            found: Dict[frozenset, int] = {}
+            classed: set = set()
+            for x in range(self.order):
+                if x not in classed:
+                    cls = _conjugates(self, [x])
+                    found.setdefault(closure_members(self, cls), x)
+                    o = self.element_order(x)
+                    for y in cls:
+                        p = y
+                        for k in range(1, o):
+                            if math.gcd(k, o) == 1:
+                                classed.add(p)
+                            p = table[p][y]
+            self._ncl = [(x, c) for c, x in found.items()]
+        return self._ncl
+
     def element_order(self, a: int) -> int:
+        table = self.table
         k = 1
         x = a
         while x != IDENTITY:
-            x = self.mul(x, a)
+            x = table[x][a]
             k += 1
         return k
 
@@ -352,18 +381,18 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
                         "table entry out of range", {"row": i, "col": j, "value": x}
                     )
             raise GroupTableError("row is not a permutation", {"row": i})
-    table = [row if type(row) is list else list(row) for row in table]  # compared as lists
-    ident = list(range(n))
-    if table[0] != ident:
+    rows = list(map(tuple, table))  # compared as tuples, the type itemgetter returns
+    ident = tuple(range(n))
+    if rows[0] != ident:
         col = next(j for j in ident if table[0][j] != j)
         raise GroupTableError("identity is not at index 0 (row)", {"col": col})
-    if [row[0] for row in table] != ident:
+    if tuple(row[0] for row in table) != ident:
         i = next(i for i in ident if table[i][0] != i)
         raise GroupTableError("identity is not at index 0 (column)", {"row": i})
-    for b in _irredundant_generators(table):
-        row_b = table[b]
-        for a, row_a in enumerate(table):
-            left, right = table[row_a[b]], [row_a[x] for x in row_b]
+    for b in _irredundant_generators(rows):
+        compose = operator.itemgetter(*rows[b])  # n >= 2 (C1 has no generators): a tuple
+        for a, row_a in enumerate(rows):
+            left, right = rows[row_a[b]], compose(row_a)
             if left != right:
                 c = next(c for c in ident if left[c] != right[c])
                 raise GroupTableError("associativity violated", {"triple": [a, b, c]})
@@ -433,6 +462,27 @@ def closure_members(group: FiniteGroup, generators: Iterable[int]) -> frozenset:
     return frozenset(_right_reach(group.table, list(set(generators)), {IDENTITY}))
 
 
+def _conjugates(group: FiniteGroup, seeds: Iterable[int]) -> set:
+    """The orbit of ``seeds`` under conjugation by the generators of G.
+
+    This is their orbit under all of G: conjugation by a product is the
+    composite of the conjugations by its factors, every element of G is a
+    product of generators, and a permutation's inverse is one of its powers.
+    """
+    table = group.table
+    maps = [(table[g], group._inv[g]) for g in group._generating_set()]
+    orbit = set(seeds)
+    stack = list(orbit)
+    while stack:
+        x = stack.pop()
+        for row, gi in maps:
+            y = table[row[x]][gi]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """Whether g s g^-1 lies in ``sub`` for g and s generators of G and of sub.
 
@@ -466,6 +516,7 @@ class CosetDecomposition(NamedTuple):
 
 
 def cosets(group: FiniteGroup, sub: Subgroup) -> CosetDecomposition:
+    rows = [group.table[s] for s in sub.members]
     coset_of = [-1] * group.order
     transversal: List[int] = []
     for g in range(group.order):
@@ -473,8 +524,8 @@ def cosets(group: FiniteGroup, sub: Subgroup) -> CosetDecomposition:
             continue
         idx = len(transversal)
         transversal.append(g)
-        for s in sub.members:
-            coset_of[group.mul(s, g)] = idx
+        for row in rows:
+            coset_of[row[g]] = idx
     return CosetDecomposition(sub, tuple(transversal), tuple(coset_of))
 
 
@@ -517,11 +568,15 @@ def subgroups_of_order(group: FiniteGroup, m: int, *, normal: bool = False) -> L
 
     Normal route: the normal subgroups are the joins of normal closures of
     conjugacy classes, so the search starts from the closure of every class
-    (conjugating by every row of the table) whose order divides m, and each
-    layer joins one more.  For N normal the join NK is the union of the
-    cosets Nx, x in K.  Every normal subgroup of order m is the join of the
-    closures ncl(x), x in it, and each partial join lies inside it, so its
-    order divides m and the pruning never drops it.
+    whose order divides m, and each layer joins one more.  A class is an
+    orbit under conjugation by the generators of G alone (``_conjugates``),
+    which is exact: conjugation by a product is the composite of the
+    conjugations by its factors.  For N normal the join of N and ncl(x) is
+    N ncl(x), the union of the cosets of N that ncl(x) meets, and it depends
+    only on the coset Nx, so one join is built per coset
+    (``_normal_subgroups_dividing``).  Every normal subgroup of order m is
+    the join of the closures ncl(x), x in it, and each partial join lies
+    inside it, so its order divides m and the pruning never drops it.
     """
     if group.order > SUBGROUP_ENUM_CAP:
         raise GroupError(f"group order {group.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
@@ -532,11 +587,14 @@ def subgroups_of_order(group: FiniteGroup, m: int, *, normal: bool = False) -> L
     return [Subgroup(group, s, validate=False) for s in found]
 
 
-def _subgroups_dividing(group: FiniteGroup, m: int) -> set:
+def _subgroups_dividing(group: FiniteGroup, m: int, avoid: frozenset = frozenset()) -> set:
     """Member sets of the subgroups met by the closure search for order m.
 
     Each subgroup keeps the generators it was first reached by, so a closure
-    runs over at most log2(m) + 1 generators.
+    runs over at most log2(m) + 1 generators.  Only subgroups that miss
+    ``avoid``, a set of non-identity elements, are met: generators in it and
+    closures that meet it are skipped.  Every subgroup of a subgroup that
+    misses ``avoid`` misses it too, so the chain to each one survives.
     """
     table = group.table
     triv = frozenset({IDENTITY})
@@ -549,7 +607,7 @@ def _subgroups_dividing(group: FiniteGroup, m: int) -> set:
                 continue
             gens = seen[sub]
             rows = [table[s] for s in sub]
-            tried = set(sub)
+            tried = set(sub) | avoid
             for g in range(1, group.order):
                 if g in tried:
                     continue
@@ -557,7 +615,7 @@ def _subgroups_dividing(group: FiniteGroup, m: int) -> set:
                     sg = table[row[g]]
                     tried.update([sg[r] for r in sub])
                 c = closure_members(group, gens + (g,))
-                if len(c) > m or m % len(c) or c in seen:
+                if len(c) > m or m % len(c) or c in seen or not avoid.isdisjoint(c):
                     continue
                 seen[c] = gens + (g,)
                 nxt.append(c)
@@ -566,31 +624,38 @@ def _subgroups_dividing(group: FiniteGroup, m: int) -> set:
 
 
 def _normal_subgroups_dividing(group: FiniteGroup, m: int) -> set:
-    """Member sets of the joins of normal closures of classes met for order m."""
-    table, inv = group.table, group._inv
-    classes = []
-    classed = set()
-    for x in range(group.order):
-        if x not in classed:
-            cls = {table[row[x]][gi] for row, gi in zip(table, inv)}
-            classed |= cls
-            classes.append(cls)
-    closures = [c for c in dict.fromkeys(closure_members(group, cls) for cls in classes)
-                if m % len(c) == 0]
-    seen = set(closures)
-    frontier = closures
+    """Member sets of the normal subgroups whose order divides m.
+
+    Every normal N is the join of the closures ncl(x), x in N, and each
+    partial join lies in N, so the walk joins one class closure K = ncl(x)
+    at a time and prunes every join whose order does not divide m.  For N
+    normal the join is NK, the union of the cosets Ny, y in K, of order
+    |N||K|/|N meet K|, which is checked before the join is built.  NK is
+    the least normal subgroup holding N and x, and one holding N and x
+    holds every x' in Nx, so NK depends only on the coset Nx: it is N when
+    x lies in N, and each coset of N gives one join.
+    """
+    table = group.table
+    closures = [(x, c) for x, c in group._class_closures() if m % len(c) == 0]
+    seen = {c for _, c in closures}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for n in frontier:
             if len(n) == m:
                 continue
-            for k in closures:
-                if k <= n or m % (len(n) * len(k) // len(n & k)):
+            rows = [table[y] for y in n]
+            done = set(n)
+            for x, k in closures:
+                if x in done:
+                    continue
+                done.update([row[x] for row in rows])
+                if m % (len(n) * len(k) // len(n & k)):
                     continue
                 join = set(n)
-                for x in k:
-                    if x not in join:
-                        join.update([table[y][x] for y in n])
+                for y in k:
+                    if y not in join:
+                        join.update([row[y] for row in rows])
                 join = frozenset(join)
                 if join not in seen:
                     seen.add(join)
@@ -633,9 +698,9 @@ def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, 
     """All kernels of surjections onto a cyclic group of prime order.
 
     For each prime p dividing the order, with X the generators of G from
-    ``_irredundant_generators``, K is the closure of the conjugates, by every row of the
-    table, of the commutators a^-1 b^-1 a b and the powers a^p for a, b in X.
-    K is normal and lies in G'G^p; modulo K the generators commute and have
+    ``_irredundant_generators``, K is the closure of the ``_conjugates`` of
+    the commutators a^-1 b^-1 a b and the powers a^p for a, b in X.  K is
+    normal and lies in G'G^p; modulo K the generators commute and have
     order p, so G/K is elementary abelian and K = G'G^p.  Every surjection
     onto C_p kills K, so the kernels are the pull-backs of the hyperplanes
     of G/K over F_p.  Sorted by (p, member tuple).
@@ -648,9 +713,8 @@ def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, 
         powers = list(gens)
         for _ in range(p - 1):
             powers = [table[x][a] for x, a in zip(powers, gens)]
-        seeds = comms.union(powers)
-        conjugates = {table[row[x]][gi] for row, gi in zip(table, inv) for x in seeds}
-        kernel = Subgroup(group, closure_members(group, conjugates), validate=False)
+        seeds = _conjugates(group, comms.union(powers))
+        kernel = Subgroup(group, closure_members(group, seeds), validate=False)
         w, proj = quotient(group, kernel)
         if w.order == 1:
             continue

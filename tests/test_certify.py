@@ -638,6 +638,35 @@ def test_structural_tests_order_256_certified_group():
     assert all(report.witnesses[t]["pass"] for t in ("T1", "T2", "T3", "T4"))
 
 
+@pytest.mark.parametrize("spec", ["c4n:4", "gnk:4,0"])
+def test_structural_tests_order_256_with_h(spec):
+    g = build_group(spec)
+    report = structural_tests(g, 16, g.distinguished_subgroup())
+    assert report.passed
+    assert report.witnesses == {
+        "T1": {"pass": True, "core_order": 16, "prime_index_kernels": 15, "swallowing_kernels": 50},
+        "T2": {"pass": True, "involution_closure_order": 16},
+        "T3": {"pass": True, "normal_subgroups_of_order_h": 771},
+        "T4": {"pass": True},
+    }
+
+
+def test_screen_closure_count(monkeypatch):
+    # classes by generator orbits, class closures found once per group, and a
+    # T4 search that skips every subgroup meeting H: 999 closures before
+    group = build_group("c4n:3")
+    calls = []
+    real = groups.closure_members
+
+    def counted(group, generators):
+        calls.append(1)
+        return real(group, generators)
+
+    monkeypatch.setattr(groups, "closure_members", counted)
+    assert structural_tests(group, 8, group.distinguished_subgroup()).passed
+    assert 0 < len(calls) <= 250
+
+
 @pytest.mark.parametrize("spec", ["c4n:3", "gnk:3,1"])
 def test_screen_finds_the_group_generators_once(monkeypatch, spec):
     # every is_normal call and the prime-index kernels conjugate by the same

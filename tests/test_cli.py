@@ -226,6 +226,12 @@ def test_exit_codes_usage_errors(tmp_path, capsys):
         ["certify", "DSET", "--checks", ","],
         ["certify", "DSET", "--checks", " , "],
         ["certify", "DSET", "--checks", ""],
+        ["screen", "gnk:2,0", "4", "gens=\u0661"],
+        ["screen", "gnk:2,0", "4", "gens=1_0"],
+        ["screen", "gnk:2,0", "4", "gens= 2"],
+        ["screen", "gnk:2,0", "4", "auto-\u0661"],
+        ["screen", "gnk:\u0662,\u0660", "4"],
+        ["screen", "c4n:\u0662", "4"],
     ],
 )
 def test_bad_subgroup_tokens_and_empty_check_lists_are_usage_errors(tmp_path, capsys, argv):

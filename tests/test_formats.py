@@ -42,6 +42,8 @@ MALFORMED_DSET = {
     "not-an-object": "[1, 2]",
     "missing-elements": _json({"group": "gnk:2,0", "subgroup": "distinguished"}),
     "bad-spec": _json({**_DSET, "group": "gnk:two"}),
+    "gnk-spec-not-ascii-digits": _json({**_DSET, "group": "gnk:\u0662,\u0660"}),
+    "c4n-spec-not-ascii-digits": _json({**_DSET, "group": "c4n:\u0662"}),
     "bad-subgroup": _json({**_DSET, "subgroup": "everything"}),
     "subgroup-not-integers": _json({**_DSET, "subgroup": ["x"]}),
     "elements-not-integers": _json({**_DSET, "elements": ["x"]}),
