@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _index_set, _indices
 
 
 class AlgebraError(ValueError):
@@ -32,7 +32,7 @@ class AlgebraElement:
                 f"coefficient vector length {len(coeffs)} != group order {group.order}"
             )
         self.group = group
-        self.coeffs: List[int] = [int(c) for c in coeffs]
+        self.coeffs: List[int] = _indices(coeffs, error=AlgebraError)
 
     def _check_same_group(self, other: "AlgebraElement") -> None:
         if self.group is not other.group:
@@ -48,14 +48,9 @@ class AlgebraElement:
 
 
 def from_set(group: FiniteGroup, indices: Iterable[int]) -> AlgebraElement:
-    """0/1 indicator of a subset; duplicate indices are rejected."""
+    """0/1 indicator of a subset, given as element indices by the rule of ``groups._index_set``."""
     coeffs = [0] * group.order
-    for i in indices:
-        i = int(i)
-        if not (0 <= i < group.order):
-            raise AlgebraError(f"element index {i} out of range")
-        if coeffs[i]:
-            raise AlgebraError(f"duplicate element index {i}")
+    for i in _index_set(indices, group.order, AlgebraError):
         coeffs[i] = 1
     return AlgebraElement(group, coeffs)
 

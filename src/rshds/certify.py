@@ -39,7 +39,6 @@ exact, not sampled.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -50,6 +49,7 @@ from .groups import (
     GroupError,
     ParameterSet,
     Subgroup,
+    _index_set,
     _prime_factors,
     _subgroups_dividing,
     closure,
@@ -145,9 +145,9 @@ def parameter_formulas(h: int) -> ParameterSet:
 def check_difference_set(group: FiniteGroup, elements: Sequence[int]) -> CertReport:
     """Certify D * star(D) = lambda*G + (k - lambda)*1 by exact convolution.
 
-    A repeated index or one outside range(v) raises :class:`PreconditionError`.
+    Elements that break the rule of ``groups._index_set`` raise :class:`PreconditionError`.
     """
-    d = from_set(group, _index_set(group, elements))
+    d = from_set(group, _index_set(elements, group.order, PreconditionError))
     k = len(d.support())
     v = group.order
     witnesses: Dict[str, object] = {"k": k}
@@ -189,19 +189,6 @@ def _matching_params(v: int, k: int, lam: int) -> Optional[ParameterSet]:
 # ---------------------------------------------------------------------------
 
 
-def _index_set(group: FiniteGroup, elements: Sequence[int]) -> set:
-    """The candidate as a set of ints, each a repeat-free index in range(v)."""
-    try:
-        dset = set(map(operator.index, elements))
-    except TypeError as exc:
-        raise PreconditionError(f"element indices must be integers: {exc}") from None
-    if len(dset) != len(elements):
-        raise PreconditionError("duplicate elements in candidate set")
-    if dset and not (0 <= min(dset) and max(dset) < group.order):
-        raise PreconditionError(f"element index outside 0..{group.order - 1}")
-    return dset
-
-
 def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> CertReport:
     """Certify G = D + D^-1 + H disjointly, then the difference equation.
 
@@ -230,7 +217,7 @@ def _rshds(
         witnesses["group_order"] = group.order
         witnesses["required_order"] = h * h
         return CertReport(name, False, params, witnesses)
-    dset = _index_set(group, elements)
+    dset = _index_set(elements, group.order, PreconditionError)
     overlap = dset & sub.member_set
     if overlap:
         witnesses["element_in_subgroup"] = min(overlap)
@@ -266,7 +253,7 @@ def coset_profile(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) ->
     """Certify |D meet Hg| = h/2 on every nontrivial coset and 0 on H."""
     dec = cosets(group, sub)
     profile = [0] * dec.num_cosets
-    for g in _index_set(group, elements):
+    for g in _index_set(elements, group.order, PreconditionError):
         profile[dec.coset_of[g]] += 1
     h = sub.order
     witnesses: Dict[str, object] = {"profile": profile}
@@ -568,7 +555,7 @@ def run_checks(
 
 def hadamard_matrix(group: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:
     """The +-1 matrix 2D - J in the canonical element order."""
-    matrix = regular_matrix(from_set(group, elements))
+    matrix = regular_matrix(from_set(group, _index_set(elements, group.order, PreconditionError)))
     for row in matrix:  # in place, so only one v x v matrix is ever alive
         row[:] = [2 * x - 1 for x in row]
     return matrix
@@ -614,7 +601,7 @@ def quotient_check(
     fingerprint list of H-swallowing shapes: H must lie in N.  Anything
     else: the profile is reported without judgment.
     """
-    dset = _index_set(group, elements)
+    dset = _index_set(elements, group.order, PreconditionError)
     q, proj = quotient(group, normal_sub)
     u = q.order
     xs = [0] * u

@@ -341,14 +341,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (FormatError, GroupError, PreconditionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # only construct, thm81 and search raise it, so its module is loaded by then
-        from .constructions import ConstructionError
-
-        if not isinstance(exc, ConstructionError):
-            raise
+        # a ConstructionError is a GroupError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

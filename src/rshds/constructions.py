@@ -33,20 +33,18 @@ from .groups import (
     CosetDecomposition,
     FiniteGroup,
     GnkGroup,
+    GroupError,
     ParameterSet,
     Subgroup,
+    _index_set,
     coordinatize_elementary_abelian,
     cosets,
     is_normal,
 )
 
 
-class ConstructionError(ValueError):
-    pass
-
-
-class PairingInvariantError(ConstructionError):
-    """A coset representative's square landed inside its assigned subgroup."""
+class ConstructionError(GroupError):
+    """Input no construction accepts: invalid group-theoretic input, as a ``GroupError``."""
 
 
 class AssignmentPreconditionError(ConstructionError):
@@ -72,10 +70,11 @@ class _CandidateFields(NamedTuple):
 class DifferenceSetCandidate(_CandidateFields):
     """A k-subset D of G \\ H proposed as a difference set, k = h(h-1)/2.
 
-    ``elements`` is stored sorted; a repeated element is refused.  The
-    candidate records neither its origin nor a self-inverse flag, and ``params.m``
-    is None: m = 0 holds once ``certify.check_rshds`` has proved the skew
-    partition, which no construction claims for itself.
+    ``elements`` is stored sorted; they must be element indices by the rule
+    of ``groups._index_set``, none of them in H.  The candidate records
+    neither its origin nor a self-inverse flag, and ``params.m`` is None:
+    m = 0 holds once ``certify.check_rshds`` has proved the skew partition,
+    which no construction claims for itself.
     """
 
     __slots__ = ()
@@ -83,20 +82,13 @@ class DifferenceSetCandidate(_CandidateFields):
     def __new__(
         cls, group: FiniteGroup, subgroup: Subgroup, elements: Sequence[int]
     ) -> "DifferenceSetCandidate":
-        self = super().__new__(cls, group, subgroup, tuple(sorted(elements)))
-        if len(set(self.elements)) != len(self.elements):
-            raise ConstructionError("candidate repeats an element")
-        if len(self.elements) != self.params.k:
-            raise ConstructionError(
-                f"candidate has {len(self.elements)} elements, expected k={self.params.k}"
-            )
-        for g in self.elements:
-            if not (0 <= g < group.order):
-                raise ConstructionError(f"element index {g} out of range")
-            if g in subgroup:
-                raise ConstructionError(
-                    f"element {g} lies in the excluded subgroup"
-                )
+        dset = _index_set(elements, group.order, ConstructionError)
+        self = super().__new__(cls, group, subgroup, tuple(sorted(dset)))
+        if len(dset) != self.params.k:
+            raise ConstructionError(f"candidate has {len(dset)} elements, not k={self.params.k}")
+        inside = dset & subgroup.member_set
+        if inside:
+            raise ConstructionError(f"element {min(inside)} lies in the excluded subgroup")
         return self
 
     @property
@@ -179,34 +171,28 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
     """Build the canonical difference set in the order-2^(2n) family group.
 
     The coset representatives are the words (e, 0), index e * 2^n, for the
-    nonzero a-exponent vectors e.  Each coset gets the hyperplane of H whose
-    normal is the nonorthogonal mate of its representative's square; the
-    square therefore avoids the hyperplane, which is asserted here together
-    with distinctness of the assigned hyperplanes.  Either assertion firing
-    indicates an implementation bug.  H is central, so H_i t_i = t_i H_i.
+    nonzero a-exponent vectors e.  As in ``c4n_standard_assignment``, coset
+    e gets the hyperplane of H whose normal is a mate of the square
+    s(e) = (e, 0)^2, here the nonorthogonal one.  H is central, so
+    H_i t_i = t_i H_i.
+
+    Nothing is checked here: the group's 0 <= k < n-1 makes s injective and
+    nonzero on E - 0.  The twist of ``groups._twisted_table`` gives
+    s(e) = sum_i e_i u_{(i+k) mod n} + e_0 sum_{1<=j<=k} e_j u_{j-1}, whose
+    coordinate k is e_0.  So a collision lies in one half e_0 = 0 or 1, and
+    on each half s is a constant plus a linear map of d = e - e_0 u_0.  On
+    e_0 = 0 that map permutes coordinates.  On e_0 = 1, with t = n-1-k >= 1
+    (this is where k < n-1 is used), a kernel vector d has d_j = 0 for
+    j <= t (coordinate j+k) and d_{j+t} = d_j for 1 <= j <= k (coordinate
+    j-1), so d = 0.  And s(e) = 0 only at e = 0: coordinate k is 1 on the
+    half e_0 = 1, and s is linear and injective on the other.
+    ``f2.nonorthogonal_mate`` is an involution with dot(v, mate(v)) = 1, so
+    the cosets get distinct hyperplanes and no square lies in its own.
     """
     group = GnkGroup(n, k)
     sub = group.distinguished_subgroup()
     dec = cosets(group, sub)
-    used: Dict[int, int] = {}
-    for rep in dec.transversal[1:]:
-        e = rep >> n
-        sq = group.mul(rep, rep)
-        if not sq:
-            raise PairingInvariantError(
-                f"transversal word {e:0{n}b} has trivial square; cannot avoid any hyperplane"
-            )
-        normal = f2.nonorthogonal_mate(sq, n)
-        if f2.dot(sq, normal) != 1:
-            raise PairingInvariantError(
-                f"square {sq:0{n}b} of word {e:0{n}b} lies in its assigned hyperplane {normal:0{n}b}"
-            )
-        if normal in used:
-            raise PairingInvariantError(
-                f"hyperplane {normal:0{n}b} assigned to both {used[normal]:0{n}b} and {e:0{n}b}"
-            )
-        used[normal] = e
-    normals = (None, *used)  # in coset order
+    normals = (None, *(f2.nonorthogonal_mate(group.mul(t, t), n) for t in dec.transversal[1:]))
     return assignment_difference_set(HyperplaneAssignment(group, sub, dec, normals))
 
 
@@ -328,8 +314,6 @@ def c4n_standard_assignment(group: C4PowerGroup) -> HyperplaneAssignment:
 
 def c4n_difference_set(n: int) -> DifferenceSetCandidate:
     """Self-inverse difference set in the n-th power of C4 (n >= 2)."""
-    if n < 2:
-        raise ConstructionError("c4n construction needs n >= 2")
     return assignment_difference_set(c4n_standard_assignment(C4PowerGroup(n)))
 
 
@@ -399,8 +383,6 @@ def exhaustive_search(
         raise ConstructionError(
             f"group order {group.order} is not the square of subgroup order {h}"
         )
-    if h % 2:
-        raise ConstructionError(f"subgroup order {h} must be even")
     if budget is None:
         if group.order > UNAIDED_SEARCH_LIMIT:
             raise ConstructionError(
@@ -408,7 +390,7 @@ def exhaustive_search(
             )
         budget = DEFAULT_SEARCH_BUDGET
     v = group.order
-    lam = h * (h - 2) // 4
+    lam = ParameterSet(h).lam
     dec = cosets(group, sub)
     table = group.table
     inv = [group.inv(g) for g in range(v)]

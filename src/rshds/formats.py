@@ -17,6 +17,8 @@ from .groups import (
     FiniteGroup,
     GnkGroup,
     Subgroup,
+    _index_set,
+    _indices,
     closure,
     validate_group_table,
 )
@@ -31,11 +33,18 @@ class FormatError(ValueError):
     pass
 
 
-def _index_list(value: object, field: str) -> List[int]:
-    # a JSON true or false decodes to a bool, which isinstance(x, int) would take
-    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
-        raise FormatError(f"{field} field must be a list of integers")
-    return value
+def _read_object(path: Union[str, Path], kind: str) -> dict:
+    """The JSON object a document file holds; anything else raises FormatError."""
+    p = Path(path)
+    if not p.exists():
+        raise FormatError(f"no such file: {p}")
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"malformed JSON in {p}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"not a {kind} document: {p}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -102,32 +111,25 @@ def write_cayley(group: FiniteGroup, path: Union[str, Path]) -> None:
 
 def read_cayley(path: Union[str, Path]) -> CayleyTableGroup:
     """Parse and fully validate a cayley-v1 document."""
-    p = Path(path)
-    if not p.exists():
-        raise FormatError(f"no such file: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON in {p}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CAYLEY_FORMAT:
-        raise FormatError(f"not a {CAYLEY_FORMAT} document: {p}")
+    doc = _read_object(path, CAYLEY_FORMAT)
+    if doc.get("format") != CAYLEY_FORMAT:
+        raise FormatError(f"not a {CAYLEY_FORMAT} document: {path}")
     order = doc.get("order")
     table = doc.get("table")
     if type(order) is not int or not isinstance(table, list) or len(table) != order:
-        raise FormatError(f"order/table mismatch in {p}")
+        raise FormatError(f"order/table mismatch in {path}")
     names = doc.get("names")
     if names is not None:
         if not isinstance(names, list) or len(names) != order:
-            raise FormatError(f"names array has wrong length in {p}")
+            raise FormatError(f"names array has wrong length in {path}")
         names = [str(x) for x in names]
-    for row in table:
-        _index_list(row, "table row")
+    table = [_indices(row, error=FormatError) for row in table]
     try:
         validate_group_table(table)
         return CayleyTableGroup(table, names=names)
     except ValueError as exc:  # GroupTableError, or rows of unequal length
         witness = getattr(exc, "witness", {})
-        raise FormatError(f"invalid multiplication table in {p}: {exc} {witness}") from exc
+        raise FormatError(f"invalid multiplication table in {path}: {exc} {witness}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +146,22 @@ def write_dset(
     """Write a difference-set document.
 
     ``subgroup`` is either the literal string "distinguished" or a list of
-    generator indices whose closure is the subgroup.
+    generator indices whose closure is the subgroup.  Indices obey
+    ``groups._indices`` for the order of a gnk: or c4n: spec; a file: spec's
+    table is not read again here, so ``read_dset`` checks their range.
     """
+    spec = group_spec if isinstance(group_spec, GroupSpec) else GroupSpec.parse(group_spec)
+    order = None if spec.kind == "file" else 4**spec.n
     if isinstance(subgroup, str):
         if subgroup != "distinguished":
             raise FormatError(f"unknown subgroup token {subgroup!r}")
         sub_field: Union[str, List[int]] = "distinguished"
     else:
-        sub_field = [int(x) for x in subgroup]
+        sub_field = _indices(subgroup, order, FormatError)
     doc = {
-        "group": str(group_spec if isinstance(group_spec, GroupSpec) else GroupSpec.parse(group_spec)),
+        "group": str(spec),
         "subgroup": sub_field,
-        "elements": sorted(int(x) for x in elements),
+        "elements": sorted(_index_set(elements, order, FormatError)),
     }
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
@@ -163,18 +169,10 @@ def write_dset(
 def read_dset(
     path: Union[str, Path]
 ) -> Tuple[FiniteGroup, Subgroup, Tuple[int, ...], GroupSpec]:
-    p = Path(path)
-    if not p.exists():
-        raise FormatError(f"no such file: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON in {p}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"not a dset-v1 document: {p}")
+    doc = _read_object(path, "dset-v1")
     for key in ("group", "subgroup", "elements"):
         if key not in doc:
-            raise FormatError(f"dset-v1 document missing field {key!r}: {p}")
+            raise FormatError(f"dset-v1 document missing field {key!r}: {path}")
     spec = GroupSpec.parse(str(doc["group"]))
     group = build_group(spec)
     sub_field = doc["subgroup"]
@@ -183,15 +181,12 @@ def read_dset(
         if sub is None:
             raise FormatError(f"group {spec} has no distinguished subgroup")
     elif isinstance(sub_field, list):
-        sub = closure(group, _index_list(sub_field, "subgroup"))
+        sub = closure(group, _indices(sub_field, group.order, FormatError))
     else:
         raise FormatError(f"invalid subgroup field {sub_field!r}")
-    elems = tuple(sorted(_index_list(doc["elements"], "elements")))
-    if len(set(elems)) != len(elems):
-        raise FormatError("duplicate element indices")
-    for e in elems:
-        if not (0 <= e < group.order):
-            raise FormatError(f"element index {e} out of range")
+    if not isinstance(doc["elements"], list):
+        raise FormatError("elements field must be a list")
+    elems = tuple(sorted(_index_set(doc["elements"], group.order, FormatError)))
     return group, sub, elems, spec
 
 

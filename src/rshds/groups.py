@@ -67,6 +67,7 @@ class ParameterSet(_ParameterFields):
     __slots__ = ()
 
     def __new__(cls, h: int, m: Optional[int] = 0) -> "ParameterSet":
+        (h,) = _indices([h])
         if h < 2 or h % 2:
             raise GroupError(f"subgroup order h={h} must be even and >= 2")
         if m not in (0, None):
@@ -247,16 +248,15 @@ class GnkGroup(FiniteGroup):
     of the central involutions b_1..b_n, a_1 and b_1 in bit n-1.  The
     relations folded into the product are a_i^2 = b_{i+k} (indices wrapped
     into 1..n) and, for 2 <= j <= k+1, the twist a_j a_1 = a_1 a_j b_{j-1};
-    all other generator pairs commute.  Requires 0 <= k < n-1: at k = n-1 the
-    word squares are no longer pairwise distinct and the difference-set
-    construction breaks down.
+    all other generator pairs commute.  Requires 0 <= k < n-1 (so n >= 2),
+    which makes the squares (e, 0)^2, e != 0, distinct and nonzero, as
+    ``constructions.gnk_difference_set`` proves; at k = n-1 they collide.
     """
 
     def __init__(self, n: int, k: int):
-        if n < 2:
-            raise GroupError(f"gnk group needs n >= 2, got n={n}")
-        if k < 0 or k >= n - 1:
-            raise GroupError(f"gnk group needs 0 <= k < n-1, got k={k} with n={n}")
+        n, k = _indices([n, k])
+        if not 0 <= k < n - 1:
+            raise GroupError(f"gnk group needs 0 <= k < n-1, got n={n}, k={k}")
         self.n, self.k, self.order = n, k, 1 << (2 * n)
         super().__init__()
 
@@ -296,6 +296,7 @@ class C4PowerGroup(GnkGroup):
     """
 
     def __init__(self, n: int):
+        (n,) = _indices([n])
         if n < 1:
             raise GroupError(f"c4n group needs n >= 1, got n={n}")
         self.n, self.k, self.order = n, 0, 4**n
@@ -408,16 +409,10 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int], *, validate: bool = True):
         self.parent = parent
-        self.members: Tuple[int, ...] = tuple(sorted(set(_indices(members))))
-        self.member_set = frozenset(self.members)
+        self.member_set = frozenset(_index_set(members, parent.order))
+        self.members: Tuple[int, ...] = tuple(sorted(self.member_set))
         self.order = len(self.members)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        if self.members and not (0 <= self.members[0] and self.members[-1] < self.parent.order):
-            raise GroupError(f"member index outside 0..{self.parent.order - 1}")
-        if closure_members(self.parent, self.members) != self.member_set:
+        if validate and closure_members(parent, self.members) != self.member_set:
             raise GroupError("members do not form a subgroup: they generate a larger set")
 
     def __contains__(self, a: int) -> bool:
@@ -441,19 +436,41 @@ class Subgroup:
         return all(self.parent.mul(a, a) == IDENTITY for a in self.members)
 
 
-def _indices(values: Iterable[int]) -> List[int]:
-    """Element indices as ints; a float or other non-index is refused, not truncated."""
+def _indices(
+    values: Iterable[int], order: Optional[int] = None, error: type = GroupError
+) -> List[int]:
+    """``values`` as ints, and with an ``order`` as element indices in range(order).
+
+    The one rule for every integer a caller passes in: what ``operator.index``
+    takes is an int (numpy integers pass), except a bool, and nothing is
+    coerced.  A float, a bool or an index out of range raises ``error``, the
+    caller's own error class.
+    """
     try:
-        return list(map(operator.index, values))
+        values = list(values)
+        types = set(map(type, values))
+        if bool in types:
+            raise TypeError("a bool is not an integer here")
+        ints = values if types <= {int} else list(map(operator.index, values))
     except TypeError as exc:
-        raise GroupError(f"element indices must be integers: {exc}") from None
+        raise error(f"expected integers: {exc}") from None
+    if order is not None and ints and not (0 <= min(ints) and max(ints) < order):
+        raise error(f"element index outside 0..{order - 1}")
+    return ints
+
+
+def _index_set(values: Iterable[int], order: Optional[int], error: type = GroupError) -> set:
+    """``_indices`` as a set of elements, which must not repeat one."""
+    ints = _indices(values, order, error)
+    found = set(ints)
+    if len(found) != len(ints):
+        raise error("the set repeats an element")
+    return found
 
 
 def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators."""
-    gens = _indices(generators)
-    if gens and not (0 <= min(gens) and max(gens) < group.order):
-        raise GroupError(f"generator index outside 0..{group.order - 1}")
+    gens = _indices(generators, group.order)
     return Subgroup(group, closure_members(group, gens), validate=False)
 
 

@@ -49,6 +49,12 @@ def word_mul(n: int, k: int, w1: Word, w2: Word) -> Word:
     return (tuple(x ^ y for x, y in zip(e1, e2)), tuple(c))
 
 
+def gnk_square(n: int, k: int, e: Tuple[int, ...]) -> Tuple[int, ...]:
+    """s(e), the f-part of (e, 0)^2 in gnk:n,k, read from ``word_mul`` with no table."""
+    zero = (0,) * n
+    return word_mul(n, k, (e, zero), (e, zero))[1]
+
+
 def bits(v: int, n: int) -> Tuple[int, ...]:
     """Coordinate tuple of the n-bit vector v, first coordinate (bit n-1) first."""
     return tuple((v >> (n - 1 - i)) & 1 for i in range(n))

@@ -232,6 +232,10 @@ def test_exit_codes_usage_errors(tmp_path, capsys):
         ["screen", "gnk:2,0", "4", "auto-\u0661"],
         ["screen", "gnk:\u0662,\u0660", "4"],
         ["screen", "c4n:\u0662", "4"],
+        # a ConstructionError is a GroupError, which main reports like the rest
+        ["construct", "c4n:1"],
+        ["search", "gnk:2,0", "gens=1"],
+        ["thm81", "c4n:2", "gens=4"],
     ],
 )
 def test_bad_subgroup_tokens_and_empty_check_lists_are_usage_errors(tmp_path, capsys, argv):

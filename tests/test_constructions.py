@@ -16,6 +16,7 @@ from oracles import (
     f2_coordinates_reference,
     find_hyperplane_assignment_reference,
     from_bits,
+    gnk_square,
     naive_difference_tally,
 )
 from rshds import certify, f2, fixtures
@@ -71,32 +72,26 @@ def test_gnk_candidate_sizes(cand20, cand31, gnk4_candidates):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(0, n - 1)])
 def test_gnk_construction_and_square_law(n, k):
-    # executing the construction is itself the proof that the square-based
-    # pairing is injective and avoids every assigned hyperplane
+    # the table's squares (e, 0)^2 are the closed form s(e), which the
+    # gnk_difference_set docstring proves injective and nonzero on E - 0
     cand = gnk_difference_set(n, k)
     assert len(cand.elements) == 2 ** (n - 1) * (2**n - 1)
-    # squares follow the closed form, b_{1+k} appears iff 1 is in the support,
-    # and all 2^n squares are pairwise distinct (k < n-1)
     g = cand.group
-    seen = {}
-    for e_mask in range(1 << n):
-        t = e_mask << n  # the word (e, 0)
-        sq = bits(g.mul(t, t), n)  # a member of H is its own vector
-        e = bits(e_mask, n)
-        expected = [0] * n
-        if e[0]:
-            for j in range(1, k + 1):
-                if e[j]:
-                    expected[j - 1] ^= 1
-        for i in range(n):
-            if e[i]:
-                expected[(i + k) % n] ^= 1
-        assert sq == tuple(expected)
-        assert sq[k % n] == e[0]  # b_{1+k} coordinate tracks 1 in S
-        assert sq not in seen
-        seen[sq] = e
-    ones = [sq for sq, e in seen.items() if e[0]]
-    assert len(set(ones)) == 2 ** (n - 1)
+    for e in range(1 << n):
+        t = e << n  # the word (e, 0); a member of H is its own vector
+        assert bits(g.mul(t, t), n) == gnk_square(n, k, bits(e, n))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_square_map_is_injective_and_nonzero_past_the_tables(n):
+    # the precondition gnk_difference_set relies on, for every k, with no
+    # table: coordinate k of s(e) is e_0, and s is injective and nonzero on
+    # E - 0 exactly when k < n-1
+    for k in range(n):
+        squares = {bits(e, n): gnk_square(n, k, bits(e, n)) for e in range(1, 1 << n)}
+        assert all(sq[k] == e[0] for e, sq in squares.items())
+        bijective = len(set(squares.values())) == 2**n - 1 and (0,) * n not in squares.values()
+        assert bijective == (k < n - 1)
 
 
 def test_gnk_candidates_are_partition_sets(cand20, cand30, cand31):

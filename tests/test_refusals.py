@@ -1,0 +1,121 @@
+"""Every public entry point refuses an input it would otherwise coerce.
+
+An element index is an int (a numpy integer is one, a bool or a float is
+not) in range(v), and an element set repeats none.  Each layer refuses with
+its own error class, and numpy integers pass with the result plain ints give.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from rshds.algebra import AlgebraElement, AlgebraError, from_set
+from rshds.certify import (
+    PreconditionError,
+    check_difference_set,
+    check_rshds,
+    coset_profile,
+    hadamard_matrix,
+)
+from rshds.constructions import ConstructionError, DifferenceSetCandidate
+from rshds.formats import FormatError, write_dset
+from rshds.groups import C4PowerGroup, GnkGroup, GroupError, ParameterSet, Subgroup, closure
+
+G = GnkGroup(2, 0)
+H = G.distinguished_subgroup()
+D = [4, 7, 8, 9, 12, 14]  # gnk_difference_set(2, 0)
+
+
+def _variants(base):
+    """``base`` with one entry made a float, a bool, a repeat, -1 and v."""
+    return {
+        "float": [*base[:-1], base[-1] + 0.5],
+        "bool": [base[0], True, *base[2:]],
+        "repeat": [*base[:-1], base[0]],
+        "negative": [*base[:-1], -1],
+        "order": [*base[:-1], G.order],
+    }
+
+
+def _dset_bytes(path, elements, subgroup="distinguished"):
+    write_dset(path, "gnk:2,0", subgroup, elements)
+    return path.read_bytes()
+
+
+# name -> (call of (input, path), the base input, the error, the refused variants)
+SET_FORM = ("float", "bool", "repeat", "negative", "order")
+LIST_FORM = ("float", "bool", "negative", "order")  # a generator list may repeat
+TAKERS = {
+    "from_set": (lambda x, p: from_set(G, x).coeffs, D, AlgebraError, SET_FORM),
+    "check_difference_set": (lambda x, p: check_difference_set(G, x), D, PreconditionError,
+                             SET_FORM),
+    "check_rshds": (lambda x, p: check_rshds(G, H, x), D, PreconditionError, SET_FORM),
+    "coset_profile": (lambda x, p: coset_profile(G, H, x), D, PreconditionError, SET_FORM),
+    "hadamard_matrix": (lambda x, p: hadamard_matrix(G, x), D, PreconditionError, SET_FORM),
+    "DifferenceSetCandidate": (lambda x, p: DifferenceSetCandidate(G, H, x), D,
+                               ConstructionError, SET_FORM),
+    "Subgroup": (lambda x, p: Subgroup(G, x), [0, 1, 2, 3], GroupError, SET_FORM),
+    "closure": (lambda x, p: closure(G, x), [1, 2], GroupError, LIST_FORM),
+    "write_dset": (lambda x, p: _dset_bytes(p, x), D, FormatError, SET_FORM),
+    "write_dset subgroup": (lambda x, p: _dset_bytes(p, D, x), [1, 2], FormatError, LIST_FORM),
+}
+CASES = [(name, case) for name, row in TAKERS.items() for case in row[3]]
+
+
+@pytest.mark.parametrize("name,case", CASES, ids=[f"{n}-{c}" for n, c in CASES])
+def test_element_indices_are_refused_not_coerced(tmp_path, name, case):
+    call, base, error, _ = TAKERS[name]
+    with pytest.raises(error):
+        call(_variants(base)[case], tmp_path / "d.json")
+
+
+@pytest.mark.parametrize("name", sorted(TAKERS))
+def test_numpy_indices_pass(tmp_path, name):
+    call, base, _, cases = TAKERS[name]
+    assert call(np.array(base), tmp_path / "a.json") == call(base, tmp_path / "b.json")
+    if "repeat" not in cases:
+        call([*base, base[0]], tmp_path / "c.json")
+
+
+COEFFS = [int(g in D) for g in range(G.order)]
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
+def test_coefficients_are_refused_not_coerced(bad):
+    with pytest.raises(AlgebraError):
+        AlgebraElement(G, [bad, *COEFFS[1:]])
+
+
+def test_any_integer_coefficient_passes():
+    # -1 and v are coefficients, not indices, and numpy integers are ints
+    assert AlgebraElement(G, [-1, G.order, *COEFFS[2:]]).coeffs[:2] == [-1, 16]
+    coeffs = AlgebraElement(G, np.array(COEFFS)).coeffs
+    assert coeffs == COEFFS and {type(c) for c in coeffs} == {int}
+
+
+SCALARS = {
+    "ParameterSet float": lambda: ParameterSet(4.0),
+    "ParameterSet bool": lambda: ParameterSet(True),
+    "ParameterSet negative": lambda: ParameterSet(-4),
+    "GnkGroup float n": lambda: GnkGroup(2.0, 0),
+    "GnkGroup float k": lambda: GnkGroup(3, 0.0),
+    "GnkGroup bool k": lambda: GnkGroup(3, False),
+    "GnkGroup negative k": lambda: GnkGroup(3, -1),
+    "GnkGroup k = n-1": lambda: GnkGroup(3, 2),
+    "C4PowerGroup float": lambda: C4PowerGroup(2.0),
+    "C4PowerGroup bool": lambda: C4PowerGroup(True),
+    "C4PowerGroup negative": lambda: C4PowerGroup(-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_parameters_are_refused_not_coerced(name):
+    with pytest.raises(GroupError):
+        SCALARS[name]()
+
+
+def test_numpy_parameters_pass():
+    p = ParameterSet(np.int64(4))
+    assert p == ParameterSet(4) and {type(x) for x in p[:4]} == {int}
+    assert GnkGroup(np.int64(3), np.int64(1)).table == GnkGroup(3, 1).table
+    assert C4PowerGroup(np.int64(2)).table == C4PowerGroup(2).table
