@@ -5,10 +5,9 @@ integers throughout: every identity certified downstream is an exact
 equality, never a floating-point comparison.  Python integers are
 arbitrary precision, so products can never silently wrap.  An element
 offers its support and its star (the pullback along inversion); the
-operations are the indicator of a set, the convolution product and the
-regular representation.  Sums and scalar multiples have no operators here:
-``certify`` forms them on class coordinates, after reading the class
-products off convolutions.
+operations are the indicator of a set and the convolution product.  Sums
+and scalar multiples have no operators here: ``certify`` forms them on
+class coordinates, after reading the class products off convolutions.
 """
 from __future__ import annotations
 
@@ -73,9 +72,3 @@ def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             for b, yb in ys:
                 out[row[b]] += xa * yb
     return AlgebraElement(group, out)
-
-
-def regular_matrix(x: AlgebraElement) -> List[List[int]]:
-    """Matrix of x in the regular representation: M[a][b] = x[a b^-1]."""
-    coeffs, inv = x.coeffs, x.group._inv
-    return [[coeffs[row[bi]] for bi in inv] for row in x.group.table]

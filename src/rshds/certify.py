@@ -42,7 +42,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, convolve, from_set, regular_matrix
+from .algebra import AlgebraElement, convolve, from_set
 from .groups import (
     IDENTITY,
     FiniteGroup,
@@ -50,6 +50,7 @@ from .groups import (
     ParameterSet,
     Subgroup,
     _index_set,
+    _indices,
     _prime_factors,
     _subgroups_dividing,
     closure,
@@ -125,16 +126,6 @@ def _degenerate_warnings(h: int) -> List[str]:
     if h == 2:
         return ["degenerate h=2: lambda = 0, the structural theorems are vacuous"]
     return []
-
-
-# ---------------------------------------------------------------------------
-# parameters
-# ---------------------------------------------------------------------------
-
-
-def parameter_formulas(h: int) -> ParameterSet:
-    """(v, k, lambda) = (h^2, h(h-1)/2, h(h-2)/4) for even h >= 2."""
-    return ParameterSet(h)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +545,11 @@ def run_checks(
 
 
 def hadamard_matrix(group: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:
-    """The +-1 matrix 2D - J in the canonical element order."""
-    matrix = regular_matrix(from_set(group, _index_set(elements, group.order, PreconditionError)))
-    for row in matrix:  # in place, so only one v x v matrix is ever alive
-        row[:] = [2 * x - 1 for x in row]
-    return matrix
+    """The +-1 matrix 2D - J in element order: entry (a, b) is +1 iff a b^-1 lies in D."""
+    dset = _index_set(elements, group.order, PreconditionError)
+    sign = [1 if g in dset else -1 for g in range(group.order)]
+    inv = group._inv
+    return [[sign[row[bi]] for bi in inv] for row in group.table]
 
 
 # ---------------------------------------------------------------------------
@@ -673,16 +664,19 @@ def structural_tests(
     given).  T3: some normal subgroup of order h exists.  T4 (needs H): no
     order-h subgroup intersects H trivially.
 
-    Each normal walk runs once: T1 reads T3's normal subgroups of order h
-    when |G|/d = h, and every walk joins the class closures the group finds
-    once (``subgroups_of_order`` gives the walk and its proofs).  T4's
-    search meets only subgroups that meet H in the identity alone: it skips
+    T1 reads T3's normal subgroups of order h when a swallowing quotient has
+    order d = h; every other kernel order |G|/d gets a normal walk of its
+    own, so at order 256 the walks for 64, 32 and 16 run separately,
+    although the first meets every normal subgroup the other two find.  Each
+    walk joins the class closures the group finds once
+    (``subgroups_of_order`` gives the walk and its proofs).  T4's search
+    meets only subgroups that meet H in the identity alone: it skips
     generators in H and closures that meet H beyond the identity.  Every
     subgroup of a complement of H meets H trivially too, so the chain to
     each complement survives, and the witness is still the least complement
     in member-tuple order.
     """
-    h = h_candidate
+    (h,) = _indices([h_candidate])
     if group.order != h * h:
         raise GroupError(f"group order {group.order} != h^2 = {h * h}")
     witnesses: Dict[str, object] = {}

@@ -1,5 +1,9 @@
 """Command-line surface.
 
+A subgroup token is ``distinguished``, ``auto-<order>`` (the one normal
+subgroup of that order, in ASCII digits) or ``gens=i,j,...``.  One
+certificate, the coset profile included, is ``certify DSET --checks NAME``.
+
 Exit codes: 0 all requested checks pass, 1 some check failed, 2 usage or
 file error, 3 search budget exceeded.  All output is deterministic: reruns
 produce byte-identical bytes.  The one exception is the line ``search``
@@ -25,6 +29,7 @@ from .formats import FormatError, GroupSpec
 from .groups import (
     FiniteGroup,
     GroupError,
+    ParameterSet,
     Subgroup,
     closure,
     normal_subgroups_of_prime_index,
@@ -36,13 +41,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_AUTO_RE = re.compile(r"auto-[a-z]*([0-9]+)")
+_AUTO_RE = re.compile(r"auto-([0-9]+)")
 _INDEX_RE = re.compile(r"[0-9]+")
 
 
 def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
-    """Resolve a subgroup token: distinguished | auto | auto-<order> | gens=i,j."""
-    if token in ("distinguished", "auto"):
+    """Resolve a subgroup token: distinguished | auto-<order> | gens=i,j."""
+    if token == "distinguished":
         sub = group.distinguished_subgroup()
         if sub is None:
             raise FormatError(
@@ -98,7 +103,7 @@ def _params_line(params) -> str:
 
 
 def _cmd_params(args) -> int:
-    print(_params_line(certify.parameter_formulas(args.h)))
+    print(_params_line(ParameterSet(args.h)))
     return EXIT_OK
 
 
@@ -137,13 +142,6 @@ def _cmd_certify(args) -> int:
     reports = certify.run_checks(group, sub, elements, names)
     _emit_reports(reports, args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
-
-
-def _cmd_profile(args) -> int:
-    group, sub, elements, _ = formats.read_dset(args.dset)
-    report = certify.coset_profile(group, sub, elements)
-    _emit_reports([report], args.json)
-    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_thm81(args) -> int:
@@ -293,10 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dset")
     p.add_argument("--checks", help=f"comma list from {','.join(CHECK_ORDER)} (default all)")
     p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("profile", parents=[as_json], help="coset profile of a dset-v1 file")
-    p.add_argument("dset")
-    p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("thm81", parents=[as_json, out],
                        help="search a hyperplane-to-coset matching and build its difference set")

@@ -122,7 +122,8 @@ def read_cayley(path: Union[str, Path]) -> CayleyTableGroup:
     if names is not None:
         if not isinstance(names, list) or len(names) != order:
             raise FormatError(f"names array has wrong length in {path}")
-        names = [str(x) for x in names]
+        if set(map(type, names)) - {str}:
+            raise FormatError(f"element names must be strings in {path}")
     table = [_indices(row, error=FormatError) for row in table]
     try:
         validate_group_table(table)

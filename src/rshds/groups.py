@@ -595,6 +595,7 @@ def subgroups_of_order(group: FiniteGroup, m: int, *, normal: bool = False) -> L
     the join of the closures ncl(x), x in it, and each partial join lies
     inside it, so its order divides m and the pruning never drops it.
     """
+    (m,) = _indices([m])
     if group.order > SUBGROUP_ENUM_CAP:
         raise GroupError(f"group order {group.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
     if m <= 0 or group.order % m:

@@ -7,7 +7,9 @@ counter per element, kept to pin the packed-tally search to the same tree;
 ``find_hyperplane_assignment_reference`` is the matching search with its
 first two-branch partner test, kept to pin the one-branch search;
 ``f2_coordinates_reference`` is the first bitmask loop that put F_2
-coordinates on H, kept to pin the one F_p coordinatization.
+coordinates on H, kept to pin the one F_p coordinatization;
+``hadamard_reference`` is 2D - J entry by entry from ``mul`` and ``inv``,
+kept to pin the one-pass sign rows of ``certify.hadamard_matrix``.
 """
 from __future__ import annotations
 
@@ -96,6 +98,15 @@ def naive_difference_tally(group: FiniteGroup, elements: Sequence[int]) -> Dict[
             g = group.mul(x, group.inv(y))
             counts[g] = counts.get(g, 0) + 1
     return counts
+
+
+def hadamard_reference(group: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:
+    """2D - J by its definition: entry (a, b) is +1 when a b^-1 lies in D, else -1."""
+    dset = set(elements)
+    return [
+        [1 if group.mul(a, group.inv(b)) in dset else -1 for b in range(group.order)]
+        for a in range(group.order)
+    ]
 
 
 def naive_product_tally(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_difference_tally, naive_product_tally
-from rshds.algebra import AlgebraElement, AlgebraError, convolve, from_set, regular_matrix
+from rshds.algebra import AlgebraElement, AlgebraError, convolve, from_set
 from rshds.groups import IDENTITY, C4PowerGroup, GnkGroup, cyclic_group
 
 # Sums and scalar multiples are formed on plain coefficient lists, and
@@ -179,18 +179,3 @@ def test_convolve_matches_naive_product_tally(case):
     tally = naive_product_tally(group, left, right)
     assert prod.coeffs == [tally.get(g, 0) for g in range(group.order)]
 
-
-def test_regular_matrix_is_faithful(cand20):
-    group = cand20.group
-    d = from_set(group, cand20.elements)
-    m = regular_matrix(d)
-    assert all(sum(row) == 6 for row in m)
-    assert all(sum(m[i][j] for i in range(16)) == 6 for j in range(16))
-    # matrix product of regular representations = representation of convolution
-    h_el = from_set(group, group.distinguished_subgroup().members)
-    mh = regular_matrix(h_el)
-    prod = [
-        [sum(m[i][k] * mh[k][j] for k in range(16)) for j in range(16)]
-        for i in range(16)
-    ]
-    assert prod == regular_matrix(convolve(d, h_el))

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from oracles import (
     class_products_reference,
     gnk_index,
+    hadamard_reference,
     naive_difference_tally,
     structural_tests_reference,
     subgroups_of_order_reference,
 )
 from test_groups import REFERENCE_GROUPS
-from rshds.algebra import from_set, regular_matrix
 from rshds.certify import (
     PreconditionError,
     SchurStructure,
@@ -26,7 +26,6 @@ from rshds.certify import (
     check_schur_ring,
     coset_profile,
     hadamard_matrix,
-    parameter_formulas,
     quotient_check,
     spectrum,
     structural_tests,
@@ -44,6 +43,7 @@ from rshds.formats import build_group
 from rshds.groups import (
     IDENTITY,
     GroupError,
+    ParameterSet,
     closure,
     cosets,
     cyclic_group,
@@ -65,11 +65,11 @@ from rshds.groups import (
 def test_parameter_formulas():
     expected = {4: (16, 6, 2), 6: (36, 15, 6), 8: (64, 28, 12), 16: (256, 120, 56)}
     for h, (v, k, lam) in expected.items():
-        p = parameter_formulas(h)
+        p = ParameterSet(h)
         assert (p.v, p.k, p.lam) == (v, k, lam)
     for bad in (5, 3, 0, -2, 1):
         with pytest.raises(GroupError):
-            parameter_formulas(bad)
+            ParameterSet(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +491,13 @@ def test_hadamard_matrix_properties(cand20):
             assert dot == (16 if i == j else 0)
 
 
-def test_hadamard_matches_regular_representation(cand20):
-    d = from_set(cand20.group, cand20.elements)
-    reg = regular_matrix(d)
-    m = hadamard_matrix(cand20.group, cand20.elements)
-    for i in range(16):
-        for j in range(16):
-            assert m[i][j] == 2 * reg[i][j] - 1
+def test_hadamard_matches_regular_representation(cand20, gnk4_candidates):
+    # the certify ladder's order-256 sets: gnk:4,2, c4n:4 and thm81 on gnk:4,2
+    gnk42 = gnk4_candidates[2]
+    thm81 = assignment_difference_set(find_hyperplane_assignment(gnk42.group, gnk42.subgroup))
+    for cand in (cand20, gnk42, c4n_difference_set(4), thm81):
+        expected = hadamard_reference(cand.group, cand.elements)
+        assert hadamard_matrix(cand.group, cand.elements) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +724,13 @@ def test_involutions_inside_subgroup_for_candidates(cand20, cand30, cand31):
 
 
 def test_row_sums_and_irreducibility(cand31):
-    # every row/column of the regular matrix of D sums to k, and the support
-    # generates the whole group (strong connectivity of the Cayley digraph)
-    d = from_set(cand31.group, cand31.elements)
-    reg = regular_matrix(d)
-    k = cand31.params.k
-    assert all(sum(row) == k for row in reg)
-    assert all(sum(reg[i][j] for i in range(64)) == k for j in range(64))
+    # every row/column of 2D - J sums to 2k - v, as D meets each translate in
+    # k points, and the support generates the whole group (strong
+    # connectivity of the Cayley digraph)
+    matrix = hadamard_reference(cand31.group, cand31.elements)
+    total = 2 * cand31.params.k - cand31.params.v
+    assert all(sum(row) == total for row in matrix)
+    assert all(sum(matrix[i][j] for i in range(64)) == total for j in range(64))
     assert closure(cand31.group, cand31.elements).order == cand31.group.order
 
 

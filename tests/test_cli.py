@@ -12,6 +12,8 @@ from rshds import algebra, certify, cli
 from rshds.formats import read_hadamard, write_cayley
 from rshds.groups import cyclic_group, direct_product, elementary_abelian_2_group
 
+G36_SPEC = "file:" + str(Path(cli.__file__).parent / "data" / "g36_1.json")
+
 
 def sha16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -236,6 +238,10 @@ def test_exit_codes_usage_errors(tmp_path, capsys):
         ["construct", "c4n:1"],
         ["search", "gnk:2,0", "gens=1"],
         ["thm81", "c4n:2", "gens=4"],
+        # distinguished is the one name for the distinguished subgroup, and an
+        # order is ASCII digits alone
+        ["search", "gnk:2,0", "auto"],
+        ["search", G36_SPEC, "auto-n6"],
     ],
 )
 def test_bad_subgroup_tokens_and_empty_check_lists_are_usage_errors(tmp_path, capsys, argv):
@@ -258,8 +264,8 @@ def test_search_within_budget(capsys):
 
 
 # each entry is a full command line; DSET stands for a constructed dset-v1 file.
-# --workers is gone, --budget belongs to search, and --json and --out go only
-# to the subcommands that read them
+# --workers is gone, --budget belongs to search (not to thm81's matching
+# search), and --json and --out go only to the subcommands that read them
 @pytest.mark.parametrize(
     "flag",
     [
@@ -269,10 +275,10 @@ def test_search_within_budget(capsys):
         ["dump-table", "gnk:2,0", "--json"],
         ["params", "4", "--json"],
         ["params", "4", "--out", "x.json"],
-        ["profile", "DSET", "--out", "x.json"],
         ["screen", "gnk:2,0", "4", "--out", "x.json"],
         ["quotient", "DSET", "--out", "x.json"],
         ["search", "gnk:2,0", "distinguished", "--json"],
+        ["thm81", "c4n:2", "distinguished", "--budget", "5"],
     ],
 )
 def test_removed_and_search_only_flags_are_usage_errors(tmp_path, capsys, flag):
@@ -284,6 +290,18 @@ def test_removed_and_search_only_flags_are_usage_errors(tmp_path, capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_profile_is_a_check_of_certify_not_a_subcommand(tmp_path, capsys):
+    dset = tmp_path / "d.json"
+    assert cli.main(["construct", "gnk:2,0", "--out", str(dset)]) == cli.EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile", str(dset)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'profile'" in capsys.readouterr().err
+    assert cli.main(["certify", str(dset), "--checks", "profile"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "PASS coset-profile (h=4, v=16, k=6, lambda=2, m=None)\n"
+
+
 def test_export_hadamard_requires_out(tmp_path, capsys):
     dset = tmp_path / "d.json"
     assert cli.main(["construct", "gnk:2,0", "--out", str(dset)]) == cli.EXIT_OK
@@ -291,9 +309,6 @@ def test_export_hadamard_requires_out(tmp_path, capsys):
         cli.main(["export-hadamard", str(dset)])
     assert exc.value.code == cli.EXIT_USAGE
     assert "the following arguments are required: --out" in capsys.readouterr().err
-
-
-G36_SPEC = "file:" + str(Path(cli.__file__).parent / "data" / "g36_1.json")
 
 
 @pytest.fixture

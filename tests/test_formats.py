@@ -62,6 +62,8 @@ MALFORMED_CAYLEY = {
     "row-not-a-list": _json({"format": "cayley-v1", "order": 2, "table": [[0, 1], 1]}),
     "not-a-group": _json({"format": "cayley-v1", "order": 2, "table": [[0, 1], [0, 1]]}),
     "short-names": _json({"format": "cayley-v1", "order": 2, "table": _TABLE, "names": ["1"]}),
+    "names-not-strings": _json({"format": "cayley-v1", "order": 2, "table": _TABLE,
+                                "names": [1, 2.5]}),
     "boolean-entries": _json({"format": "cayley-v1", "order": 2,
                               "table": [[False, True], [True, False]]}),
     "boolean-order": _json({"format": "cayley-v1", "order": True, "table": [[0]]}),

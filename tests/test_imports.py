@@ -1,6 +1,6 @@
 """Every rshds module and test module uses what it imports, every private
-helper of the package has a caller in it, the package exports what it
-should, and the CLI starts without the layers it does not run.
+helper of the package has a caller in it, the package binds no name but its
+version, and the CLI starts without the layers it does not run.
 
 No linter is a dependency of this project, so both checks are AST scans.
 Each import must be read in the scope that binds it, the module for a
@@ -11,7 +11,6 @@ the package, and each ``_name`` method of a class must be read as ``._name``.
 from __future__ import annotations
 
 import ast
-import importlib
 import os
 import subprocess
 import sys
@@ -139,11 +138,8 @@ def test_every_private_helper_has_a_caller():
     assert private_helpers_without_callers(sources) == []
 
 
-def test_cli_import_leaves_numpy_out():
-    # nor the modules only construct, thm81 and search use, nor dataclasses
-    # and the inspect module it imports
-    unwanted = ("numpy", "dataclasses", "inspect", "rshds.constructions", "rshds.f2")
-    code = f"import sys, rshds.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+def _fresh_output(code: str) -> str:
+    """What ``code`` prints in a new interpreter that finds this ``rshds``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -152,33 +148,21 @@ def test_cli_import_leaves_numpy_out():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
 
 
-# every name `rshds/__init__` exports, by the module that defines it: what it
-# exported when it imported its submodules eagerly, less the algebra helpers
-# `full_sum` and `unit`, which nothing in the package calls, and the bound on
-# m, which the coset lemma made constant 0
-EXPORTS = {
-    "algebra": "AlgebraElement convolve from_set",
-    "certify": "CertReport PreconditionError SchurStructure check_difference_set check_hadamard "
-               "check_rshds check_schur_ring coset_profile hadamard_matrix "
-               "parameter_formulas quotient_check spectrum structural_tests",
-    "constructions": "BudgetExceededError ConstructionError DifferenceSetCandidate "
-                     "HyperplaneAssignment SearchResult assignment_difference_set "
-                     "c4n_difference_set c4n_standard_assignment exhaustive_search "
-                     "find_hyperplane_assignment gnk_difference_set verify_hyperplane_assignment",
-    "formats": "GroupSpec build_group read_cayley read_dset write_cayley write_dset",
-    "groups": "C4PowerGroup CayleyTableGroup CosetDecomposition FiniteGroup GnkGroup GroupError "
-              "ParameterSet Subgroup closure cosets involutions is_normal "
-              "normal_subgroups_of_prime_index quotient subgroups_of_order",
-}
+def test_cli_import_leaves_numpy_out():
+    # nor the modules only construct, thm81 and search use, nor dataclasses
+    # and the inspect module it imports
+    unwanted = ("numpy", "dataclasses", "inspect", "rshds.constructions", "rshds.f2")
+    code = f"import sys, rshds.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    assert _fresh_output(code) == "[]"
 
 
-@pytest.mark.parametrize("module", sorted(EXPORTS))
-def test_package_exports_resolve_to_their_modules(module):
-    names = EXPORTS[module].split()
-    namespace: dict = {}
-    exec(f"from rshds import {', '.join(names)}", namespace)
-    source = importlib.import_module(f"rshds.{module}")
-    assert [name for name in names if namespace[name] is not getattr(source, name)] == []
+def test_package_import_binds_only_the_version():
+    # each name is imported from its submodule; the package re-exports none
+    code = ("import sys, rshds; "
+            "print([n for n in dir(rshds) if not n.startswith('_')], "
+            "sorted(m for m in sys.modules if m.startswith('rshds.')))")
+    assert _fresh_output(code) == "[] []"
+

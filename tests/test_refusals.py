@@ -6,6 +6,8 @@ its own error class, and numpy integers pass with the result plain ints give.
 """
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,19 @@ from rshds.certify import (
     check_rshds,
     coset_profile,
     hadamard_matrix,
+    structural_tests,
 )
 from rshds.constructions import ConstructionError, DifferenceSetCandidate
 from rshds.formats import FormatError, write_dset
-from rshds.groups import C4PowerGroup, GnkGroup, GroupError, ParameterSet, Subgroup, closure
+from rshds.groups import (
+    C4PowerGroup,
+    GnkGroup,
+    GroupError,
+    ParameterSet,
+    Subgroup,
+    closure,
+    subgroups_of_order,
+)
 
 G = GnkGroup(2, 0)
 H = G.distinguished_subgroup()
@@ -93,6 +104,13 @@ def test_any_integer_coefficient_passes():
     assert coeffs == COEFFS and {type(c) for c in coeffs} == {int}
 
 
+def _screen_without_walks(h):
+    """``structural_tests`` with each normal walk made to fail: only a refusal up front passes."""
+    ran = AssertionError("a normal walk ran")
+    with mock.patch("rshds.groups._normal_subgroups_dividing", side_effect=ran):
+        return structural_tests(G, h)
+
+
 SCALARS = {
     "ParameterSet float": lambda: ParameterSet(4.0),
     "ParameterSet bool": lambda: ParameterSet(True),
@@ -105,6 +123,9 @@ SCALARS = {
     "C4PowerGroup float": lambda: C4PowerGroup(2.0),
     "C4PowerGroup bool": lambda: C4PowerGroup(True),
     "C4PowerGroup negative": lambda: C4PowerGroup(-1),
+    "subgroups_of_order float m": lambda: subgroups_of_order(G, 4.0),
+    "subgroups_of_order bool m": lambda: subgroups_of_order(G, True),
+    "structural_tests float h": lambda: _screen_without_walks(4.0),
 }
 
 
