@@ -652,6 +652,16 @@ def quotient_check(
 # ---------------------------------------------------------------------------
 
 
+def _screen_order(group: FiniteGroup, h_candidate: int) -> int:
+    """The h of a screen of G: a positive int with |G| = h^2, else GroupError."""
+    (h,) = _indices([h_candidate])
+    if h <= 0:
+        raise GroupError(f"h = {h} is not positive")
+    if group.order != h * h:
+        raise GroupError(f"group order {group.order} != h^2 = {h * h}")
+    return h
+
+
 def structural_tests(
     group: FiniteGroup, h_candidate: int, sub: Optional[Subgroup] = None
 ) -> CertReport:
@@ -664,45 +674,34 @@ def structural_tests(
     given).  T3: some normal subgroup of order h exists.  T4 (needs H): no
     order-h subgroup intersects H trivially.
 
-    T1 reads T3's normal subgroups of order h when a swallowing quotient has
-    order d = h; every other kernel order |G|/d gets a normal walk of its
-    own, so at order 256 the walks for 64, 32 and 16 run separately,
-    although the first meets every normal subgroup the other two find.  Each
-    walk joins the class closures the group finds once
-    (``subgroups_of_order`` gives the walk and its proofs).  T4's search
-    meets only subgroups that meet H in the identity alone: it skips
-    generators in H and closures that meet H beyond the identity.  Every
-    subgroup of a complement of H meets H trivially too, so the chain to
-    each complement survives, and the witness is still the least complement
-    in member-tuple order.
+    A bad h or H is refused before any walk: h must be a positive int with
+    |G| = h^2, and H a subgroup of this group of order h.  One normal walk
+    (``subgroups_of_order``) finds the normal subgroups of order h for T3
+    and of order |G|/d, d a swallowing quotient order, for T1, and
+    ``FiniteGroup.fingerprint`` reads each kernel's quotient shape off G.
+    T4 walks only the subgroups that meet H in the identity alone (the
+    ``avoid`` set of ``_subgroups_dividing``), and its witness is the least
+    complement in member-tuple order.
     """
-    (h,) = _indices([h_candidate])
-    if group.order != h * h:
-        raise GroupError(f"group order {group.order} != h^2 = {h * h}")
+    h = _screen_order(group, h_candidate)
+    if sub is not None and (sub.parent is not group or sub.order != h):
+        raise GroupError(f"H must be a subgroup of this group of order h = {h}")
     witnesses: Dict[str, object] = {}
     warnings: List[str] = []
     prime_kernels = normal_subgroups_of_prime_index(group)
-    core = set(range(group.order))
-    for s, _ in prime_kernels:
-        core &= s.member_set
-    normal_h = subgroups_of_order(group, h, normal=True)
     swallowing = _swallowing_fingerprints()
-    extra_count = 0
-    for d in sorted({fingerprint[0] for fingerprint in swallowing}):
-        if group.order % d:
-            continue
-        m = group.order // d
-        for s in normal_h if m == h else subgroups_of_order(group, m, normal=True):
-            q, _ = quotient(group, s)
-            if q.fingerprint() in swallowing:
-                core &= s.member_set
-                extra_count += 1
+    orders = {group.order // d for d, _, _ in swallowing if group.order % d == 0}  # kernels
+    normal = subgroups_of_order(group, h, *orders, normal=True)
+    normal_h = [s for s in normal if s.order == h]
+    kernels = [s for s in normal if s.order in orders and group.fingerprint(s) in swallowing]
+    core = set(range(group.order)).intersection(*(s.member_set for s, _ in prime_kernels),
+                                                *(s.member_set for s in kernels))
     t1 = len(core) % h == 0
     witnesses["T1"] = {
         "pass": t1,
         "core_order": len(core),
         "prime_index_kernels": len(prime_kernels),
-        "swallowing_kernels": extra_count,
+        "swallowing_kernels": len(kernels),
     }
     inv_closure = closure(group, involutions(group))
     if sub is not None:
@@ -714,7 +713,7 @@ def structural_tests(
     witnesses["T3"] = {"pass": t3, "normal_subgroups_of_order_h": len(normal_h)}
     t4: Optional[bool]
     if sub is not None:
-        missing = _subgroups_dividing(group, h, sub.member_set - {IDENTITY})
+        missing = _subgroups_dividing(group, [h], sub.member_set - {IDENTITY})
         complement = min((sorted(s) for s in missing if len(s) == h), default=None)
         t4 = complement is None
         entry: Dict[str, object] = {"pass": t4}

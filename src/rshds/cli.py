@@ -174,6 +174,7 @@ def _cmd_thm81(args) -> int:
 def _cmd_screen(args) -> int:
     spec = GroupSpec.parse(args.spec)
     group = formats.build_group(spec)
+    certify._screen_order(group, args.h)
     sub: Optional[Subgroup]
     if args.subgroup:
         sub = _parse_subgroup(group, args.subgroup)

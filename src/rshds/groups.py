@@ -16,12 +16,13 @@ Everything here is plain Python on lists of ints, and every check is exact
 at every order.  A subset is a subgroup exactly when it is its closure.
 Other group facts are proved on generators from ``_generators``:
 ``validate_group_table`` proves associativity with Light's test,
-``is_abelian`` checks that they commute pairwise, and ``is_normal`` (which
-``quotient`` calls) conjugates generators of the subgroup by generators of
-the group, since conjugation is an automorphism and every element of a
-finite group is a product of generators.  A group finds its own generating
-set once, on first use, with no spare generator.  All groups are immutable
-after construction and all functions here are pure.
+``fingerprint`` finds G/N abelian when the commutators of generators lie in
+N, and ``is_normal`` (which ``quotient`` calls) conjugates generators of
+the subgroup by generators of the group, since conjugation is an
+automorphism and every element of a finite group is a product of
+generators.  A group finds its own generating set once, on first use, with
+no spare generator.  All groups are immutable after construction and all
+functions here are pure.
 """
 from __future__ import annotations
 
@@ -157,26 +158,29 @@ class FiniteGroup:
             self._ncl = [(x, c) for c, x in found.items()]
         return self._ncl
 
-    def element_order(self, a: int) -> int:
-        table = self.table
-        k = 1
-        x = a
-        while x != IDENTITY:
-            x = table[x][a]
-            k += 1
+    def element_order(self, a: int, kernel: frozenset = frozenset({IDENTITY})) -> int:
+        """The least k >= 1 with a^k in ``kernel``: the order of a, or of aN if it is a normal N."""
+        table, k, x = self.table, 1, a
+        while x not in kernel:
+            k, x = k + 1, table[x][a]
         return k
 
-    def is_abelian(self) -> bool:
-        """Whether the generators commute pairwise, which makes every pair commute."""
-        pairs = itertools.combinations(self._generating_set(), 2)
-        return all(self.mul(a, b) == self.mul(b, a) for a, b in pairs)
+    def fingerprint(self, kernel: Optional["Subgroup"] = None) -> Tuple[int, bool, Tuple[int, ...]]:
+        """Cheap isomorphism fingerprint of G/N: (order, abelian?, element-order multiset).
 
-    def order_spectrum(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.element_order(a) for a in range(self.order)))
-
-    def fingerprint(self) -> Tuple[int, bool, Tuple[int, ...]]:
-        """Cheap isomorphism fingerprint: (order, abelian?, element-order multiset)."""
-        return (self.order, self.is_abelian(), self.order_spectrum())
+        N is ``kernel``, a normal subgroup (trivial by default), and G/N is
+        read off G: the order of the coset xN is that of any of its x
+        modulo N, and G/N is abelian exactly when the commutators of the
+        generators of G lie in N.
+        """
+        kernel = closure(self, []) if kernel is None else kernel
+        if kernel.parent is not self:
+            raise GroupError("subgroup belongs to a different group")
+        table, inv, n = self.table, self._inv, kernel.member_set
+        orders = sorted(self.element_order(x, n) for x in cosets(self, kernel).transversal)
+        abelian = all(table[table[inv[a]][inv[b]]][table[a][b]] in n
+                      for a, b in itertools.combinations(self._generating_set(), 2))
+        return (len(orders), abelian, tuple(orders))
 
     def distinguished_subgroup(self) -> Optional["Subgroup"]:
         return None
@@ -570,58 +574,53 @@ def involutions(group: FiniteGroup) -> List[int]:
     return [g for g in range(1, group.order) if group.mul(g, g) == IDENTITY]
 
 
-def subgroups_of_order(group: FiniteGroup, m: int, *, normal: bool = False) -> List[Subgroup]:
-    """All subgroups of order m, or with ``normal=True`` all normal ones.
+def subgroups_of_order(group: FiniteGroup, *orders: int, normal: bool = False) -> List[Subgroup]:
+    """All subgroups whose order is one of ``orders``, or with ``normal=True`` the normal ones.
 
-    Deterministic output, sorted lexicographically by member tuple.  Both
-    routes grow subgroups layer by layer and prune every one whose order
-    does not divide m, deduplicating on member sets.
-
-    General route: each layer adds one generator g to a subgroup S and takes
-    the closure.  Any subgroup of order m is reached through a chain of
-    subgroups whose orders divide m, so the pruning is safe.  Once g has been
-    tried on S, the rest of the double coset SgS is skipped, since
-    <S, sgr> = <S, g> for s, r in S.
-
-    Normal route: the normal subgroups are the joins of normal closures of
-    conjugacy classes, so the search starts from the closure of every class
-    whose order divides m, and each layer joins one more.  A class is an
-    orbit under conjugation by the generators of G alone (``_conjugates``),
-    which is exact: conjugation by a product is the composite of the
-    conjugations by its factors.  For N normal the join of N and ncl(x) is
-    N ncl(x), the union of the cosets of N that ncl(x) meets, and it depends
-    only on the coset Nx, so one join is built per coset
-    (``_normal_subgroups_dividing``).  Every normal subgroup of order m is
-    the join of the closures ncl(x), x in it, and each partial join lies
-    inside it, so its order divides m and the pruning never drops it.
+    One walk serves all the orders and returns the union of the one-order
+    calls, sorted by member tuple.  It prunes every subgroup whose order
+    divides no target m, which is safe since each subgroup of order m is
+    reached through a chain of subgroups whose orders divide m.  The walks
+    are ``_subgroups_dividing`` and ``_normal_subgroups_dividing``.
     """
-    (m,) = _indices([m])
+    targets = set(_indices(orders))
     if group.order > SUBGROUP_ENUM_CAP:
         raise GroupError(f"group order {group.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
-    if m <= 0 or group.order % m:
-        raise GroupError(f"order {m} does not divide group order {group.order}")
-    seen = _normal_subgroups_dividing(group, m) if normal else _subgroups_dividing(group, m)
-    found = sorted(tuple(sorted(s)) for s in seen if len(s) == m)
+    if not targets or any(m <= 0 or group.order % m for m in targets):
+        raise GroupError(f"orders {sorted(targets)} are not one or more divisors of {group.order}")
+    walk = _normal_subgroups_dividing if normal else _subgroups_dividing
+    found = sorted(tuple(sorted(s)) for s in walk(group, targets) if len(s) in targets)
     return [Subgroup(group, s, validate=False) for s in found]
 
 
-def _subgroups_dividing(group: FiniteGroup, m: int, avoid: frozenset = frozenset()) -> set:
-    """Member sets of the subgroups met by the closure search for order m.
+def _walk_orders(orders: Iterable[int]) -> Tuple[set, set]:
+    """(keep, grow): every divisor of a target order, and those below a target they divide."""
+    pairs = [(d, m) for m in set(orders) for d in range(1, m + 1) if m % d == 0]
+    return {d for d, _ in pairs}, {d for d, m in pairs if d < m}
 
-    Each subgroup keeps the generators it was first reached by, so a closure
-    runs over at most log2(m) + 1 generators.  Only subgroups that miss
-    ``avoid``, a set of non-identity elements, are met: generators in it and
-    closures that meet it are skipped.  Every subgroup of a subgroup that
-    misses ``avoid`` misses it too, so the chain to each one survives.
+
+def _subgroups_dividing(
+    group: FiniteGroup, orders: Iterable[int], avoid: frozenset = frozenset()
+) -> set:
+    """Member sets of the subgroups met by the closure search for ``orders``.
+
+    Each subgroup S keeps the generators it was first reached by, so a
+    closure runs over at most log2(m) + 1 generators.  Once g has been tried
+    on S, the rest of the double coset SgS is skipped, since <S, sgr> is
+    <S, g> for s, r in S.  Only subgroups that miss ``avoid``, a set of
+    non-identity elements, are met: generators in it and closures that meet
+    it are skipped.  Every subgroup of a subgroup that misses ``avoid``
+    misses it too, so the chain to each one survives.
     """
     table = group.table
+    keep, grow = _walk_orders(orders)
     triv = frozenset({IDENTITY})
     seen = {triv: ()}
     frontier = [triv]
     while frontier:
         nxt = []
         for sub in frontier:
-            if len(sub) == m:
+            if len(sub) not in grow:
                 continue
             gens = seen[sub]
             rows = [table[s] for s in sub]
@@ -633,7 +632,7 @@ def _subgroups_dividing(group: FiniteGroup, m: int, avoid: frozenset = frozenset
                     sg = table[row[g]]
                     tried.update([sg[r] for r in sub])
                 c = closure_members(group, gens + (g,))
-                if len(c) > m or m % len(c) or c in seen or not avoid.isdisjoint(c):
+                if len(c) not in keep or c in seen or not avoid.isdisjoint(c):
                     continue
                 seen[c] = gens + (g,)
                 nxt.append(c)
@@ -641,12 +640,12 @@ def _subgroups_dividing(group: FiniteGroup, m: int, avoid: frozenset = frozenset
     return set(seen)
 
 
-def _normal_subgroups_dividing(group: FiniteGroup, m: int) -> set:
-    """Member sets of the normal subgroups whose order divides m.
+def _normal_subgroups_dividing(group: FiniteGroup, orders: Iterable[int]) -> set:
+    """Member sets of the normal subgroups whose order divides some m in ``orders``.
 
     Every normal N is the join of the closures ncl(x), x in N, and each
     partial join lies in N, so the walk joins one class closure K = ncl(x)
-    at a time and prunes every join whose order does not divide m.  For N
+    at a time and prunes every join whose order divides no m.  For N
     normal the join is NK, the union of the cosets Ny, y in K, of order
     |N||K|/|N meet K|, which is checked before the join is built.  NK is
     the least normal subgroup holding N and x, and one holding N and x
@@ -654,13 +653,14 @@ def _normal_subgroups_dividing(group: FiniteGroup, m: int) -> set:
     x lies in N, and each coset of N gives one join.
     """
     table = group.table
-    closures = [(x, c) for x, c in group._class_closures() if m % len(c) == 0]
+    keep, grow = _walk_orders(orders)
+    closures = [(x, c) for x, c in group._class_closures() if len(c) in keep]
     seen = {c for _, c in closures}
     frontier = list(seen)
     while frontier:
         nxt = []
         for n in frontier:
-            if len(n) == m:
+            if len(n) not in grow:
                 continue
             rows = [table[y] for y in n]
             done = set(n)
@@ -668,7 +668,7 @@ def _normal_subgroups_dividing(group: FiniteGroup, m: int) -> set:
                 if x in done:
                     continue
                 done.update([row[x] for row in rows])
-                if m % (len(n) * len(k) // len(n & k)):
+                if len(n) * len(k) // len(n & k) not in keep:
                     continue
                 join = set(n)
                 for y in k:

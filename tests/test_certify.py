@@ -707,6 +707,48 @@ def test_structural_tests_match_the_reference_screen(name):
         assert (report.passed, report.witnesses) == screen, members
 
 
+_SQUARE_GROUPS = sorted(
+    name for name, g in REFERENCE_GROUPS.items() if round(g.order ** 0.5) ** 2 == g.order
+)
+
+
+def _screens(name):
+    """Every screen of a REFERENCE_GROUPS group: H = None and each subgroup of order h."""
+    g = REFERENCE_GROUPS[name]
+    h = round(g.order ** 0.5)
+    for sub in [None, *subgroups_of_order(g, h)]:
+        yield g, h, sub
+
+
+@pytest.mark.parametrize("name", _SQUARE_GROUPS)
+def test_structural_tests_walk_the_normal_lattice_once(monkeypatch, name):
+    # T1's kernels and T3's normal subgroups of order h come from one call
+    calls = []
+    real = certify.subgroups_of_order
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "subgroups_of_order", counted)
+    for g, h, sub in _screens(name):
+        calls.clear()
+        structural_tests(g, h, sub)
+        assert len(calls) == 1 and calls[0][0] == h, calls
+
+
+@pytest.mark.parametrize("name", _SQUARE_GROUPS)
+def test_structural_tests_build_no_quotient(monkeypatch, name):
+    # each swallowing kernel's quotient shape is read off G
+    reports = [structural_tests(g, h, sub) for g, h, sub in _screens(name)]
+
+    def refused(*args):
+        raise AssertionError("structural_tests built a quotient")
+
+    monkeypatch.setattr(certify, "quotient", refused)
+    assert [structural_tests(g, h, sub) for g, h, sub in _screens(name)] == reports
+
+
 def test_structural_tests_wrong_order(g36):
     with pytest.raises(GroupError):
         structural_tests(g36, 4)

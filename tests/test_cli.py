@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rshds import algebra, certify, cli
+from rshds import algebra, certify, cli, groups
 from rshds.formats import read_hadamard, write_cayley
 from rshds.groups import cyclic_group, direct_product, elementary_abelian_2_group
 
@@ -328,6 +328,16 @@ def test_screen_g36_passes_with_its_normal_subgroup(capsys):
 def test_screen_c6xc6_fails(capsys, c6xc6_spec):
     assert cli.main(["screen", c6xc6_spec, "6"]) == cli.EXIT_FAIL
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token", [[], ["auto-3"]], ids=["no-token", "auto-3"])
+def test_screen_refuses_a_non_square_order_before_any_walk(monkeypatch, capsys, token):
+    def ran(*args):
+        raise AssertionError("a normal walk ran")
+
+    monkeypatch.setattr(groups, "_normal_subgroups_dividing", ran)
+    assert cli.main(["screen", G36_SPEC, "3", *token]) == cli.EXIT_USAGE
+    assert "error: group order 36 != h^2 = 9" in capsys.readouterr().err
 
 
 def test_search_resolves_the_auto_subgroup(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 from functools import lru_cache
@@ -17,6 +18,7 @@ from oracles import (
     gaussian_binomial,
     gnk_index,
     gnk_word,
+    _fingerprint_reference,
     is_abelian_reference,
     is_normal_reference,
     is_subgroup_reference,
@@ -493,6 +495,23 @@ def test_subgroups_of_order_matches_reference(name):
         assert _members(subgroups_of_order(g, m, normal=True)) == normal, m
 
 
+@lru_cache(maxsize=None)
+def _one_order_walks(name, normal):
+    g = REFERENCE_GROUPS[name]
+    divisors = [d for d in range(1, g.order + 1) if g.order % d == 0]
+    return {m: set(_members(subgroups_of_order(g, m, normal=normal))) for m in divisors}
+
+
+@pytest.mark.parametrize("normal", [False, True], ids=["general", "normal"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_several_orders_give_the_union_of_one_order_walks(name, normal):
+    # every pair of orders, whether or not one divides the other, a repeat, and all at once
+    g, single = REFERENCE_GROUPS[name], _one_order_walks(name, normal)
+    for orders in [*itertools.combinations(single, 2), (g.order, g.order), tuple(single)]:
+        found = _members(subgroups_of_order(g, *orders, normal=normal))
+        assert found == sorted(set().union(*(single[m] for m in orders))), orders
+
+
 def _relabelled(g, p):
     """The table of g with every index a renamed p[a]."""
     table = [[0] * g.order for _ in range(g.order)]
@@ -522,14 +541,30 @@ def _all_subgroups(g):
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
 def test_abelian_and_exponent_two_match_the_scans(name):
     g = REFERENCE_GROUPS[name]
-    assert g.is_abelian() == is_abelian_reference(g)
+    assert g.fingerprint()[1] == is_abelian_reference(g)
     for s in _all_subgroups(g):
         order_is_power_of_2 = s.order & (s.order - 1) == 0
         expected = all(g.mul(a, a) == 0 for a in s.members) and order_is_power_of_2
         assert s.is_elementary_abelian_2() == expected, s.members
         if is_normal(g, s):
             q = quotient(g, s)[0]
-            assert q.is_abelian() == is_abelian_reference(q), s.members
+            assert q.fingerprint()[1] == is_abelian_reference(q), s.members
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
+def test_fingerprint_of_a_kernel_matches_its_quotient(name):
+    g = REFERENCE_GROUPS[name]
+    trivial = _fingerprint_reference(g.table)
+    assert g.fingerprint() == g.fingerprint(closure(g, [])) == trivial
+    for s in _all_subgroups(g):
+        found = quotient_reference(g, s.members)
+        if found is not None:
+            assert g.fingerprint(s) == _fingerprint_reference(found[0]), s.members
+
+
+def test_fingerprint_refuses_a_kernel_of_another_group():
+    with pytest.raises(GroupError, match="different group"):
+        GnkGroup(2, 0).fingerprint(GnkGroup(2, 0).distinguished_subgroup())
 
 
 def _assert_normality_and_quotient_match_the_scans(g, s):
@@ -631,11 +666,11 @@ def test_prime_index_normals_c6():
 def test_direct_product_and_dihedral():
     d10 = dihedral_group(5)
     assert d10.order == 10
-    assert not d10.is_abelian()
+    assert d10.fingerprint()[:2] == (10, False)
     c2xc6 = direct_product(cyclic_group(2), cyclic_group(6))
     assert c2xc6.order == 12
-    assert c2xc6.is_abelian()
-    assert max(c2xc6.order_spectrum()) == 6
+    assert c2xc6.fingerprint()[:2] == (12, True)
+    assert max(c2xc6.fingerprint()[2]) == 6
 
 
 # ---------------------------------------------------------------------------

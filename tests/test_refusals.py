@@ -104,11 +104,13 @@ def test_any_integer_coefficient_passes():
     assert coeffs == COEFFS and {type(c) for c in coeffs} == {int}
 
 
-def _screen_without_walks(h):
-    """``structural_tests`` with each normal walk made to fail: only a refusal up front passes."""
-    ran = AssertionError("a normal walk ran")
-    with mock.patch("rshds.groups._normal_subgroups_dividing", side_effect=ran):
-        return structural_tests(G, h)
+def _screen_without_walks(h, sub=None):
+    """``structural_tests`` with each walk made to fail: only a refusal up front passes."""
+    ran = AssertionError("a walk ran")
+    with mock.patch("rshds.groups._normal_subgroups_dividing", side_effect=ran), \
+            mock.patch("rshds.certify._subgroups_dividing", side_effect=ran), \
+            mock.patch("rshds.certify.normal_subgroups_of_prime_index", side_effect=ran):
+        return structural_tests(G, h, sub)
 
 
 SCALARS = {
@@ -125,7 +127,13 @@ SCALARS = {
     "C4PowerGroup negative": lambda: C4PowerGroup(-1),
     "subgroups_of_order float m": lambda: subgroups_of_order(G, 4.0),
     "subgroups_of_order bool m": lambda: subgroups_of_order(G, True),
+    "subgroups_of_order no order": lambda: subgroups_of_order(G, normal=True),
+    "subgroups_of_order one order of several": lambda: subgroups_of_order(G, 4, 3, normal=True),
     "structural_tests float h": lambda: _screen_without_walks(4.0),
+    "structural_tests negative h": lambda: _screen_without_walks(-4),  # (-4)^2 = |G|
+    "structural_tests H of order 2": lambda: _screen_without_walks(4, closure(G, [1])),
+    "structural_tests H of another G": lambda: _screen_without_walks(
+        4, GnkGroup(2, 0).distinguished_subgroup()),
 }
 
 
