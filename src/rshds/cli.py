@@ -8,7 +8,9 @@ Exit codes: 0 all requested checks pass, 1 some check failed, 2 usage or
 file error, 3 search budget exceeded.  All output is deterministic: reruns
 produce byte-identical bytes.  The one exception is the line ``search``
 prints to stderr when it stops, which reports its nodes, leaves and wall
-time.
+time; nodes and leaves count the reduced walk of ``exhaustive_search`` (one
+first-coset choice per orbit of the central involutions of H), not the
+whole tree.
 
 Each process runs one subcommand, and each subcommand imports the layers it
 uses: only ``construct``, ``thm81`` and ``search`` import ``constructions``

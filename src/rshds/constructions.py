@@ -19,16 +19,20 @@ D = union of H_i t_i over the coset representatives t_i:
   hyperplane onto H_i and ``t_i t_j(i)`` lands in H_i; D is self-inverse.
 
 ``exhaustive_search`` enumerates every D with G = D + D^-1 + H, for
-nonexistence certificates.  A :class:`DifferenceSetCandidate` records only
-(G, H, D): what D is, ``certify`` proves.
+nonexistence certificates.  It walks the fewest-choice cosets first and
+only one first-coset choice per orbit under right translation by the
+central involutions of H, and adds the translates of what it finds.  A
+:class:`DifferenceSetCandidate` records only (G, H, D): what D is,
+``certify`` proves.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import f2
 from .groups import (
+    IDENTITY,
     C4PowerGroup,
     CosetDecomposition,
     FiniteGroup,
@@ -350,7 +354,35 @@ def exhaustive_search(
     walks coset pairs and picks half-cosets: 2^(h/2) ways on a self-paired
     coset (one element from each inverse pair; an involution outside H kills
     the search immediately), binomial(h, h/2) ways on a cross pair.  Each
-    pair is one depth of the tree, and each choice at it one node.
+    pair is one depth of the tree, and each choice at it one node.  The
+    pairs are sorted by their number of choices, stably, so the fewest-choice
+    cosets are walked first (fail first); when every block has the same size
+    the order is the label order of the cosets.
+
+    One first-block choice per orbit.  Let S be the central involutions of
+    G in H together with 1 (z in H, z^2 = 1, row z of the table equal to
+    column z); S is a group, since central involutions commute.  For z in
+    S, D -> Dz maps solutions to solutions, block by block:
+    - Hgz = Hzg = Hg, as z is central and in H, so the part of D in a coset
+      Hg, moved by z, is the part of Dz in Hg;
+    - (Dz)^-1 = z^-1 D^-1 = D^-1 z, as z is central and z^-1 = z, so
+      G = Gz = Dz + (Dz)^-1 + Hz is the partition again, with Hz = H;
+    - (az)(bz)^-1 = a b^-1, so Dz has the differences of D;
+    - an inverse pair {x, x^-1} goes to the inverse pair {xz, x^-1 z}, so a
+      self-paired choice goes to a self-paired choice, and a cross-pair
+      choice T + (coset j - T^-1) to Tz + (coset j - (Tz)^-1).
+    The walk takes a first-block choice c only when no z in S maps c to an
+    earlier choice of that block, and at the end adds Fz for every set F
+    found and z in S, drops repeats and sorts.  This is exact.  A solution
+    D with first-block choice c has a z with cz the earliest of the orbit
+    cS; the subtree of cz is walked whole, so it finds Dz, and D = (Dz)z is
+    added.  And every Fz is a solution.  The test is lazy: the first choice
+    of the block is the earliest of its orbit and is taken untested, and S
+    and the test are computed only when the walk reaches a later
+    first-block choice, so a walk that stops inside the first subtree
+    computes nothing for them.  Nodes, leaves and the budget count the
+    reduced walk, and the ``found`` of a budget stop counts the sets found
+    before the expansion.
 
     The differences b a^-1 (a != b in D so far) are tallied in one Python
     int, a w-bit field per element.  A choice c carries the packed tally of
@@ -420,6 +452,7 @@ def exhaustive_search(
                 comp = tuple(y for y in mem_j if y not in t_inv)
                 choices.append(t_part + comp)
             blocks.append(choices)
+    blocks.sort(key=len)
 
     # w-bit fields, one per element; 2^(w-1) > lambda + 2h (see the docstring)
     w = (lam + 2 * h).bit_length() + 1
@@ -438,11 +471,24 @@ def exhaustive_search(
         sum([pair[ra[ib]] for n, ra in enumerate(rs) for ib in ivs[n + 1:]])
         for rs, ivs in zip(rows, invs)
     ]
-    depths: List[range] = []
+    depths: List[Iterable[int]] = []
     first = 0
     for block in blocks:
         depths.append(range(first, first + len(block)))
         first += len(block)
+
+    def first_choices(block: range) -> Iterator[int]:
+        """The choices of ``block`` that no z in S maps to an earlier one."""
+        choices = iter(block)
+        yield next(choices)
+        shifts = _central_involutions(table, sub)
+        index = {frozenset(elements_of[c]): c for c in block} if shifts else {}
+        for c in choices:
+            if all(index[frozenset([row[z] for row in rows[c]])] >= c for z in shifts):
+                yield c
+
+    if depths:  # depth 0 is entered once, so a generator serves it
+        depths[0] = first_choices(depths[0])
 
     path: List[Tuple[Dict[int, int], int]] = []
     found: List[DifferenceSetCandidate] = []
@@ -483,5 +529,19 @@ def exhaustive_search(
                 path.pop()
 
     extend(0, 0)
-    found.sort(key=lambda c: c.elements)
-    return SearchResult(found, nodes=nodes, leaves=leaves)
+    sets = {c.elements: c for c in found}
+    if found:
+        for z in _central_involutions(table, sub):
+            for c in found:
+                d = tuple(sorted([table[a][z] for a in c.elements]))
+                if d not in sets:
+                    sets[d] = DifferenceSetCandidate(group, sub, d)
+    return SearchResult([sets[d] for d in sorted(sets)], nodes=nodes, leaves=leaves)
+
+
+def _central_involutions(table: Sequence[Sequence[int]], sub: Subgroup) -> List[int]:
+    """The z != 1 in H with z^2 = 1 whose row of the table equals its column."""
+    return [
+        z for z in sub.members
+        if z != IDENTITY and table[z][z] == IDENTITY and table[z] == [row[z] for row in table]
+    ]

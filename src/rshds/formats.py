@@ -148,8 +148,9 @@ def write_dset(
 
     ``subgroup`` is either the literal string "distinguished" or a list of
     generator indices whose closure is the subgroup.  Indices obey
-    ``groups._indices`` for the order of a gnk: or c4n: spec; a file: spec's
-    table is not read again here, so ``read_dset`` checks their range.
+    ``groups._indices`` for the order of a gnk: or c4n: spec.  A file:
+    spec's table is not read again here, so a negative index is refused and
+    ``read_dset`` checks the upper bound.
     """
     spec = group_spec if isinstance(group_spec, GroupSpec) else GroupSpec.parse(group_spec)
     order = None if spec.kind == "file" else 4**spec.n
@@ -159,11 +160,11 @@ def write_dset(
         sub_field: Union[str, List[int]] = "distinguished"
     else:
         sub_field = _indices(subgroup, order, FormatError)
-    doc = {
-        "group": str(spec),
-        "subgroup": sub_field,
-        "elements": sorted(_index_set(elements, order, FormatError)),
-    }
+    dset = sorted(_index_set(elements, order, FormatError))
+    generators = [] if isinstance(sub_field, str) else sub_field
+    if min([*generators, *dset], default=0) < 0:
+        raise FormatError("negative element index")
+    doc = {"group": str(spec), "subgroup": sub_field, "elements": dset}
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
 

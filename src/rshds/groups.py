@@ -17,12 +17,11 @@ at every order.  A subset is a subgroup exactly when it is its closure.
 Other group facts are proved on generators from ``_generators``:
 ``validate_group_table`` proves associativity with Light's test,
 ``fingerprint`` finds G/N abelian when the commutators of generators lie in
-N, and ``is_normal`` (which ``quotient`` calls) conjugates generators of
-the subgroup by generators of the group, since conjugation is an
-automorphism and every element of a finite group is a product of
-generators.  A group finds its own generating set once, on first use, with
-no spare generator.  All groups are immutable after construction and all
-functions here are pure.
+N, and ``is_normal`` (which ``quotient`` calls) conjugates every member of
+the subgroup by generators of the group, since every element of a finite
+group is a product of generators.  A group finds its own generating set
+once, on first use, with no spare generator.  All groups are immutable
+after construction and all functions here are pure.
 """
 from __future__ import annotations
 
@@ -349,8 +348,7 @@ def _irredundant_generators(table: Sequence[Sequence[int]]) -> List[int]:
     """The greedy generators of the whole table, less each one the rest can spare.
 
     Light's test and conjugation by G cost a pass per generator, and pruning
-    halves them on gnk:5,3 and gnk:6,4; on the subgroups ``is_normal``
-    conjugates it would cost more than it saves, so they stay greedy.
+    halves them on gnk:5,3 and gnk:6,4.
     """
     gens = _generators(table, range(len(table)))
     for b in list(gens):
@@ -505,20 +503,19 @@ def _conjugates(group: FiniteGroup, seeds: Iterable[int]) -> set:
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
-    """Whether g s g^-1 lies in ``sub`` for g and s generators of G and of sub.
+    """Whether g s g^-1 lies in ``sub`` for every member s of sub and generator g of G.
 
     ``sub`` must be a subgroup (every ``Subgroup`` the library builds is
-    closed).  The check on generators is exact: conjugation by g is an
-    automorphism, so g<S>g^-1 = <gSg^-1>, which lies in sub when gSg^-1
-    does, and every element of a finite group is a product of generators,
-    so conjugation by all of G keeps sub once each generator does.
+    closed).  The check on the generators of G is exact: every element of a
+    finite group is a product of generators, and conjugation by a product is
+    the composite of the conjugations by its factors, so conjugation by all
+    of G keeps sub once each generator does.
     """
     if sub.parent is not group:
         raise GroupError("subgroup belongs to a different group")
-    table, inv = group.table, group._inv
-    sub_gens = _generators(table, sub.members)
-    return all(table[table[g][s]][inv[g]] in sub.member_set
-               for g in group._generating_set() for s in sub_gens)
+    table, inv, members = group.table, group._inv, sub.member_set
+    return all(table[table[g][s]][inv[g]] in members
+               for g in group._generating_set() for s in sub.members)
 
 
 class CosetDecomposition(NamedTuple):

@@ -3,7 +3,8 @@
 Nothing here goes through the algebra or certificate code paths: tallies are
 naive double loops, counts come from closed formulas computed on the spot.
 ``exhaustive_search_reference`` is the search's first tally loop, one
-counter per element, kept to pin the packed-tally search to the same tree;
+counter per element, kept to pin the packed-tally search to the same tree
+and, with ``full_tree``, to the sets of the walk with no symmetry;
 ``find_hyperplane_assignment_reference`` is the matching search with its
 first two-branch partner test, kept to pin the one-branch search;
 ``f2_coordinates_reference`` is the first bitmask loop that put F_2
@@ -369,6 +370,7 @@ def exhaustive_search_reference(
     sub: Subgroup,
     *,
     budget: Optional[int] = None,
+    full_tree: bool = False,
 ) -> SearchResult:
     """``constructions.exhaustive_search`` as it was written first: one counter
     per element, decremented again on the way out of every node.
@@ -377,6 +379,13 @@ def exhaustive_search_reference(
     leaf numbering, the same budget stop), so its result and its
     ``BudgetExceededError`` progress are what the library must reproduce.
     Products and inverses go through ``group.mul`` and ``group.inv``.
+
+    The blocks are sorted by their number of choices, and a first-block
+    choice is walked only when no central involution z of G in H maps it to
+    an earlier one; the sets found are then closed under right translation
+    by those z.  With ``full_tree`` the walk keeps the coset label order and
+    takes every choice, as it first did: its sets are every solution with no
+    appeal to symmetry, and its nodes and leaves count the whole tree.
     """
     h = sub.order
     if group.order != h * h:
@@ -430,6 +439,21 @@ def exhaustive_search_reference(
                 comp = tuple(y for y in mem_j if y not in t_inv)
                 choices.append(t_part + comp)
             blocks.append(choices)
+
+    shifts = [IDENTITY]
+    if not full_tree:
+        blocks.sort(key=len)
+        shifts += [
+            z for z in sub.members
+            if z != IDENTITY and mul(z, z) == IDENTITY
+            and all(mul(z, g) == mul(g, z) for g in range(group.order))
+        ]
+    if blocks and len(shifts) > 1:
+        position = {frozenset(c): n for n, c in enumerate(blocks[0])}
+        blocks[0] = [
+            c for n, c in enumerate(blocks[0])
+            if min(position[frozenset(mul(a, z) for a in c)] for z in shifts) == n
+        ]
 
     counts = [0] * group.order
     chosen: List[Tuple[int, ...]] = []
@@ -491,8 +515,9 @@ def exhaustive_search_reference(
             undo(touched)
 
     extend(0)
-    found.sort(key=lambda c: c.elements)
-    return SearchResult(found, nodes=nodes, leaves=leaves)
+    closed = {tuple(sorted(mul(a, z) for a in c.elements)) for c in found for z in shifts}
+    candidates = [DifferenceSetCandidate(group, sub, d) for d in sorted(closed)]
+    return SearchResult(candidates, nodes=nodes, leaves=leaves)
 
 
 

@@ -401,6 +401,11 @@ def _outcome(search, group, sub, budget=None):
     return (r.count, r.nodes, r.leaves, [c.elements for c in r.candidates])
 
 
+def _every_solution(group, sub):
+    """The sets of the whole tree in label order, with no appeal to symmetry."""
+    return [c.elements for c in exhaustive_search_reference(group, sub, full_tree=True).candidates]
+
+
 # every subgroup of order h = sqrt|G|, normal or not: 115 (group, H) pairs
 SEARCH_GROUPS = {
     "C4": (cyclic_group(4), 1),
@@ -426,10 +431,16 @@ def test_search_matches_the_reference_on_every_subgroup(name):
     for sub in subs:
         expected = _outcome(exhaustive_search_reference, group, sub)
         assert _outcome(exhaustive_search, group, sub) == expected, sub.members
+        assert expected[3] == _every_solution(group, sub), sub.members
 
 
+# Past gnk:2,0 each stop lies inside the first subtree, which the reduced
+# walk shares with the whole tree: nodes, leaves and found are the whole
+# tree's (750 and 2,000 are the benchmark's budgets).
 @pytest.mark.parametrize("spec, budget, found", [
-    ("gnk:2,0", 40, 10),
+    ("gnk:2,0", 20, 4),
+    ("gnk:3,1", 750, 0),
+    ("c4n:3", 2_000, 0),
     ("gnk:3,1", 10_000, 24),
     ("gnk:3,0", 20_000, 84),
 ])
@@ -441,6 +452,18 @@ def test_search_budget_stop_matches_the_reference(spec, budget, found):
     assert _outcome(exhaustive_search, group, sub, budget) == expected
 
 
+def test_search_walks_one_first_choice_per_translation_orbit():
+    # H = C2 x C2 is central: half the first-coset choices are walked, and
+    # right translation by H gives back all 16 sets of the whole tree
+    group = GnkGroup(2, 0)
+    sub = group.distinguished_subgroup()
+    result = exhaustive_search(group, sub)
+    assert (result.count, result.nodes, result.leaves) == (16, 34, 8)
+    full = exhaustive_search_reference(group, sub, full_tree=True)
+    assert (full.nodes, full.leaves) == (68, 16)
+    assert [c.elements for c in result.candidates] == [c.elements for c in full.candidates]
+
+
 def _relabel(group: FiniteGroup, p):
     table = [[0] * group.order for _ in range(group.order)]
     for a in range(group.order):
@@ -449,7 +472,7 @@ def _relabel(group: FiniteGroup, p):
     return CayleyTableGroup(table)
 
 
-# the node count of both groups depends on the labels
+# the order of the choices in a block, and so the tree, depends on the labels
 @settings(deadline=None, max_examples=8)
 @given(st.sampled_from(["G36_1", "C36"]), st.permutations(range(1, 36)))
 def test_search_matches_the_reference_under_relabelling(name, perm):
@@ -457,6 +480,18 @@ def test_search_matches_the_reference_under_relabelling(name, perm):
     (sub,) = subgroups_of_order(group, 6)
     expected = _outcome(exhaustive_search_reference, group, sub)
     assert _outcome(exhaustive_search, group, sub) == expected
+    assert expected[3] == _every_solution(group, sub)
+
+
+# fail first walks the three self-paired cosets of G36_1 (8 choices each)
+# before its cross pair (20), whatever the labels; the label order gave
+# 5,984 to 8,264 nodes
+@settings(deadline=None, max_examples=8)
+@given(st.permutations(range(1, 36)))
+def test_g36_1_tree_does_not_depend_on_the_labels(perm):
+    group = _relabel(SEARCH_GROUPS["G36_1"][0], [0, *perm])
+    (sub,) = subgroups_of_order(group, 6, normal=True)
+    assert _outcome(exhaustive_search, group, sub) == (0, 2992, 0, [])
 
 
 def test_search_makes_no_group_calls_past_set_up(monkeypatch, g36, g36_h):
@@ -473,5 +508,5 @@ def test_search_makes_no_group_calls_past_set_up(monkeypatch, g36, g36_h):
 
     monkeypatch.setattr(FiniteGroup, "mul", mul)
     monkeypatch.setattr(FiniteGroup, "inv", inv)
-    assert exhaustive_search(g36, g36_h).nodes == 8232
+    assert exhaustive_search(g36, g36_h).nodes == 2992
     assert len(calls) <= 3 * g36.order

@@ -80,6 +80,17 @@ def test_element_indices_are_refused_not_coerced(tmp_path, name, case):
         call(_variants(base)[case], tmp_path / "d.json")
 
 
+@pytest.mark.parametrize("subgroup, elements", [([1], [-1, 9]), ([-1], [1, 2])],
+                         ids=["element", "generator"])
+def test_write_dset_refuses_a_negative_index_for_a_file_spec(tmp_path, subgroup, elements):
+    # the table of a file: spec is not read, so only read_dset checks the
+    # upper bound, but no index below 0 is ever written
+    path = tmp_path / "d.json"
+    with pytest.raises(FormatError):
+        write_dset(path, "file:c4.json", subgroup, elements)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name", sorted(TAKERS))
 def test_numpy_indices_pass(tmp_path, name):
     call, base, _, cases = TAKERS[name]
