@@ -7,12 +7,12 @@ coset i, recorded by its normal in a :class:`HyperplaneAssignment`, and
 ``assignment_difference_set`` alone turns that choice into
 D = union of H_i t_i over the coset representatives t_i:
 
-* ``gnk_difference_set`` -- the two-parameter family.  Coset i gets the
-  nonorthogonal mate of the square t_i^2, so the square avoids H_i; pairing
-  cosets to hyperplanes through the square keeps the map one-to-one and
-  makes D, D^-1 and H a partition of the group.
-* ``c4n_standard_assignment`` -- powers of C4.  Coset i gets the orthogonal
-  mate of t_i^2, so the square lies in H_i and D is self-inverse.
+* ``_square_mates`` -- the one square-mate recipe: coset i gets a mate of
+  t_i^2 as its normal.  ``gnk_difference_set`` (the two-parameter family)
+  takes the nonorthogonal mate, so the square avoids H_i; pairing cosets to
+  hyperplanes through the square keeps the map one-to-one and makes D, D^-1
+  and H a partition of G.  ``c4n_standard_assignment`` (powers of C4) takes
+  the orthogonal mate, so the square lies in H_i and D is self-inverse.
 * ``find_hyperplane_assignment`` -- the transversal/maximal-subgroup
   matching (CLI subcommand ``thm81``): a backtracking search assigns
   distinct hyperplanes so that conjugation by t_i maps the partner coset's
@@ -21,14 +21,16 @@ D = union of H_i t_i over the coset representatives t_i:
 ``exhaustive_search`` enumerates every D with G = D + D^-1 + H, for
 nonexistence certificates.  It walks the fewest-choice cosets first and
 only one first-coset choice per orbit under right translation by the
-central involutions of H, and adds the translates of what it finds.  A
-:class:`DifferenceSetCandidate` records only (G, H, D): what D is,
-``certify`` proves.
+central involutions of H, and after the walk builds one candidate per set
+found or translated.  A :class:`DifferenceSetCandidate` records only
+(G, H, D): what D is, ``certify`` proves.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from . import f2
 from .groups import (
@@ -41,6 +43,7 @@ from .groups import (
     ParameterSet,
     Subgroup,
     _index_set,
+    _indices,
     coordinatize_elementary_abelian,
     cosets,
     is_normal,
@@ -146,13 +149,9 @@ def _subgroup_f2_coordinates(group: FiniteGroup, sub: Subgroup) -> Dict[int, int
 
 
 def _hyperplanes(group: FiniteGroup, sub: Subgroup) -> Dict[int, FrozenSet[int]]:
-    """The members of every hyperplane of H, by its normal 1..h-1."""
-    member = {v: m for m, v in _subgroup_f2_coordinates(group, sub).items()}
-    n = sub.order.bit_length() - 1
-    return {
-        w: frozenset(member[v] for v in f2.hyperplane_members(w, n))
-        for w in range(1, sub.order)
-    }
+    """The members of every hyperplane of H, {m : dot(coords[m], w) = 0}, by its normal w."""
+    coords = _subgroup_f2_coordinates(group, sub).items()
+    return {w: frozenset(m for m, c in coords if not f2.dot(c, w)) for w in range(1, sub.order)}
 
 
 def _conjugate(group: FiniteGroup, g: int, members: FrozenSet[int]) -> FrozenSet[int]:
@@ -166,6 +165,18 @@ def _coset_pairing(group: FiniteGroup, dec: CosetDecomposition) -> Tuple[int, ..
     return tuple(dec.coset_of[group.inv(rep)] for rep in dec.transversal)
 
 
+def _square_mates(group: GnkGroup, mate: Callable[[int, int], int]) -> HyperplaneAssignment:
+    """The square-mate recipe of gnk and c4n: coset i gets the normal mate(t_i^2, n).
+
+    H is the distinguished subgroup, whose members are their own F_2
+    vectors, and every transversal representative t_i squares into H.
+    """
+    sub = group.distinguished_subgroup()
+    dec = cosets(group, sub)
+    normals = (None, *(mate(group.mul(t, t), group.n) for t in dec.transversal[1:]))
+    return HyperplaneAssignment(group, sub, dec, normals)
+
+
 # ---------------------------------------------------------------------------
 # the two-parameter family
 # ---------------------------------------------------------------------------
@@ -175,10 +186,10 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
     """Build the canonical difference set in the order-2^(2n) family group.
 
     The coset representatives are the words (e, 0), index e * 2^n, for the
-    nonzero a-exponent vectors e.  As in ``c4n_standard_assignment``, coset
-    e gets the hyperplane of H whose normal is a mate of the square
-    s(e) = (e, 0)^2, here the nonorthogonal one.  H is central, so
-    H_i t_i = t_i H_i.
+    nonzero a-exponent vectors e.  The square-mate recipe ``_square_mates``,
+    shared with ``c4n_standard_assignment``, gives coset e the normal that is
+    a mate of the square s(e) = (e, 0)^2, here the nonorthogonal one.  H is
+    central, so H_i t_i = t_i H_i.
 
     Nothing is checked here: the group's 0 <= k < n-1 makes s injective and
     nonzero on E - 0.  The twist of ``groups._twisted_table`` gives
@@ -193,11 +204,7 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
     ``f2.nonorthogonal_mate`` is an involution with dot(v, mate(v)) = 1, so
     the cosets get distinct hyperplanes and no square lies in its own.
     """
-    group = GnkGroup(n, k)
-    sub = group.distinguished_subgroup()
-    dec = cosets(group, sub)
-    normals = (None, *(f2.nonorthogonal_mate(group.mul(t, t), n) for t in dec.transversal[1:]))
-    return assignment_difference_set(HyperplaneAssignment(group, sub, dec, normals))
+    return assignment_difference_set(_square_mates(GnkGroup(n, k), f2.nonorthogonal_mate))
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +308,12 @@ def verify_hyperplane_assignment(assignment: HyperplaneAssignment) -> Tuple[bool
 def c4n_standard_assignment(group: C4PowerGroup) -> HyperplaneAssignment:
     """The orthogonal-mate matching for powers of C4.
 
-    Each transversal representative squares into H; its coset gets the
-    hyperplane orthogonal to that square, which contains it by the mate's
-    defining property.
+    The square-mate recipe ``_square_mates`` with the orthogonal mate: the
+    hyperplane of each coset contains the square of its representative.
     """
     if group.n < 2:
         raise AssignmentPreconditionError("orthogonal mate needs dimension >= 2")
-    sub = group.distinguished_subgroup()
-    dec = cosets(group, sub)
-    normals = (None, *(
-        f2.orthogonal_mate(group.mul(t, t), group.n)
-        for t in dec.transversal[1:]
-    ))
-    return HyperplaneAssignment(group, sub, dec, normals)
+    return _square_mates(group, f2.orthogonal_mate)
 
 
 def c4n_difference_set(n: int) -> DifferenceSetCandidate:
@@ -372,8 +372,9 @@ def exhaustive_search(
       self-paired choice goes to a self-paired choice, and a cross-pair
       choice T + (coset j - T^-1) to Tz + (coset j - (Tz)^-1).
     The walk takes a first-block choice c only when no z in S maps c to an
-    earlier choice of that block, and at the end adds Fz for every set F
-    found and z in S, drops repeats and sorts.  This is exact.  A solution
+    earlier choice of that block.  A leaf keeps only the elements of the
+    set F it finds; after the walk each distinct Fz, for F found and z in S,
+    becomes one candidate, in sorted order.  This is exact.  A solution
     D with first-block choice c has a z with cz the earliest of the orbit
     cS; the subtree of cz is walked whole, so it finds Dz, and D = (Dz)z is
     added.  And every Fz is a solution.  The test is lazy: the first choice
@@ -408,7 +409,9 @@ def exhaustive_search(
 
     An empty result is a nonexistence proof at this group's scale.  Raises
     BudgetExceededError with progress statistics when the node budget runs
-    out, and requires an explicit budget for groups of order above 64.
+    out, and requires an explicit budget for groups of order above 64.  The
+    budget is an int >= 0 by the rule of ``groups._indices``, checked
+    before any block is built.
     """
     h = sub.order
     if group.order != h * h:
@@ -421,6 +424,9 @@ def exhaustive_search(
                 f"group order {group.order} > {UNAIDED_SEARCH_LIMIT}: pass an explicit budget"
             )
         budget = DEFAULT_SEARCH_BUDGET
+    (budget,) = _indices([budget], error=ConstructionError)
+    if budget < 0:
+        raise ConstructionError(f"node budget {budget} is negative")
     v = group.order
     lam = ParameterSet(h).lam
     dec = cosets(group, sub)
@@ -491,7 +497,7 @@ def exhaustive_search(
         depths[0] = first_choices(depths[0])
 
     path: List[Tuple[Dict[int, int], int]] = []
-    found: List[DifferenceSetCandidate] = []
+    found: List[List[int]] = []
     nodes = 0
     leaves = 0
 
@@ -500,8 +506,7 @@ def exhaustive_search(
         if depth == len(depths):
             leaves += 1
             if total == target:
-                elements = tuple(sorted(a for _, q in path for a in elements_of[q]))
-                found.append(DifferenceSetCandidate(group, sub, elements))
+                found.append([a for _, q in path for a in elements_of[q]])
             return
         for c in depths[depth]:
             nodes += 1
@@ -529,14 +534,10 @@ def exhaustive_search(
                 path.pop()
 
     extend(0, 0)
-    sets = {c.elements: c for c in found}
-    if found:
-        for z in _central_involutions(table, sub):
-            for c in found:
-                d = tuple(sorted([table[a][z] for a in c.elements]))
-                if d not in sets:
-                    sets[d] = DifferenceSetCandidate(group, sub, d)
-    return SearchResult([sets[d] for d in sorted(sets)], nodes=nodes, leaves=leaves)
+    shifts = [IDENTITY, *_central_involutions(table, sub)]
+    sets = sorted({tuple(sorted([table[a][z] for a in f])) for f in found for z in shifts})
+    candidates = [DifferenceSetCandidate(group, sub, d) for d in sets]
+    return SearchResult(candidates, nodes=nodes, leaves=leaves)
 
 
 def _central_involutions(table: Sequence[Sequence[int]], sub: Subgroup) -> List[int]:

@@ -1,4 +1,4 @@
-"""GF(2) vectors, hyperplanes, and the two pairing involutions behind the constructions.
+"""GF(2) vectors, their dot product, and the two pairing involutions behind the constructions.
 
 A vector of F_2^n is an int in range(2^n) read as a bitmask: bit n-1 holds
 the first coordinate and bit 0 the last, so numeric order is lexicographic
@@ -6,8 +6,6 @@ order on coordinate tuples.  The sum of two vectors is ``u ^ v`` and the
 zero vector is ``0``.
 """
 from __future__ import annotations
-
-from typing import List
 
 
 def dot(u: int, v: int) -> int:
@@ -49,9 +47,3 @@ def orthogonal_mate(v: int, n: int) -> int:
         head1, head11 = 1 << (n - 1), 3 << (n - 2)
         swaps = {full: head11, head11: full, head1: full >> 2, full >> 2: head1, full >> 1: full >> 1}
     return swaps.get(v, full ^ v)
-
-
-def hyperplane_members(w: int, n: int) -> List[int]:
-    """All 2^(n-1) vectors orthogonal to the nonzero normal w, in increasing order."""
-    _require_nonzero(w, n)
-    return [u for u in range(1 << n) if not dot(u, w)]

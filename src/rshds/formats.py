@@ -24,7 +24,6 @@ from .groups import (
 )
 
 CAYLEY_FORMAT = "cayley-v1"
-DSET_GROUP_KEY = "group"
 HADAMARD_HEADER = "hadamard-v1"
 _HADAMARD_TOKENS = {1: "1", -1: "-1"}
 

@@ -6,7 +6,9 @@ naive double loops, counts come from closed formulas computed on the spot.
 counter per element, kept to pin the packed-tally search to the same tree
 and, with ``full_tree``, to the sets of the walk with no symmetry;
 ``find_hyperplane_assignment_reference`` is the matching search with its
-first two-branch partner test, kept to pin the one-branch search;
+first two-branch partner test and its hyperplanes read back through the
+inverted coordinate map, kept to pin the one-branch search and
+``constructions._hyperplanes``;
 ``f2_coordinates_reference`` is the first bitmask loop that put F_2
 coordinates on H, kept to pin the one F_p coordinatization;
 ``hadamard_reference`` is 2D - J entry by entry from ``mul`` and ``inv``,
@@ -371,6 +373,7 @@ def exhaustive_search_reference(
     *,
     budget: Optional[int] = None,
     full_tree: bool = False,
+    found: Optional[List[DifferenceSetCandidate]] = None,
 ) -> SearchResult:
     """``constructions.exhaustive_search`` as it was written first: one counter
     per element, decremented again on the way out of every node.
@@ -386,6 +389,8 @@ def exhaustive_search_reference(
     by those z.  With ``full_tree`` the walk keeps the coset label order and
     takes every choice, as it first did: its sets are every solution with no
     appeal to symmetry, and its nodes and leaves count the whole tree.
+    A ``found`` list receives each set as its leaf finds it, before the
+    closure, and keeps what the walk found when a budget stop raises.
     """
     h = sub.order
     if group.order != h * h:
@@ -458,7 +463,7 @@ def exhaustive_search_reference(
     counts = [0] * group.order
     chosen: List[Tuple[int, ...]] = []
     flat: List[int] = []
-    found: List[DifferenceSetCandidate] = []
+    found = [] if found is None else found
     nodes = 0
     leaves = 0
 
@@ -534,13 +539,12 @@ def find_hyperplane_assignment_reference(
     """
     _check_assignment_preconditions(group, sub)
     h = sub.order
-    n = h.bit_length() - 1
     dec = cosets(group, sub)
     reps = dec.transversal
     pairing = [dec.coset_of[group.inv(rep)] for rep in reps]
     member = {v: m for m, v in _subgroup_f2_coordinates(group, sub).items()}
     members_of = {
-        w: frozenset(member[v] for v in f2.hyperplane_members(w, n)) for w in range(1, h)
+        w: frozenset(member[v] for v in range(h) if not f2.dot(v, w)) for w in range(1, h)
     }
     normal_of_set = {s: w for w, s in members_of.items()}
 

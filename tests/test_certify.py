@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     class_products_reference,
+    exhaustive_search_reference,
     gnk_index,
     hadamard_reference,
     naive_difference_tally,
@@ -30,7 +31,7 @@ from rshds.certify import (
     spectrum,
     structural_tests,
 )
-from rshds import certify, constructions, fixtures, groups
+from rshds import certify, fixtures, groups
 from rshds.constructions import (
     BudgetExceededError,
     assignment_difference_set,
@@ -354,20 +355,20 @@ def test_schur_ring_gnk31(cand31):
 
 
 def _search_finds(spec, budget):
-    """The sets a node-budgeted search on the distinguished H finds before it stops."""
+    """The sets a node-budgeted search on the distinguished H finds before it stops.
+
+    They are read from the reference walk, which walks the library's tree,
+    and the library's stop must count as many.
+    """
     group = build_group(spec)
+    sub = group.distinguished_subgroup()
     found = []
-    real = constructions.DifferenceSetCandidate
-
-    def recorded(*args):
-        found.append(args[2])
-        return real(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constructions, "DifferenceSetCandidate", recorded)
-        with pytest.raises(BudgetExceededError):
-            exhaustive_search(group, group.distinguished_subgroup(), budget=budget)
-    return group, found
+    with pytest.raises(BudgetExceededError):
+        exhaustive_search_reference(group, sub, budget=budget, found=found)
+    with pytest.raises(BudgetExceededError) as stop:
+        exhaustive_search(group, sub, budget=budget)
+    assert stop.value.found == len(found)
+    return group, [c.elements for c in found]
 
 
 def test_schur_table_matches_the_class_products_oracle(cand20, cand31, gnk4_candidates):
@@ -526,8 +527,31 @@ def test_quotient_c2_squared_kernel(cand30):
     assert q.fingerprint() == (4, True, (1, 2, 2, 2))
     report = quotient_check(group, sub, cand30.elements, kernel)
     assert report.passed
+    assert report.witnesses["case"] == "swallowing-quotient"
     assert sorted(report.witnesses["x"]) == [4, 8, 8, 8]
     assert report.witnesses["y"] == [8, 0, 0, 0]
+
+
+def test_quotient_profile_only():
+    # G/N = C4 x C2 is neither of prime order, nor cyclic of order 4, nor on
+    # the swallowing list: the counts are reported and nothing is judged
+    cand = c4n_difference_set(3)
+    group, sub = cand.group, cand.subgroup
+    kernel = closure(group, [0, 1, 2, 3, 8, 9, 10, 11])
+    assert kernel.members == (0, 1, 2, 3, 8, 9, 10, 11)
+    q, proj = quotient(group, kernel)
+    assert q.fingerprint() == (8, True, (1, 2, 2, 2, 4, 4, 4, 4))
+    report = quotient_check(group, sub, cand.elements, kernel)
+    assert report.passed
+    assert report.witnesses["case"] == "profile-only"
+    assert report.warnings == ["no pass/fail criterion applies to this quotient; profile reported"]
+    # a naive count of D and of H in the coset rN of each quotient label
+    cosets_of = [{group.mul(proj.index(a), n) for n in kernel.members} for a in range(q.order)]
+    assert set().union(*cosets_of) == set(range(group.order))
+    assert report.witnesses["x"] == [len(c & set(cand.elements)) for c in cosets_of]
+    assert report.witnesses["y"] == [len(c & sub.member_set) for c in cosets_of]
+    assert report.witnesses["x"] == [4, 0, 4, 4, 4, 4, 4, 4]
+    assert report.witnesses["y"] == [4, 4, 0, 0, 0, 0, 0, 0]
 
 
 def test_quotient_c4_families(cand20):

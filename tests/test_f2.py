@@ -3,6 +3,14 @@ from __future__ import annotations
 import pytest
 
 from rshds import f2
+from rshds.constructions import _hyperplanes
+from rshds.groups import (
+    IDENTITY,
+    C4PowerGroup,
+    GnkGroup,
+    elementary_abelian_2_group,
+    subgroups_of_order,
+)
 
 
 def test_dot_examples():
@@ -67,26 +75,19 @@ def test_orthogonal_mate_exceptional_set_distinct_for_odd_n():
         assert len(special) == 6
 
 
-def test_hyperplane_members_examples():
-    assert f2.hyperplane_members(0b10, 2) == [0b00, 0b01]
-    assert f2.hyperplane_members(0b11, 2) == [0b00, 0b11]
-    members = f2.hyperplane_members(0b111, 3)
-    assert len(members) == 4
-    assert all(f2.dot(m, 0b111) == 0 for m in members)
-    with pytest.raises(ValueError):
-        f2.hyperplane_members(0b100, 2)
-
-
 def test_hyperplanes_are_subgroups_and_injective():
-    for n in range(1, 7):
-        seen = {}
-        for normal in range(1, 1 << n):
-            members = set(f2.hyperplane_members(normal, n))
-            assert len(members) == 2 ** (n - 1)
-            assert 0 in members
-            for a in members:
-                for b in members:
-                    assert a ^ b in members
-            key = frozenset(members)
-            assert key not in seen
-            seen[key] = normal
+    # H's own vectors in c4n:1..4 and gnk:3,1, and the coordinates that
+    # coordinatize_elementary_abelian picks on the 8 subgroups of C2^3 of order 4 or 8
+    cases = [(group, group.distinguished_subgroup())
+             for group in (*map(C4PowerGroup, range(1, 5)), GnkGroup(3, 1))]
+    e8 = elementary_abelian_2_group(3)
+    cases += [(e8, sub) for sub in subgroups_of_order(e8, 4, 8)]
+    assert len(cases) == 13
+    for group, sub in cases:
+        planes = _hyperplanes(group, sub)
+        assert sorted(planes) == list(range(1, sub.order))
+        for members in planes.values():
+            assert len(members) == sub.order // 2
+            assert IDENTITY in members and members <= sub.member_set
+            assert all(group.mul(a, b) in members for a in members for b in members)
+        assert len(set(planes.values())) == sub.order - 1

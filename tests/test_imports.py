@@ -1,17 +1,21 @@
 """Every rshds module and test module uses what it imports, every private
-helper of the package has a caller in it, the package binds no name but its
-version, and the CLI starts without the layers it does not run.
+helper of the package has a caller in it, every public name has a reader,
+the package binds no name but its version, and the CLI starts without the
+layers it does not run.
 
-No linter is a dependency of this project, so both checks are AST scans.
+No linter is a dependency of this project, so these checks are AST scans.
 Each import must be read in the scope that binds it, the module for a
 module-level import and the function for one inside a function; each
 module-level ``_name`` function or class must be referred to somewhere in
 the package, and each ``_name`` method of a class must be read as ``._name``.
+Each public module-level function, class or constant must be read by the
+package or named by a file of the tests or the benchmark.
 """
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +140,66 @@ def test_private_methods_without_readers_are_found():
 def test_every_private_helper_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert private_helpers_without_callers(sources) == []
+
+
+def _public_definitions(tree: ast.Module):
+    """The public functions, classes and constants a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def public_names_without_readers(sources: dict, others: str) -> list:
+    """Public module-level names of ``sources`` that nothing reads.
+
+    ``sources`` maps package module names to their source.  A name is read
+    when a package module loads it, reads it as an attribute or imports it,
+    or when ``others`` (the text of the tests and the benchmark) names it as
+    a word.  Binding a name is not reading it.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    read.update(re.findall(r"\w+", others))
+    return sorted({
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _public_definitions(tree)
+        if name not in read
+    })
+
+
+def test_public_names_without_readers_are_found():
+    sources = {
+        "a": "LIMIT = 3\nWIDTH: int = 2\nSTORED = 1\nSTORED = LIMIT\n"
+             "def named():\n    pass\ndef lone():\n    pass\nclass Lone:\n    pass\n",
+        "b": "from .a import WIDTH\n",
+    }
+    assert public_names_without_readers(sources, "named()") == ["a.Lone", "a.STORED", "a.lone"]
+
+
+def test_every_public_name_has_a_reader():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    others = "\n".join(
+        p.read_text(encoding="utf-8", errors="replace")
+        for folder in (TESTS, TESTS.parent / "perfbench")
+        for p in sorted(folder.rglob("*"))
+        if p.is_file() and "__pycache__" not in p.parts
+    )
+    assert public_names_without_readers(sources, others) == []
 
 
 def _fresh_output(code: str) -> str:

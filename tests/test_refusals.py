@@ -20,7 +20,12 @@ from rshds.certify import (
     hadamard_matrix,
     structural_tests,
 )
-from rshds.constructions import ConstructionError, DifferenceSetCandidate
+from rshds.constructions import (
+    BudgetExceededError,
+    ConstructionError,
+    DifferenceSetCandidate,
+    exhaustive_search,
+)
 from rshds.formats import FormatError, write_dset
 from rshds.groups import (
     C4PowerGroup,
@@ -124,6 +129,12 @@ def _screen_without_walks(h, sub=None):
         return structural_tests(G, h, sub)
 
 
+def _search_without_blocks(budget):
+    """``exhaustive_search`` with its coset blocks made to fail: only a refusal up front passes."""
+    with mock.patch("rshds.constructions.cosets", side_effect=AssertionError("blocks built")):
+        return exhaustive_search(G, H, budget=budget)
+
+
 SCALARS = {
     "ParameterSet float": lambda: ParameterSet(4.0),
     "ParameterSet bool": lambda: ParameterSet(True),
@@ -145,6 +156,10 @@ SCALARS = {
     "structural_tests H of order 2": lambda: _screen_without_walks(4, closure(G, [1])),
     "structural_tests H of another G": lambda: _screen_without_walks(
         4, GnkGroup(2, 0).distinguished_subgroup()),
+    "exhaustive_search bool budget": lambda: _search_without_blocks(True),
+    "exhaustive_search float budget": lambda: _search_without_blocks(2.5),
+    "exhaustive_search string budget": lambda: _search_without_blocks("10"),
+    "exhaustive_search negative budget": lambda: _search_without_blocks(-1),
 }
 
 
@@ -159,3 +174,11 @@ def test_numpy_parameters_pass():
     assert p == ParameterSet(4) and {type(x) for x in p[:4]} == {int}
     assert GnkGroup(np.int64(3), np.int64(1)).table == GnkGroup(3, 1).table
     assert C4PowerGroup(np.int64(2)).table == C4PowerGroup(2).table
+
+
+def test_search_budgets_that_pass():
+    # 0 stops at the first node, a numpy integer is an int, and None is the default
+    with pytest.raises(BudgetExceededError) as stop:
+        exhaustive_search(G, H, budget=0)
+    assert stop.value.nodes == 1
+    assert exhaustive_search(G, H, budget=np.int64(100)) == exhaustive_search(G, H)
