@@ -683,6 +683,18 @@ def structural_tests(
     ``avoid`` set of ``_subgroups_dividing``), and its witness is the least
     complement in member-tuple order.
     """
+    return _structural_tests(group, h_candidate, sub, unique_normal_h=False)
+
+
+def _structural_tests(
+    group: FiniteGroup, h_candidate: int, sub: Optional[Subgroup], unique_normal_h: bool
+) -> CertReport:
+    """``structural_tests``, where ``unique_normal_h`` lets the screen's walk supply H.
+
+    With it and no H given, H is the normal subgroup of order h when the
+    walk finds exactly one, which is how ``rshds screen`` picks H on a table
+    with no distinguished subgroup.
+    """
     h = _screen_order(group, h_candidate)
     if sub is not None and (sub.parent is not group or sub.order != h):
         raise GroupError(f"H must be a subgroup of this group of order h = {h}")
@@ -693,6 +705,8 @@ def structural_tests(
     orders = {group.order // d for d, _, _ in swallowing if group.order % d == 0}  # kernels
     normal = subgroups_of_order(group, h, *orders, normal=True)
     normal_h = [s for s in normal if s.order == h]
+    if sub is None and unique_normal_h and len(normal_h) == 1:
+        sub = normal_h[0]
     kernels = [s for s in normal if s.order in orders and group.fingerprint(s) in swallowing]
     core = set(range(group.order)).intersection(*(s.member_set for s, _ in prime_kernels),
                                                 *(s.member_set for s in kernels))

@@ -182,10 +182,7 @@ def _cmd_screen(args) -> int:
         sub = _parse_subgroup(group, args.subgroup)
     else:
         sub = group.distinguished_subgroup()
-        if sub is None:
-            normal_h = subgroups_of_order(group, args.h, normal=True)
-            sub = normal_h[0] if len(normal_h) == 1 else None
-    report = certify.structural_tests(group, args.h, sub)
+    report = certify._structural_tests(group, args.h, sub, unique_normal_h=True)
     _emit_reports([report], args.json)
     return EXIT_OK if report.passed else EXIT_FAIL
 

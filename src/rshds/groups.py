@@ -13,7 +13,11 @@ lexicographic normal form inside the coset), so matrices written in this
 order are block aligned with H.
 
 Everything here is plain Python on lists of ints, and every check is exact
-at every order.  A subset is a subgroup exactly when it is its closure.
+at every order.  The one exception is ``validate_group_table`` up to order
+256: one byte holds each entry there, so Light's test composes ``bytes``
+rows with ``bytes.translate`` (whose table is 256 bytes), in C; above 256
+it composes tuples, and both kernels name the same witness on failure.
+A subset is a subgroup exactly when it is its closure.
 Other group facts are proved on generators from ``_generators``:
 ``validate_group_table`` proves associativity with Light's test,
 ``fingerprint`` finds G/N abelian when the commutators of generators lie in
@@ -358,21 +362,28 @@ def _irredundant_generators(table: Sequence[Sequence[int]]) -> List[int]:
     return gens
 
 
-def validate_group_table(table: Sequence[Sequence[int]]) -> None:
-    """Check a multiplication table is a group with identity at index 0.
+def _byte_rows(table: Sequence[Sequence[int]]) -> Optional[List[bytes]]:
+    """The rows as ``bytes`` when every one is a permutation of 0..n-1, else None.
 
-    Exact at every order.  Every row must be a permutation of 0..n-1, and
-    row and column 0 must be the identity.  Associativity is Light's test
-    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
-    section 1.2): the elements b with (ab)c = a(bc) for all a, c are closed
-    under products, so it suffices to check b over the generators from
-    ``_irredundant_generators``, at most log2(n) at n^2 lookups each.  Columns
-    need no check of their own: a monoid whose rows all hold the identity is
-    a group.  Raises GroupTableError with a witness on the first violation.
+    For n <= 256 only.  A row is read item by item: a list directly, any
+    other row through an iterator, so that a buffer such as a signed 8-bit
+    array is read by value, not as raw memory.  It is a permutation exactly
+    when it has n bytes and deleting them from 0..n-1 leaves nothing.
     """
     n = len(table)
-    if n == 0:
-        raise GroupTableError("empty table")
+    everything = bytes(range(n))
+    try:
+        rows = [bytes(row if type(row) is list else iter(row)) for row in table]
+    except (TypeError, ValueError):  # an entry that is not an int in 0..255
+        return None
+    if all(len(row) == n and not everything.translate(None, row) for row in rows):
+        return rows
+    return None
+
+
+def _check_rows(table: Sequence[Sequence[int]]) -> None:
+    """Raise the size, range or permutation error of the first bad row, with its witness."""
+    n = len(table)
     everything = set(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
@@ -384,20 +395,53 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
                         "table entry out of range", {"row": i, "col": j, "value": x}
                     )
             raise GroupTableError("row is not a permutation", {"row": i})
-    rows = list(map(tuple, table))  # compared as tuples, the type itemgetter returns
-    ident = tuple(range(n))
-    if rows[0] != ident:
-        col = next(j for j in ident if table[0][j] != j)
+
+
+def validate_group_table(table: Sequence[Sequence[int]]) -> None:
+    """Check a multiplication table is a group with identity at index 0.
+
+    Exact at every order.  Every row must be a permutation of 0..n-1, and
+    row and column 0 must be the identity.  Associativity is Light's test
+    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
+    section 1.2): the elements b with (ab)c = a(bc) for all a, c are closed
+    under products, so it suffices to check b over the generators from
+    ``_irredundant_generators``, at most log2(n) at n^2 lookups each.  Columns
+    need no check of their own: a monoid whose rows all hold the identity is
+    a group.  Raises GroupTableError with a witness on the first violation.
+
+    The order picks the kernel.  Up to n = 256 every entry fits in a byte,
+    so the rows become ``bytes`` and the row a(b.) of Light's test is
+    ``row_b.translate(row_a padded to 256 bytes)``, which composes the two
+    rows in C (``translate`` takes a 256-byte table).  Above 256 the rows
+    are tuples composed by ``operator.itemgetter``.  Both run the same loop
+    over the same generators, and a table the byte kernel cannot hold goes
+    to the scans of ``_check_rows``, so both name the same first violation
+    and witness.
+    """
+    n = len(table)
+    if n == 0:
+        raise GroupTableError("empty table")
+    rows: Optional[Sequence[Sequence[int]]] = _byte_rows(table) if n <= 256 else None
+    as_bytes = rows is not None
+    if as_bytes:
+        maps = [row + bytes(256 - n) for row in rows]  # translate tables
+    else:
+        _check_rows(table)
+        rows = maps = list(map(tuple, table))  # compared as tuples, the type itemgetter returns
+    col = next((j for j in range(n) if table[0][j] != j), None)
+    if col is not None:
         raise GroupTableError("identity is not at index 0 (row)", {"col": col})
-    if tuple(row[0] for row in table) != ident:
-        i = next(i for i in ident if table[i][0] != i)
+    i = next((i for i in range(n) if table[i][0] != i), None)
+    if i is not None:
         raise GroupTableError("identity is not at index 0 (column)", {"row": i})
     for b in _irredundant_generators(rows):
-        compose = operator.itemgetter(*rows[b])  # n >= 2 (C1 has no generators): a tuple
-        for a, row_a in enumerate(rows):
-            left, right = rows[row_a[b]], compose(row_a)
+        # a(bc) for every c, as a function of the map of row a; n >= 2 here
+        # (C1 has no generators), so itemgetter returns a tuple
+        compose = rows[b].translate if as_bytes else operator.itemgetter(*rows[b])
+        for a, (row_a, map_a) in enumerate(zip(rows, maps)):
+            left, right = rows[row_a[b]], compose(map_a)
             if left != right:
-                c = next(c for c in ident if left[c] != right[c])
+                c = next(c for c in range(n) if left[c] != right[c])
                 raise GroupTableError("associativity violated", {"triple": [a, b, c]})
 
 
@@ -559,6 +603,13 @@ def quotient(
     """
     if not is_normal(group, normal_sub):
         raise GroupError("quotient requires a normal subgroup")
+    return _quotient_table(group, normal_sub)
+
+
+def _quotient_table(
+    group: FiniteGroup, normal_sub: Subgroup
+) -> Tuple[CayleyTableGroup, List[int]]:
+    """``quotient`` for a subgroup the caller has already proved normal."""
     table = group.table
     dec = cosets(group, normal_sub)
     reps = dec.transversal
@@ -730,7 +781,7 @@ def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, 
             powers = [table[x][a] for x, a in zip(powers, gens)]
         seeds = _conjugates(group, comms.union(powers))
         kernel = Subgroup(group, closure_members(group, seeds), validate=False)
-        w, proj = quotient(group, kernel)
+        w, proj = _quotient_table(group, kernel)  # normal: the closure of a conjugation orbit
         if w.order == 1:
             continue
         coords = coordinatize_elementary_abelian(w, p, range(w.order))

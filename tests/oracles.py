@@ -170,6 +170,19 @@ def nonassociative_triple(table: Sequence[Sequence[int]]) -> Optional[Tuple[int,
     return None
 
 
+def light_first_failure_reference(
+    table: Sequence[Sequence[int]], gens: Sequence[int]
+) -> Optional[Tuple[int, int, int]]:
+    """First (a, b, c) with (ab)c != a(bc), b over ``gens`` in their order, then a, then c."""
+    n = len(table)
+    for b in gens:
+        for a in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
 def _closure(group: FiniteGroup, generators: Iterable[int]) -> FrozenSet[int]:
     table = group.table
     members = {IDENTITY}

@@ -340,6 +340,20 @@ def test_screen_refuses_a_non_square_order_before_any_walk(monkeypatch, capsys, 
     assert "error: group order 36 != h^2 = 9" in capsys.readouterr().err
 
 
+def test_screen_of_a_plain_table_walks_the_normal_lattice_once(monkeypatch):
+    # H, the unique normal subgroup of order 6, comes from the screen's own walk
+    calls = []
+    real = groups._normal_subgroups_dividing
+
+    def counted(group, orders):
+        calls.append(sorted(orders))
+        return real(group, orders)
+
+    monkeypatch.setattr(groups, "_normal_subgroups_dividing", counted)
+    assert cli.main(["screen", G36_SPEC, "6"]) == cli.EXIT_OK
+    assert calls == [[3, 4, 6, 9]]
+
+
 def test_search_resolves_the_auto_subgroup(capsys):
     assert cli.main(["search", G36_SPEC, "auto-6"]) == cli.EXIT_OK
     assert capsys.readouterr().out.startswith("found 0 difference set(s)")

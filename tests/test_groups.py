@@ -22,6 +22,7 @@ from oracles import (
     is_abelian_reference,
     is_normal_reference,
     is_subgroup_reference,
+    light_first_failure_reference,
     nonassociative_triple,
     prime_index_reference,
     quotient_reference,
@@ -46,6 +47,7 @@ from rshds.groups import (
     direct_product,
     elementary_abelian_2_group,
     involutions,
+    _irredundant_generators,
     is_normal,
     normal_subgroups_of_prime_index,
     quotient,
@@ -307,17 +309,43 @@ def test_validate_agrees_with_brute_force_associativity(table):
 def test_validate_rejects_one_swapped_intercalate():
     # rows a, aw and columns x, wx of a group table hold the 2x2 Latin
     # subsquare [[ax, awx], [awx, ax]] for an involution w; swapping its
-    # columns keeps a Latin square with identity at 0 that is not a group
-    g = GnkGroup(5, 3)
-    w, a, x = involutions(g)[0], 100, 700
-    aw, wx = g.mul(a, w), g.mul(w, x)
-    assert 0 not in (a, aw, x, wx)
-    table = [list(row) for row in g.table]
-    for r in (a, aw):
-        table[r][x], table[r][wx] = table[r][wx], table[r][x]
-    with pytest.raises(GroupTableError) as exc:
+    # columns keeps a Latin square with identity at 0 that is not a group.
+    # The byte kernel (order 256) and the tuple kernel (order 1024) both
+    # name Light's first failure in generator, row, column order.
+    for g, a, x in ((GnkGroup(4, 2), 100, 200), (GnkGroup(5, 3), 100, 700)):
+        w = involutions(g)[0]
+        aw, wx = g.mul(a, w), g.mul(w, x)
+        assert 0 not in (a, aw, x, wx)
+        table = [list(row) for row in g.table]
+        for r in (a, aw):
+            table[r][x], table[r][wx] = table[r][wx], table[r][x]
+        with pytest.raises(GroupTableError) as exc:
+            validate_group_table(table)
+        _assert_real_witness(table, exc.value)
+        first = light_first_failure_reference(table, _irredundant_generators(table))
+        assert exc.value.witness["triple"] == list(first)
+
+
+def test_validate_names_a_byte_sized_entry_out_of_range():
+    # 180 fits in a byte but not in an order-100 table
+    table = [list(row) for row in cyclic_group(100).table]
+    table[37][5] = 180
+    with pytest.raises(GroupTableError, match="table entry out of range") as exc:
         validate_group_table(table)
-    _assert_real_witness(table, exc.value)
+    assert exc.value.witness == {"row": 37, "col": 5, "value": 180}
+
+
+def test_validate_reads_buffer_rows_by_value():
+    # as raw bytes these int8 rows are C256; as values they hold -128..-1
+    table = [np.array(row, dtype=np.uint8).astype(np.int8) for row in cyclic_group(256).table]
+    with pytest.raises(GroupTableError, match="table entry out of range") as exc:
+        validate_group_table(table)
+    assert exc.value.witness == {"row": 0, "col": 128, "value": -128}
+
+
+@pytest.mark.parametrize("n", [256, 257], ids=["bytes", "tuples"])
+def test_validate_accepts_cyclic_groups_on_both_kernels(n):
+    validate_group_table(cyclic_group(n).table)
 
 
 def test_generating_set_is_irredundant():
