@@ -1,31 +1,31 @@
 """Finite groups as one integer multiplication table, identity at index 0.
 
 ``FiniteGroup`` holds the table and answers every product and inverse by
-lookup.  The backends only supply the table: generic Cayley tables are given
-theirs, and the two-parameter 2-group family behind the ``gnk:`` spec strings
-builds its own with ``_twisted_table``; the powers of the cyclic group of
-order 4 (``c4n:``) are its untwisted case k = 0.  In these two the element
-with index e * 2^n + f is the normal-form word (e, f), where e and f are
-vectors of F_2^n held as int bitmasks, first coordinate in bit n-1 (the
+lookup.  The backends only supply the table: ``CayleyTableGroup`` proves a
+given one, and the two-parameter 2-group family behind the ``gnk:`` spec
+strings builds its own with ``_twisted_table``; the powers of the cyclic
+group of order 4 (``c4n:``) are its untwisted case k = 0.  In these two the
+element with index e * 2^n + f is the normal-form word (e, f), where e and f
+are vectors of F_2^n held as int bitmasks, first coordinate in bit n-1 (the
 ``f2`` convention).  The distinguished subgroup H is the indices below 2^n,
 each member its own F_2 vector, and index order is (coset of H, then
 lexicographic normal form inside the coset), so matrices written in this
 order are block aligned with H.
 
 Everything here is plain Python on lists of ints, and every check is exact
-at every order.  The one exception is ``validate_group_table`` up to order
+at every order.  The one exception is the proof of a table up to order
 256: one byte holds each entry there, so Light's test composes ``bytes``
 rows with ``bytes.translate`` (whose table is 256 bytes), in C; above 256
 it composes tuples, and both kernels name the same witness on failure.
 A subset is a subgroup exactly when it is its closure.
 Other group facts are proved on generators from ``_generators``:
-``validate_group_table`` proves associativity with Light's test,
-``fingerprint`` finds G/N abelian when the commutators of generators lie in
-N, and ``is_normal`` (which ``quotient`` calls) conjugates every member of
-the subgroup by generators of the group, since every element of a finite
-group is a product of generators.  A group finds its own generating set
-once, on first use, with no spare generator.  All groups are immutable
-after construction and all functions here are pure.
+Light's test proves associativity, ``fingerprint`` finds G/N abelian when
+the commutators of generators lie in N, and ``is_normal`` (which
+``quotient`` calls) conjugates every member of the subgroup by generators
+of the group, since every element of a finite group is a product of
+generators.  A group finds its generating set once, with no spare generator
+(a table group in its proof).  All groups are immutable after construction
+and all functions here are pure.
 """
 from __future__ import annotations
 
@@ -190,20 +190,21 @@ class FiniteGroup:
 
 
 class CayleyTableGroup(FiniteGroup):
-    """Group given by an explicit multiplication table."""
+    """Group of an explicit table that ``validate_group_table``'s proof passes.
 
-    def __init__(self, table: Sequence[Sequence[int]], *, names: Optional[Sequence[str]] = None):
-        self.order = len(table)
-        self._table = [list(row) for row in table]
-        self.names = list(names) if names is not None else None
-        if self.names is not None and len(self.names) != self.order:
-            raise GroupError("names length does not match group order")
+    It keeps the proof's generators; ``names`` is None or a list of one str per element.
+    """
+
+    def __init__(self, table: Sequence[Sequence[int]], *, names: Optional[List[str]] = None):
+        self._table, self._gens = _proved_table(table)
+        self.order = len(self._table)
+        if not (names is None or type(names) is list and [*map(type, names)] == [str] * self.order):
+            raise GroupError("names must be a list of one str per element")
+        self.names = None if names is None else list(names)
         super().__init__()
 
     def element_name(self, a: int) -> str:
-        if self.names is not None:
-            return self.names[a]
-        return str(a)
+        return str(a) if self.names is None else self.names[a]
 
 
 def _twisted_table(n: int, k: int) -> List[List[int]]:
@@ -332,16 +333,16 @@ def _right_reach(table: Sequence[Sequence[int]], gens: Sequence[int], reached: s
     return reached
 
 
-def _generators(table: Sequence[Sequence[int]], members: Iterable[int]) -> List[int]:
-    """Greedy generating set of the subgroup on ``members``, in their order.
+def _generators(table: Sequence[Sequence[int]]) -> List[int]:
+    """Greedy generating set of the whole table, least elements first.
 
-    Each generator is the least member not yet reached from the identity by
-    right multiplication (in a finite group that reaches the whole generated
-    subgroup), so a subgroup of order m needs at most log2(m) of them.
+    Each generator is the least element not yet reached from the identity
+    by right multiplication (in a finite group that reaches the whole
+    generated subgroup), so a group of order n needs at most log2(n) of them.
     """
     reached = {IDENTITY}
     gens: List[int] = []
-    for b in members:
+    for b in range(len(table)):
         if b not in reached:
             gens.append(b)
             _right_reach(table, gens, reached)
@@ -354,7 +355,7 @@ def _irredundant_generators(table: Sequence[Sequence[int]]) -> List[int]:
     Light's test and conjugation by G cost a pass per generator, and pruning
     halves them on gnk:5,3 and gnk:6,4.
     """
-    gens = _generators(table, range(len(table)))
+    gens = _generators(table)
     for b in list(gens):
         rest = [g for g in gens if g != b]
         if len(_right_reach(table, rest, {IDENTITY})) == len(table):
@@ -362,19 +363,17 @@ def _irredundant_generators(table: Sequence[Sequence[int]]) -> List[int]:
     return gens
 
 
-def _byte_rows(table: Sequence[Sequence[int]]) -> Optional[List[bytes]]:
-    """The rows as ``bytes`` when every one is a permutation of 0..n-1, else None.
+def _byte_rows(table: List[List[int]]) -> Optional[List[bytes]]:
+    """The int rows as ``bytes`` when every one is a permutation of 0..n-1, else None.
 
-    For n <= 256 only.  A row is read item by item: a list directly, any
-    other row through an iterator, so that a buffer such as a signed 8-bit
-    array is read by value, not as raw memory.  It is a permutation exactly
-    when it has n bytes and deleting them from 0..n-1 leaves nothing.
+    For n <= 256 only.  A row is a permutation exactly when it has n bytes
+    and deleting them from 0..n-1 leaves nothing.
     """
     n = len(table)
     everything = bytes(range(n))
     try:
-        rows = [bytes(row if type(row) is list else iter(row)) for row in table]
-    except (TypeError, ValueError):  # an entry that is not an int in 0..255
+        rows = [bytes(row) for row in table]
+    except ValueError:  # an entry outside 0..255
         return None
     if all(len(row) == n and not everything.translate(None, row) for row in rows):
         return rows
@@ -400,24 +399,31 @@ def _check_rows(table: Sequence[Sequence[int]]) -> None:
 def validate_group_table(table: Sequence[Sequence[int]]) -> None:
     """Check a multiplication table is a group with identity at index 0.
 
-    Exact at every order.  Every row must be a permutation of 0..n-1, and
-    row and column 0 must be the identity.  Associativity is Light's test
-    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
-    section 1.2): the elements b with (ab)c = a(bc) for all a, c are closed
-    under products, so it suffices to check b over the generators from
-    ``_irredundant_generators``, at most log2(n) at n^2 lookups each.  Columns
-    need no check of their own: a monoid whose rows all hold the identity is
-    a group.  Raises GroupTableError with a witness on the first violation.
+    Exact at every order.  Each row is read by ``_indices`` (no bool or
+    float entry) and must be a permutation of 0..n-1, and row and column 0
+    must be the identity.  Associativity is Light's test (Clifford &
+    Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
+    elements b with (ab)c = a(bc) for all a, c are closed under products, so
+    it suffices to check b over the generators from
+    ``_irredundant_generators``, at most log2(n) at n^2 lookups each.
+    Columns need no check of their own: a monoid whose rows all hold the
+    identity is a group.  Raises GroupTableError with a witness on the first
+    violation.
 
     The order picks the kernel.  Up to n = 256 every entry fits in a byte,
     so the rows become ``bytes`` and the row a(b.) of Light's test is
     ``row_b.translate(row_a padded to 256 bytes)``, which composes the two
     rows in C (``translate`` takes a 256-byte table).  Above 256 the rows
     are tuples composed by ``operator.itemgetter``.  Both run the same loop
-    over the same generators, and a table the byte kernel cannot hold goes
-    to the scans of ``_check_rows``, so both name the same first violation
-    and witness.
+    over the same generators, and ``_check_rows`` finds a bad row for both,
+    so both name the same first violation and witness.
     """
+    _proved_table(table)
+
+
+def _proved_table(table: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """``validate_group_table``'s proof: the int rows and the generators it ran on."""
+    table = [_indices(row, error=GroupTableError) for row in table]
     n = len(table)
     if n == 0:
         raise GroupTableError("empty table")
@@ -434,7 +440,8 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
     i = next((i for i in range(n) if table[i][0] != i), None)
     if i is not None:
         raise GroupTableError("identity is not at index 0 (column)", {"row": i})
-    for b in _irredundant_generators(rows):
+    gens = _irredundant_generators(rows)
+    for b in gens:
         # a(bc) for every c, as a function of the map of row a; n >= 2 here
         # (C1 has no generators), so itemgetter returns a tuple
         compose = rows[b].translate if as_bytes else operator.itemgetter(*rows[b])
@@ -443,6 +450,7 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
                 raise GroupTableError("associativity violated", {"triple": [a, b, c]})
+    return table, gens
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from rshds.constructions import (
     find_hyperplane_assignment,
     gnk_difference_set,
 )
-from rshds.formats import build_group
+from rshds.formats import build_group, read_cayley, write_cayley
 from rshds.groups import (
     IDENTITY,
     GroupError,
@@ -691,22 +691,29 @@ def test_screen_closure_count(monkeypatch):
     assert 0 < len(calls) <= 250
 
 
-@pytest.mark.parametrize("spec", ["c4n:3", "gnk:3,1"])
-def test_screen_finds_the_group_generators_once(monkeypatch, spec):
+@pytest.mark.parametrize("spec", ["c4n:3", "gnk:3,1", "file:c4n:3"])
+def test_screen_finds_the_group_generators_once(monkeypatch, tmp_path, spec):
     # every is_normal call and the prime-index kernels conjugate by the same
-    # generators of G, which the group finds on first use
-    group = build_group(spec)
+    # generators of G: a gnk group finds them on first use, and a table read
+    # by read_cayley keeps the ones its proof found
     whole = []
     real = groups._generators
 
-    def counted(table, members):
-        members = list(members)
-        if table is group.table and members == list(range(group.order)):
+    def counted(table):
+        if len(table) == 64:
             whole.append(1)
-        return real(table, members)
+        return real(table)
 
     monkeypatch.setattr(groups, "_generators", counted)
-    assert structural_tests(group, 8, group.distinguished_subgroup()).passed
+    if spec.startswith("file:"):
+        path = tmp_path / "g.cayley.json"
+        write_cayley(build_group(spec[5:]), path)
+        group = read_cayley(path)
+        sub = groups.Subgroup(group, range(8))  # the distinguished H of c4n:3
+    else:
+        group = build_group(spec)
+        sub = group.distinguished_subgroup()
+    assert structural_tests(group, 8, sub).passed
     assert len(whole) == 1
 
 

@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rshds.algebra import AlgebraElement, AlgebraError, from_set
 from rshds.certify import (
@@ -26,15 +28,22 @@ from rshds.constructions import (
     DifferenceSetCandidate,
     exhaustive_search,
 )
-from rshds.formats import FormatError, write_dset
+from rshds.fixtures import g36_1
+from rshds.formats import FormatError, read_cayley, write_cayley, write_dset
 from rshds.groups import (
     C4PowerGroup,
+    CayleyTableGroup,
     GnkGroup,
     GroupError,
+    GroupTableError,
     ParameterSet,
     Subgroup,
     closure,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
     subgroups_of_order,
+    validate_group_table,
 )
 
 G = GnkGroup(2, 0)
@@ -182,3 +191,65 @@ def test_search_budgets_that_pass():
         exhaustive_search(G, H, budget=0)
     assert stop.value.nodes == 1
     assert exhaustive_search(G, H, budget=np.int64(100)) == exhaustive_search(G, H)
+
+
+C4_TABLE = cyclic_group(4).table
+BAD_ENTRIES = {
+    "float": [*C4_TABLE[:2], [2, 3, 0, 1.0], C4_TABLE[3]],
+    "bool": [[0, 1], [True, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("prove", [CayleyTableGroup, validate_group_table],
+                         ids=["CayleyTableGroup", "validate_group_table"])
+def test_table_entries_are_refused_not_coerced(prove, case):
+    # bytes() takes a bool, and a row with 1.0 for 1 equals a permutation
+    with pytest.raises(GroupTableError, match="expected integers"):
+        prove(BAD_ENTRIES[case])
+
+
+def test_a_table_group_is_proved_a_group():
+    with pytest.raises(GroupTableError, match="identity") as exc:
+        CayleyTableGroup([[0, 1], [0, 1]])
+    assert exc.value.witness == {"row": 1}
+
+
+def test_numpy_table_entries_pass():
+    g = CayleyTableGroup(np.array(C4_TABLE, dtype=np.int8))
+    assert g.table == C4_TABLE and {type(x) for row in g.table for x in row} == {int}
+
+
+@pytest.mark.parametrize("names", [[0, 1], ["1"], ("1", "t1"), "1t"],
+                         ids=["ints", "short", "tuple", "string"])
+def test_table_group_names_are_a_list_of_strings(names):
+    # write_cayley would write int names that read_cayley refuses
+    with pytest.raises(GroupError):
+        CayleyTableGroup(cyclic_group(2).table, names=names)
+
+
+_TABLE_GROUPS = [cyclic_group(1), cyclic_group(6), dihedral_group(4), g36_1(),
+                 direct_product(cyclic_group(2), dihedral_group(3))]
+
+
+@st.composite
+def _table_groups(draw):
+    """A table group relabelled with the identity kept at 0, with drawn names or none."""
+    g = draw(st.sampled_from(_TABLE_GROUPS))
+    p = [0, *draw(st.permutations(range(1, g.order)))]
+    table = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            table[p[a]][p[b]] = p[g.mul(a, b)]
+    names = draw(st.none() | st.lists(st.text(max_size=4), min_size=g.order, max_size=g.order))
+    return CayleyTableGroup(table, names=names)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_table_groups())
+def test_written_table_groups_read_back(tmp_path_factory, group):
+    path = tmp_path_factory.mktemp("cayley") / "g.cayley.json"
+    write_cayley(group, path)
+    back = read_cayley(path)
+    assert back.table == group.table
+    assert back.names == [group.element_name(a) for a in range(group.order)]
