@@ -14,9 +14,10 @@ order are block aligned with H.
 
 Everything here is plain Python on lists of ints, and every check is exact
 at every order.  The one exception is the proof of a table up to order
-256: one byte holds each entry there, so Light's test composes ``bytes``
-rows with ``bytes.translate`` (whose table is 256 bytes), in C; above 256
-it composes tuples, and both kernels name the same witness on failure.
+256: one byte holds each entry there, so ``bytes()`` reads and checks each
+list row and Light's test composes the ``bytes`` rows with
+``bytes.translate``, in C; above 256 it composes tuples, and both kernels
+name the same witness on failure.
 A subset is a subgroup exactly when it is its closure.
 Other group facts are proved on generators from ``_generators``:
 Light's test proves associativity, ``fingerprint`` finds G/N abelian when
@@ -93,22 +94,16 @@ class ParameterSet(_ParameterFields):
 class FiniteGroup:
     """Base class: a finite group on indices 0..order-1, identity at 0.
 
-    Every product and inverse is a lookup in one integer table.  Subclasses
-    either set ``_table`` before calling ``__init__`` or supply
-    ``_build_table``, which the ``table`` property calls once.
+    Every product and inverse is a lookup: in one integer table, which a
+    subclass sets as ``_table`` or builds in ``_build_table`` (the ``table``
+    property calls it once), and in the list ``_inv`` that it sets.
     """
 
     order: int
+    _inv: List[int]
     _table: Optional[List[List[int]]] = None
     _gens: Optional[List[int]] = None
     _ncl: Optional[List[Tuple[int, frozenset]]] = None
-
-    def __init__(self) -> None:
-        self._inv = self._inverses()
-
-    def _inverses(self) -> List[int]:
-        """Inverse of every element, by scanning its table row for the identity."""
-        return [row.index(IDENTITY) for row in self.table]
 
     def mul(self, a: int, b: int) -> int:
         return self._table[a][b]
@@ -192,16 +187,16 @@ class FiniteGroup:
 class CayleyTableGroup(FiniteGroup):
     """Group of an explicit table that ``validate_group_table``'s proof passes.
 
-    It keeps the proof's generators; ``names`` is None or a list of one str per element.
+    It keeps the proof's generators and inverses; ``names`` is None or a
+    list of one str per element.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], *, names: Optional[List[str]] = None):
-        self._table, self._gens = _proved_table(table)
+        self._table, self._gens, self._inv = _proved_table(table)
         self.order = len(self._table)
         if not (names is None or type(names) is list and [*map(type, names)] == [str] * self.order):
             raise GroupError("names must be a list of one str per element")
         self.names = None if names is None else list(names)
-        super().__init__()
 
     def element_name(self, a: int) -> str:
         return str(a) if self.names is None else self.names[a]
@@ -266,7 +261,7 @@ class GnkGroup(FiniteGroup):
         if not 0 <= k < n - 1:
             raise GroupError(f"gnk group needs 0 <= k < n-1, got n={n}, k={k}")
         self.n, self.k, self.order = n, k, 1 << (2 * n)
-        super().__init__()
+        self._inv = self._inverses()
 
     def _build_table(self) -> List[List[int]]:
         return _twisted_table(self.n, self.k)
@@ -308,7 +303,7 @@ class C4PowerGroup(GnkGroup):
         if n < 1:
             raise GroupError(f"c4n group needs n >= 1, got n={n}")
         self.n, self.k, self.order = n, 0, 4**n
-        FiniteGroup.__init__(self)
+        self._inv = self._inverses()
 
     def element_name(self, a: int) -> str:
         e, f = self._bits(a >> self.n), self._bits(a)
@@ -363,21 +358,25 @@ def _irredundant_generators(table: Sequence[Sequence[int]]) -> List[int]:
     return gens
 
 
-def _byte_rows(table: List[List[int]]) -> Optional[List[bytes]]:
-    """The int rows as ``bytes`` when every one is a permutation of 0..n-1, else None.
-
-    For n <= 256 only.  A row is a permutation exactly when it has n bytes
-    and deleting them from 0..n-1 leaves nothing.
+def _byte_proof(table: Sequence[Sequence[int]]) -> Optional[Tuple[list, List[bytes], List[int]]]:
+    """(int rows, ``bytes`` rows, inverses) when 0 < n <= 256 and every row is a list
+    (``bytes()`` would read another buffer's raw memory) that is a permutation of
+    0..n-1 with no bool, else None.  ``bytes(row)`` refuses every non-integer but
+    a bool, and in a row that is a permutation (n bytes, none of 0..n-1 missing)
+    only the entries 0 and 1 can be bools; ``find(1)`` is -1 at n = 1.
     """
     n = len(table)
+    if not 0 < n <= 256 or {*map(type, table)} != {list}:
+        return None
     everything = bytes(range(n))
     try:
         rows = [bytes(row) for row in table]
-    except ValueError:  # an entry outside 0..255
+    except (TypeError, ValueError):  # a non-integer, or an entry outside 0..255
         return None
-    if all(len(row) == n and not everything.translate(None, row) for row in rows):
-        return rows
-    return None
+    if any(len(b) != n or everything.translate(None, b) or type(row[b.index(0)]) is bool
+           or type(row[b.find(1)]) is bool for row, b in zip(table, rows)):
+        return None
+    return [list(b) for b in rows], rows, [b.index(0) for b in rows]
 
 
 def _check_rows(table: Sequence[Sequence[int]]) -> None:
@@ -399,8 +398,8 @@ def _check_rows(table: Sequence[Sequence[int]]) -> None:
 def validate_group_table(table: Sequence[Sequence[int]]) -> None:
     """Check a multiplication table is a group with identity at index 0.
 
-    Exact at every order.  Each row is read by ``_indices`` (no bool or
-    float entry) and must be a permutation of 0..n-1, and row and column 0
+    Exact at every order.  Each row keeps the rule of ``_indices`` (no bool
+    or float entry) and must be a permutation of 0..n-1, and row and column 0
     must be the identity.  Associativity is Light's test (Clifford &
     Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
     elements b with (ab)c = a(bc) for all a, c are closed under products, so
@@ -410,30 +409,36 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
     identity is a group.  Raises GroupTableError with a witness on the first
     violation.
 
-    The order picks the kernel.  Up to n = 256 every entry fits in a byte,
-    so the rows become ``bytes`` and the row a(b.) of Light's test is
-    ``row_b.translate(row_a padded to 256 bytes)``, which composes the two
-    rows in C (``translate`` takes a 256-byte table).  Above 256 the rows
-    are tuples composed by ``operator.itemgetter``.  Both run the same loop
-    over the same generators, and ``_check_rows`` finds a bad row for both,
-    so both name the same first violation and witness.
+    The order picks the kernel.  Up to n = 256 every entry fits in a byte:
+    ``_byte_proof`` reads list rows as ``bytes`` in one pass, and the row
+    a(b.) of Light's test is ``row_b.translate(row_a padded to 256 bytes)``,
+    which composes the two rows in C.  Above 256 the rows are tuples
+    composed by ``operator.itemgetter``.  A table the byte pass refuses is
+    read by ``_indices`` and ``_check_rows`` first, and both kernels run the
+    same loop over the same generators, so every refusal names the same
+    first violation and witness.
     """
     _proved_table(table)
 
 
-def _proved_table(table: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """``validate_group_table``'s proof: the int rows and the generators it ran on."""
-    table = [_indices(row, error=GroupTableError) for row in table]
+def _proved_table(table: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], List[int]]:
+    """``validate_group_table``'s proof: the int rows, the generators it ran on and the inverses."""
+    table = list(table)
     n = len(table)
-    if n == 0:
-        raise GroupTableError("empty table")
-    rows: Optional[Sequence[Sequence[int]]] = _byte_rows(table) if n <= 256 else None
-    as_bytes = rows is not None
+    proof = _byte_proof(table)
+    if proof is None:
+        table = [_indices(row, error=GroupTableError) for row in table]
+        if n == 0:
+            raise GroupTableError("empty table")
+        proof = _byte_proof(table)
+    as_bytes = proof is not None
     if as_bytes:
+        table, rows, inv = proof
         maps = [row + bytes(256 - n) for row in rows]  # translate tables
     else:
         _check_rows(table)
         rows = maps = list(map(tuple, table))  # compared as tuples, the type itemgetter returns
+        inv = [row.index(IDENTITY) for row in rows]
     col = next((j for j in range(n) if table[0][j] != j), None)
     if col is not None:
         raise GroupTableError("identity is not at index 0 (row)", {"col": col})
@@ -450,7 +455,7 @@ def _proved_table(table: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
                 raise GroupTableError("associativity violated", {"triple": [a, b, c]})
-    return table, gens
+    return table, gens, inv
 
 
 # ---------------------------------------------------------------------------

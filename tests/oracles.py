@@ -12,11 +12,14 @@ inverted coordinate map, kept to pin the one-branch search and
 ``f2_coordinates_reference`` is the first bitmask loop that put F_2
 coordinates on H, kept to pin the one F_p coordinatization;
 ``hadamard_reference`` is 2D - J entry by entry from ``mul`` and ``inv``,
-kept to pin the one-pass sign rows of ``certify.hadamard_matrix``.
+kept to pin the one-pass sign rows of ``certify.hadamard_matrix``;
+``table_refusal_reference`` applies the proof of a Cayley table one rule at
+a time over the whole table, to pin the refusals of the byte pass.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from rshds import f2
@@ -183,15 +186,66 @@ def light_first_failure_reference(
     return None
 
 
-def _closure(group: FiniteGroup, generators: Iterable[int]) -> FrozenSet[int]:
-    table = group.table
-    members = {IDENTITY}
-    frontier = [IDENTITY]
-    gens = set(generators)
+def _right_reach_reference(table: Sequence[Sequence[int]], gens: Sequence[int]) -> set:
+    """Everything right multiplication by ``gens`` reaches from the identity."""
+    reached, frontier = {IDENTITY}, [IDENTITY]
     while frontier:
-        frontier = [y for y in {table[x][g] for x in frontier for g in gens} if y not in members]
-        members.update(frontier)
-    return frozenset(members)
+        frontier = [y for y in {table[x][g] for x in frontier for g in gens} if y not in reached]
+        reached.update(frontier)
+    return reached
+
+
+def table_refusal_reference(table: Sequence[Sequence[int]]) -> Optional[Tuple[str, dict]]:
+    """The first refusal of a Cayley table as (message, witness), or None for a group.
+
+    One rule at a time, each over the whole table: the integer rule on every
+    row (a row holding a bool is refused as such, and otherwise each entry
+    must be what ``operator.index`` takes), then each row's length, range
+    and permutation, then the identity row and column, then Light's test.
+    Its generators are the least elements not yet reached, each then dropped
+    when the others reach every element, and its first failure is taken in
+    generator, row, column order.
+    """
+    rows = []
+    for row in table:
+        try:
+            row = list(row)
+            if any(type(x) is bool for x in row):
+                raise TypeError("a bool is not an integer here")
+            rows.append([operator.index(x) for x in row])
+        except TypeError as exc:
+            return f"expected integers: {exc}", {}
+    n = len(rows)
+    if n == 0:
+        return "empty table", {}
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return f"table is not {n}x{n}", {"row": i, "length": len(row)}
+        for j, x in enumerate(row):
+            if not 0 <= x < n:
+                return "table entry out of range", {"row": i, "col": j, "value": x}
+        if sorted(row) != list(range(n)):
+            return "row is not a permutation", {"row": i}
+    for j in range(n):
+        if rows[0][j] != j:
+            return "identity is not at index 0 (row)", {"col": j}
+    for i in range(n):
+        if rows[i][0] != i:
+            return "identity is not at index 0 (column)", {"row": i}
+    gens: List[int] = []
+    for b in range(n):
+        if b not in _right_reach_reference(rows, gens):
+            gens.append(b)
+    for b in list(gens):
+        rest = [g for g in gens if g != b]
+        if len(_right_reach_reference(rows, rest)) == n:
+            gens = rest
+    first = light_first_failure_reference(rows, gens)
+    return None if first is None else ("associativity violated", {"triple": list(first)})
+
+
+def _closure(group: FiniteGroup, generators: Iterable[int]) -> FrozenSet[int]:
+    return frozenset(_right_reach_reference(group.table, set(generators)))
 
 
 def is_subgroup_reference(group: FiniteGroup, members: Iterable[int]) -> bool:

@@ -36,6 +36,15 @@ def _json(doc) -> str:
 
 _DSET = {"group": "gnk:2,0", "subgroup": "distinguished", "elements": [4, 5, 6]}
 _TABLE = [[0, 1], [1, 0]]
+_V4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+def _v4_with(row: int, col: int, entry) -> str:
+    """A cayley-v1 document of the Klein group with one entry replaced."""
+    table = [list(r) for r in _V4]
+    table[row][col] = entry
+    return _json({"format": "cayley-v1", "order": 4, "table": table})
+
 
 MALFORMED_DSET = {
     "not-json": "{",
@@ -67,6 +76,10 @@ MALFORMED_CAYLEY = {
     "boolean-entries": _json({"format": "cayley-v1", "order": 2,
                               "table": [[False, True], [True, False]]}),
     "boolean-order": _json({"format": "cayley-v1", "order": True, "table": [[0]]}),
+    # order 4, so that h = 2 passes |G| = h^2 and only the table can be refused
+    "order-4-false-for-0": _v4_with(1, 1, False),
+    "order-4-integral-float": _v4_with(0, 2, 2.0),
+    "order-4-entry-equal-to-order": _v4_with(3, 3, 4),
 }
 MALFORMED_HADAMARD = {
     "empty": "",
@@ -99,7 +112,10 @@ def test_malformed_cayley(tmp_path, capsys, case):
     with pytest.raises(FormatError):
         read_cayley(path)
     assert cli.main(["screen", f"file:{path}", "2"]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    # every read_cayley refusal names the file; the h refusal of a valid
+    # order-2 table ("group order 2 != h^2 = 4") would not
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err.splitlines()[0]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_HADAMARD))

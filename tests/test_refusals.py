@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import table_refusal_reference
 
 from rshds.algebra import AlgebraElement, AlgebraError, from_set
 from rshds.certify import (
@@ -42,6 +43,7 @@ from rshds.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    elementary_abelian_2_group,
     subgroups_of_order,
     validate_group_table,
 )
@@ -228,6 +230,16 @@ def test_table_group_names_are_a_list_of_strings(names):
         CayleyTableGroup(cyclic_group(2).table, names=names)
 
 
+def _relabelled(g, p):
+    """The table of ``g`` with element a renamed p[a]."""
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table):
+        new = table[p[a]]
+        for b, ab in enumerate(row):
+            new[p[b]] = p[ab]
+    return table
+
+
 _TABLE_GROUPS = [cyclic_group(1), cyclic_group(6), dihedral_group(4), g36_1(),
                  direct_product(cyclic_group(2), dihedral_group(3))]
 
@@ -237,10 +249,7 @@ def _table_groups(draw):
     """A table group relabelled with the identity kept at 0, with drawn names or none."""
     g = draw(st.sampled_from(_TABLE_GROUPS))
     p = [0, *draw(st.permutations(range(1, g.order)))]
-    table = [[0] * g.order for _ in range(g.order)]
-    for a in range(g.order):
-        for b in range(g.order):
-            table[p[a]][p[b]] = p[g.mul(a, b)]
+    table = _relabelled(g, p)
     names = draw(st.none() | st.lists(st.text(max_size=4), min_size=g.order, max_size=g.order))
     return CayleyTableGroup(table, names=names)
 
@@ -253,3 +262,70 @@ def test_written_table_groups_read_back(tmp_path_factory, group):
     back = read_cayley(path)
     assert back.table == group.table
     assert back.names == [group.element_name(a) for a in range(group.order)]
+
+
+# source groups of orders 2 to 256: the byte kernel
+_PROVED_GROUPS = [cyclic_group(2), cyclic_group(5), elementary_abelian_2_group(2),
+                  dihedral_group(3), GnkGroup(2, 0), g36_1(), C4PowerGroup(3),
+                  direct_product(dihedral_group(5), dihedral_group(5)), GnkGroup(4, 2)]
+# one entry of row i mutated: to the bool or float of its value, to a numpy
+# integer (which must pass), to -1 or n, or to another entry of its row
+# ("repeat" breaks the row's permutation, "swap" keeps it and breaks the group)
+MUTATIONS = ("bool", "float", "numpy", "negative", "order", "repeat", "swap")
+
+
+def _mutated(table, kind, i, j, k):
+    """``table`` with entry (i, j) mutated by ``kind``; a repeat or swap also uses column k != j."""
+    row = table[i]
+    if kind == "bool":  # only an entry of value 0 or 1 can be a bool of its value
+        j = row.index(j % 2)
+        row[j] = bool(row[j])
+    elif kind == "float":
+        row[j] = float(row[j])
+    elif kind == "numpy":
+        row[j] = np.int64(row[j])
+    elif kind in ("negative", "order"):
+        row[j] = -1 if kind == "negative" else len(table)
+    elif kind == "repeat":
+        row[j] = row[k]
+    else:
+        row[j], row[k] = row[k], row[j]
+    return table
+
+
+def _assert_proofs_agree(table):
+    expected = table_refusal_reference(table)
+    for prove in (CayleyTableGroup, validate_group_table):
+        try:
+            prove(table)
+        except GroupTableError as exc:
+            assert (str(exc), exc.witness) == expected
+        else:
+            assert expected is None
+    if expected is None:
+        g = CayleyTableGroup(table)
+        assert g.table == table and {type(x) for row in g.table for x in row} == {int}
+        assert [g.inv(a) for a in range(g.order)] == [row.index(0) for row in g.table]
+    return expected
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data(), st.sampled_from(_PROVED_GROUPS), st.sampled_from(MUTATIONS))
+def test_byte_proof_refuses_as_the_reference_does(data, g, kind):
+    # the byte pass reads list rows once; whatever it refuses must get the
+    # verdict, message and witness of the rule-by-rule reference
+    n = g.order
+    p = [0, *data.draw(st.permutations(range(1, n)))]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    k = (j + data.draw(st.integers(1, n - 1))) % n
+    expected = _assert_proofs_agree(_mutated(_relabelled(g, p), kind, i, j, k))
+    assert (expected is None) == (kind == "numpy")
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_tuple_proof_refuses_as_the_reference_does(kind):
+    # order 257 takes the tuple kernel
+    g = cyclic_group(257)
+    p = [0, *range(256, 0, -1)]
+    expected = _assert_proofs_agree(_mutated(_relabelled(g, p), kind, 100, 3, 200))
+    assert (expected is None) == (kind == "numpy")
