@@ -49,18 +49,14 @@ from .groups import (
     GroupError,
     ParameterSet,
     Subgroup,
+    _commutator_power_subgroup,
     _index_set,
     _indices,
     _prime_factors,
     _subgroups_dividing,
     closure,
     cosets,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    elementary_abelian_2_group,
     involutions,
-    normal_subgroups_of_prime_index,
     quotient,
     subgroups_of_order,
 )
@@ -557,25 +553,20 @@ def hadamard_matrix(group: FiniteGroup, elements: Sequence[int]) -> List[List[in
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _swallowing_fingerprints() -> frozenset:
-    """Fingerprints of the quotient shapes that force H inside the kernel."""
-    c2 = cyclic_group(2)
-    c3 = cyclic_group(3)
-    c6 = cyclic_group(6)
-    reference = [
-        elementary_abelian_2_group(2),
-        elementary_abelian_2_group(3),
-        dihedral_group(3),
-        c6,
-        cyclic_group(9),
-        direct_product(c3, c3),
-        cyclic_group(10),
-        dihedral_group(5),
-        direct_product(c2, dihedral_group(3)),
-        direct_product(c2, c6),
-    ]
-    return frozenset(g.fingerprint() for g in reference)
+# ``FiniteGroup.fingerprint`` of each quotient shape that forces H inside the
+# kernel: C2^2, C2^3, D3, C6, C9, C3xC3, C10, D5, C2xD3 and C2xC6
+_SWALLOWING_FINGERPRINTS = frozenset({
+    (4, True, (1, 2, 2, 2)),
+    (8, True, (1, 2, 2, 2, 2, 2, 2, 2)),
+    (6, False, (1, 2, 2, 2, 3, 3)),
+    (6, True, (1, 2, 3, 3, 6, 6)),
+    (9, True, (1, 3, 3, 9, 9, 9, 9, 9, 9)),
+    (9, True, (1, 3, 3, 3, 3, 3, 3, 3, 3)),
+    (10, True, (1, 2, 5, 5, 5, 5, 10, 10, 10, 10)),
+    (10, False, (1, 2, 2, 2, 2, 2, 5, 5, 5, 5)),
+    (12, False, (1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6)),
+    (12, True, (1, 2, 2, 2, 3, 3, 6, 6, 6, 6, 6, 6)),
+})
 
 
 def quotient_check(
@@ -634,7 +625,7 @@ def quotient_check(
             problems.append("profile matches none of the three solved families")
         else:
             witnesses["family"] = family
-    elif q.fingerprint() in _swallowing_fingerprints():
+    elif q.fingerprint() in _SWALLOWING_FINGERPRINTS:
         witnesses["case"] = "swallowing-quotient"
         witnesses["quotient_fingerprint_order"] = u
         if ys[0] != h:
@@ -674,6 +665,17 @@ def structural_tests(
     given).  T3: some normal subgroup of order h exists.  T4 (needs H): no
     order-h subgroup intersects H trivially.
 
+    T1 needs no kernel of prime index one by one.  A surjection of G onto
+    C_p, which is abelian of exponent p, kills every commutator and every
+    p-th power, so its kernel holds K_p = G'G^p and is the preimage of the
+    kernel of a surjection of G/K_p onto C_p.  G/K_p is elementary abelian,
+    F_p^r with p^r = |G:K_p|, and those kernels are its hyperplanes: there
+    are (p^r - 1)/(p - 1) of them, and for r >= 1 they meet in 0.  So the
+    kernels of index p number (|G:K_p| - 1)/(p - 1) and meet in K_p (when
+    r = 0 there are none, and K_p = G changes no intersection), and T1's
+    core is the intersection of the K_p from ``_commutator_power_subgroup``
+    with the swallowing kernels.
+
     A bad h or H is refused before any walk: h must be a positive int with
     |G| = h^2, and H a subgroup of this group of order h.  One normal walk
     (``subgroups_of_order``) finds the normal subgroups of order h for T3
@@ -700,21 +702,22 @@ def _structural_tests(
         raise GroupError(f"H must be a subgroup of this group of order h = {h}")
     witnesses: Dict[str, object] = {}
     warnings: List[str] = []
-    prime_kernels = normal_subgroups_of_prime_index(group)
-    swallowing = _swallowing_fingerprints()
+    prime_cores = {p: _commutator_power_subgroup(group, p) for p in _prime_factors(group.order)}
+    swallowing = _SWALLOWING_FINGERPRINTS
     orders = {group.order // d for d, _, _ in swallowing if group.order % d == 0}  # kernels
     normal = subgroups_of_order(group, h, *orders, normal=True)
     normal_h = [s for s in normal if s.order == h]
     if sub is None and unique_normal_h and len(normal_h) == 1:
         sub = normal_h[0]
     kernels = [s for s in normal if s.order in orders and group.fingerprint(s) in swallowing]
-    core = set(range(group.order)).intersection(*(s.member_set for s, _ in prime_kernels),
+    core = set(range(group.order)).intersection(*prime_cores.values(),
                                                 *(s.member_set for s in kernels))
     t1 = len(core) % h == 0
     witnesses["T1"] = {
         "pass": t1,
         "core_order": len(core),
-        "prime_index_kernels": len(prime_kernels),
+        "prime_index_kernels": sum((group.order // len(k) - 1) // (p - 1)
+                                   for p, k in prime_cores.items()),
         "swallowing_kernels": len(kernels),
     }
     inv_closure = closure(group, involutions(group))

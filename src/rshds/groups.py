@@ -18,6 +18,10 @@ at every order.  The one exception is the proof of a table up to order
 list row and Light's test composes the ``bytes`` rows with
 ``bytes.translate``, in C; above 256 it composes tuples, and both kernels
 name the same witness on failure.
+One greedy routine, ``_greedy_reach``, computes every closure: it right
+multiplies from the identity by each candidate not yet reached and skips
+the others, which serves ``closure_members`` and the generating set of a
+whole table (``_generators``, every element a candidate, least first).
 A subset is a subgroup exactly when it is its closure.
 Other group facts are proved on generators from ``_generators``:
 Light's test proves associativity, ``fingerprint`` finds G/N abelian when
@@ -315,9 +319,11 @@ class C4PowerGroup(GnkGroup):
 # ---------------------------------------------------------------------------
 
 
-def _right_reach(table: Sequence[Sequence[int]], gens: Sequence[int], reached: set) -> set:
-    """``reached`` grown, in place, by everything right multiplication by ``gens`` reaches."""
-    stack = list(reached)
+def _right_reach(
+    table: Sequence[Sequence[int]], gens: Sequence[int], reached: set, stack: list
+) -> set:
+    """``reached`` grown, in place, by what right multiplication by ``gens`` reaches from
+    ``stack``, which it empties."""
     while stack:
         row = table[stack.pop()]
         for g in gens:
@@ -328,6 +334,30 @@ def _right_reach(table: Sequence[Sequence[int]], gens: Sequence[int], reached: s
     return reached
 
 
+def _greedy_reach(
+    table: Sequence[Sequence[int]], candidates: Iterable[int]
+) -> Tuple[List[int], set]:
+    """(kept, reached): the candidates kept, in order, and what multiplying by them reaches from 1.
+
+    The one closure routine.  A candidate is kept only when it is not yet
+    reached, so in a group the kept ones generate what all the candidates
+    do, and each lies outside the subgroup of those before it.  The reached
+    set is closed under right multiplication by the earlier kept candidates,
+    so only its products with a new one, and what they reach, can be new.
+    This is reachability alone, so on a table not yet proved a group the
+    reached set is still every left-normed product of the kept candidates.
+    """
+    reached = {IDENTITY}
+    kept: List[int] = []
+    for b in candidates:
+        if b not in reached:
+            kept.append(b)
+            new = {table[x][b] for x in reached} - reached
+            reached |= new
+            _right_reach(table, kept, reached, list(new))
+    return kept, reached
+
+
 def _generators(table: Sequence[Sequence[int]]) -> List[int]:
     """Greedy generating set of the whole table, least elements first.
 
@@ -335,25 +365,20 @@ def _generators(table: Sequence[Sequence[int]]) -> List[int]:
     by right multiplication (in a finite group that reaches the whole
     generated subgroup), so a group of order n needs at most log2(n) of them.
     """
-    reached = {IDENTITY}
-    gens: List[int] = []
-    for b in range(len(table)):
-        if b not in reached:
-            gens.append(b)
-            _right_reach(table, gens, reached)
-    return gens
+    return _greedy_reach(table, range(len(table)))[0]
 
 
 def _irredundant_generators(table: Sequence[Sequence[int]]) -> List[int]:
     """The greedy generators of the whole table, less each one the rest can spare.
 
     Light's test and conjugation by G cost a pass per generator, and pruning
-    halves them on gnk:5,3 and gnk:6,4.
+    halves them on gnk:5,3 and gnk:6,4.  The last greedy generator is not
+    tested: the rest lie among the generators before it, which do not reach it.
     """
     gens = _generators(table)
-    for b in list(gens):
+    for b in gens[:-1]:
         rest = [g for g in gens if g != b]
-        if len(_right_reach(table, rest, {IDENTITY})) == len(table):
+        if len(_right_reach(table, rest, {IDENTITY}, [IDENTITY])) == len(table):
             gens = rest
     return gens
 
@@ -534,8 +559,8 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
 
 
 def closure_members(group: FiniteGroup, generators: Iterable[int]) -> frozenset:
-    """Member set of the generated subgroup: what right multiplication reaches from 1."""
-    return frozenset(_right_reach(group.table, list(set(generators)), {IDENTITY}))
+    """Member set of the generated subgroup: what ``_greedy_reach`` reaches from 1."""
+    return frozenset(_greedy_reach(group.table, generators)[1])
 
 
 def _conjugates(group: FiniteGroup, seeds: Iterable[int]) -> set:
@@ -773,27 +798,36 @@ def coordinatize_elementary_abelian(
     return coords
 
 
-def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, int]]:
-    """All kernels of surjections onto a cyclic group of prime order.
+def _commutator_power_subgroup(group: FiniteGroup, p: int) -> frozenset:
+    """Member set of K_p = G'G^p, the least normal N with G/N elementary abelian of exponent p.
 
-    For each prime p dividing the order, with X the generators of G from
-    ``_irredundant_generators``, K is the closure of the ``_conjugates`` of
-    the commutators a^-1 b^-1 a b and the powers a^p for a, b in X.  K is
-    normal and lies in G'G^p; modulo K the generators commute and have
-    order p, so G/K is elementary abelian and K = G'G^p.  Every surjection
-    onto C_p kills K, so the kernels are the pull-backs of the hyperplanes
-    of G/K over F_p.  Sorted by (p, member tuple).
+    With X the generators of G from ``_irredundant_generators``, K is the
+    closure of the ``_conjugates`` of the commutators a^-1 b^-1 a b and the
+    powers a^p for a, b in X.  K is normal and lies in G'G^p; modulo K the
+    generators commute and have order p, so G/K is elementary abelian and
+    K = G'G^p.
     """
     table, inv = group.table, group._inv
     gens = group._generating_set()
-    comms = {table[table[inv[a]][inv[b]]][table[a][b]] for a in gens for b in gens}
+    seeds = {table[table[inv[a]][inv[b]]][table[a][b]] for a in gens for b in gens}
+    for a in gens:
+        x = a
+        for _ in range(p - 1):
+            x = table[x][a]
+        seeds.add(x)
+    return closure_members(group, _conjugates(group, seeds))
+
+
+def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, int]]:
+    """All kernels of surjections onto a cyclic group of prime order.
+
+    Every surjection onto C_p kills K = ``_commutator_power_subgroup``, so
+    the kernels of index p are the pull-backs of the hyperplanes of G/K over
+    F_p.  Sorted by (p, member tuple).
+    """
     out: List[Tuple[Subgroup, int]] = []
     for p in _prime_factors(group.order):
-        powers = list(gens)
-        for _ in range(p - 1):
-            powers = [table[x][a] for x, a in zip(powers, gens)]
-        seeds = _conjugates(group, comms.union(powers))
-        kernel = Subgroup(group, closure_members(group, seeds), validate=False)
+        kernel = Subgroup(group, _commutator_power_subgroup(group, p), validate=False)
         w, proj = _quotient_table(group, kernel)  # normal: the closure of a conjugation orbit
         if w.order == 1:
             continue

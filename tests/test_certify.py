@@ -724,18 +724,37 @@ def test_structural_tests_t4_names_the_first_complement():
     assert not report.passed
 
 
+def _no_kernel_built(*args):
+    raise AssertionError("a prime-index kernel or quotient table was built")
+
+
 @pytest.mark.parametrize("name", sorted(
     name for name, g in REFERENCE_GROUPS.items() if round(g.order ** 0.5) ** 2 == g.order
 ))
-def test_structural_tests_match_the_reference_screen(name):
-    # H = None and every subgroup of order h, normal or not
+def test_structural_tests_match_the_reference_screen(monkeypatch, name):
+    # H = None and every subgroup of order h, normal or not; T1 reads its
+    # prime-index kernels off G'G^p, so it builds no quotient table
     g = REFERENCE_GROUPS[name]
     h = round(g.order ** 0.5)
     subs = [None, *subgroups_of_order_reference(g, h)]
-    expected = structural_tests_reference(g, h, subs, certify._swallowing_fingerprints())
+    expected = structural_tests_reference(g, h, subs, certify._SWALLOWING_FINGERPRINTS)
+    for route in ("_quotient_table", "normal_subgroups_of_prime_index"):
+        monkeypatch.setattr(groups, route, _no_kernel_built)
     for members, screen in zip(subs, expected):
         report = structural_tests(g, h, None if members is None else groups.Subgroup(g, members))
         assert (report.passed, report.witnesses) == screen, members
+
+
+def test_swallowing_fingerprints_are_the_ten_shapes():
+    # C2^2, C2^3, D3, C6, C9, C3xC3, C10, D5, C2xD3 and C2xC6
+    c2, c3, c6 = cyclic_group(2), cyclic_group(3), cyclic_group(6)
+    shapes = [
+        elementary_abelian_2_group(2), elementary_abelian_2_group(3), dihedral_group(3), c6,
+        cyclic_group(9), direct_product(c3, c3), cyclic_group(10), dihedral_group(5),
+        direct_product(c2, dihedral_group(3)), direct_product(c2, c6),
+    ]
+    assert certify._SWALLOWING_FINGERPRINTS == {g.fingerprint() for g in shapes}
+    assert len(certify._SWALLOWING_FINGERPRINTS) == 10
 
 
 _SQUARE_GROUPS = sorted(

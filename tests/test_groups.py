@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     NONASSOCIATIVE_LOOP_5,
+    _closure,
     c4n_index,
     c4n_word,
     gaussian_binomial,
@@ -47,6 +48,7 @@ from rshds.groups import (
     direct_product,
     elementary_abelian_2_group,
     involutions,
+    _commutator_power_subgroup,
     _irredundant_generators,
     is_normal,
     normal_subgroups_of_prime_index,
@@ -377,6 +379,27 @@ def test_closure_examples():
     assert word(g31, (0, 0, 0), (0, 1, 0)) in sub  # a1^2 = b2
 
 
+_ORDER_100 = {
+    "C10xC10": direct_product(cyclic_group(10), cyclic_group(10)),
+    "D5xD5": direct_product(dihedral_group(5), dihedral_group(5)),
+}
+_CLOSURE_GROUPS = {
+    "D5xD5": _ORDER_100["D5xD5"], "G36_1": fixtures.g36_1(), "gnk:3,1": GnkGroup(3, 1),
+}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(sorted(_CLOSURE_GROUPS)), st.data())
+def test_closure_members_matches_the_reference(name, data):
+    # the greedy closure skips each generator already reached: any list,
+    # in any order and with repeats, closes to what the reference reaches
+    g = _CLOSURE_GROUPS[name]
+    drawn = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
+    repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=3)) if drawn else []
+    gens = data.draw(st.permutations(drawn + repeats))
+    assert closure_members(g, gens) == _closure(g, drawn)
+
+
 def test_subgroup_validation():
     g = GnkGroup(2, 0)
     a1 = word(g, (1, 0))
@@ -613,8 +636,25 @@ def test_normality_quotients_and_prime_index_kernels_match_the_scans(name):
     g = _ORACLE_GROUPS[name]
     for s in _all_subgroups(g):
         _assert_normality_and_quotient_match_the_scans(g, s)
-    found = [(s.members, p) for s, p in normal_subgroups_of_prime_index(g)]
-    assert found == prime_index_reference(g)
+    expected = prime_index_reference(g)
+    assert [(s.members, p) for s, p in normal_subgroups_of_prime_index(g)] == expected
+    _assert_prime_cores_match(g, expected)
+
+
+def _assert_prime_cores_match(g, kernels):
+    """For each prime p, K_p is the meet of the ``kernels`` of index p and counts them."""
+    divisors = [p for p in range(2, g.order + 1) if g.order % p == 0]
+    for p in (p for p in divisors if all(p % d for d in range(2, p))):
+        of_p = [set(s) for s, q in kernels if q == p]
+        core = _commutator_power_subgroup(g, p)
+        assert core == set(range(g.order)).intersection(*of_p), p
+        assert (g.order // len(core) - 1) // (p - 1) == len(of_p), p
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_100))
+def test_prime_cores_of_order_100_match_the_scans(name):
+    g = _ORDER_100[name]
+    _assert_prime_cores_match(g, prime_index_reference(g))
 
 
 @lru_cache(maxsize=None)

@@ -136,7 +136,7 @@ def _screen_without_walks(h, sub=None):
     ran = AssertionError("a walk ran")
     with mock.patch("rshds.groups._normal_subgroups_dividing", side_effect=ran), \
             mock.patch("rshds.certify._subgroups_dividing", side_effect=ran), \
-            mock.patch("rshds.certify.normal_subgroups_of_prime_index", side_effect=ran):
+            mock.patch("rshds.certify._commutator_power_subgroup", side_effect=ran):
         return structural_tests(G, h, sub)
 
 
