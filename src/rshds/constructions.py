@@ -192,7 +192,7 @@ def gnk_difference_set(n: int, k: int) -> DifferenceSetCandidate:
     central, so H_i t_i = t_i H_i.
 
     Nothing is checked here: the group's 0 <= k < n-1 makes s injective and
-    nonzero on E - 0.  The twist of ``groups._twisted_table`` gives
+    nonzero on E - 0.  The twist of ``groups._twists`` gives
     s(e) = sum_i e_i u_{(i+k) mod n} + e_0 sum_{1<=j<=k} e_j u_{j-1}, whose
     coordinate k is e_0.  So a collision lies in one half e_0 = 0 or 1, and
     on each half s is a constant plus a linear map of d = e - e_0 u_0.  On
@@ -391,19 +391,31 @@ def exhaustive_search(
     cross(c, q), the differences between c and q both ways, for each choice
     q above it, and is pruned as soon as any field exceeds lambda.  The
     tally is passed down the recursion, so nothing is undone on the way out.
-    cross(c, q) is read from the table rows and the inverse list and cached
+
+    cross(c, q) is the sum over a in c of M_q[a], the tally of the
+    differences of a with every b in q both ways (pair[a b^-1], summed over
+    b).  M_q[a] depends on a and q only, so it is read from the table rows
+    and the inverse list once per call, when a choice holding a first meets
+    q, and cross(c, q) then costs |c| additions, not |c| |q| lookups.  This
+    is exact: it adds the same integers as the |c| |q| lookups, in another
+    order, so each node gets the same tally and is pruned or kept the same.
+    Each q that has been on the path keeps a list of v slots, filled
+    lazily, so the tallies are at most (number of choices) x v ints, and
+    they are dropped when the call returns.  cross(c, q) itself is cached
     in a dict that belongs to the depth where q was chosen; the dict is
     dropped when that depth moves to its next choice, so the caches hold at
     most (number of pairs) x (number of choices) tallies.
 
     Field width: before an addition every field is at most lambda, and one
     addition adds at most 2h to a field (for fixed a exactly one b has
-    a b^-1 = g, and a choice has at most h elements).  With w bits where
-    2^(w-1) > lambda + 2h, no field carries into the next, and after adding
-    2^(w-1) - 1 - lambda to every field its top bit is set exactly when the
-    field exceeds lambda.  The identity field stays 0, since a != b.
+    a b^-1 = g, and a choice has at most h elements).  The running tally
+    starts from the bias 2^(w-1) - 1 - lambda in every field but the
+    identity's, so a field's top bit is set exactly when its count of
+    differences exceeds lambda, and a test is one AND.  With w bits where
+    2^(w-1) > lambda + 2h, a field holds at most 2^(w-1) - 1 + 2h < 2^w, so
+    none carries into the next.  The identity field stays 0, since a != b.
 
-    A leaf (every pair chosen) is a solution exactly when every field is
+    A leaf (every pair chosen) is a solution exactly when every field counts
     lambda, which is checked.  No pruned-to-leaf assignment can fail it:
     the fields add up to k(k-1) = lambda(v-1) and none exceeds lambda.
 
@@ -460,12 +472,13 @@ def exhaustive_search(
             blocks.append(choices)
     blocks.sort(key=len)
 
-    # w-bit fields, one per element; 2^(w-1) > lambda + 2h (see the docstring)
+    # w-bit fields, one per element; 2^(w-1) > lambda + 2h, and every tally
+    # carries the bias (see the docstring)
     w = (lam + 2 * h).bit_length() + 1
     fields = sum(1 << (g * w) for g in range(1, v))
     high = fields << (w - 1)
     bias = fields * ((1 << (w - 1)) - 1 - lam)
-    target = fields * lam
+    target = fields * lam + bias
     # pair[g]: the tally of g and g^-1, the differences of a, b both ways
     pair = [(1 << (g * w)) + (1 << (inv[g] * w)) for g in range(v)]
 
@@ -497,6 +510,7 @@ def exhaustive_search(
         depths[0] = first_choices(depths[0])
 
     path: List[Tuple[Dict[int, int], int]] = []
+    tallies: Dict[int, List[int]] = {}  # q -> M_q, filled lazily
     found: List[List[int]] = []
     nodes = 0
     leaves = 0
@@ -518,22 +532,31 @@ def exhaustive_search(
                     found=len(found),
                 )
             t = total + internal[c]
-            if (t + bias) & high:
+            if t & high:
                 continue
             for cache, q in path:
                 x = cache.get(c)
                 if x is None:
-                    rs, iq = rows[c], invs[q]
-                    x = cache[c] = sum([pair[ra[ib]] for ra in rs for ib in iq])
+                    mq = tallies.get(q)
+                    if mq is None:
+                        mq = tallies[q] = [0] * v
+                    x = 0
+                    for a in elements_of[c]:
+                        y = mq[a]
+                        if not y:  # M_q[a] > 0 once filled
+                            ra = table[a]
+                            y = mq[a] = sum([pair[ra[ib]] for ib in invs[q]])
+                        x += y
+                    cache[c] = x
                 t += x
-                if (t + bias) & high:
+                if t & high:
                     break
             else:
                 path.append(({}, c))
                 extend(depth + 1, t)
                 path.pop()
 
-    extend(0, 0)
+    extend(0, bias)
     shifts = [IDENTITY, *_central_involutions(table, sub)]
     sets = sorted({tuple(sorted([table[a][z] for a in f])) for f in found for z in shifts})
     candidates = [DifferenceSetCandidate(group, sub, d) for d in sets]

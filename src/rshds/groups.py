@@ -3,8 +3,10 @@
 ``FiniteGroup`` holds the table and answers every product and inverse by
 lookup.  The backends only supply the table: ``CayleyTableGroup`` proves a
 given one, and the two-parameter 2-group family behind the ``gnk:`` spec
-strings builds its own with ``_twisted_table``; the powers of the cyclic
-group of order 4 (``c4n:``) are its untwisted case k = 0.  In these two the
+strings builds its own with ``_twisted_table`` on first use; the powers of
+the cyclic group of order 4 (``c4n:``) are its untwisted case k = 0.  Their
+product twist is bilinear over F_2, so one list ``_twists`` holds it, and
+its diagonal gives their inverses without a table.  In these two the
 element with index e * 2^n + f is the normal-form word (e, f), where e and f
 are vectors of F_2^n held as int bitmasks, first coordinate in bit n-1 (the
 ``f2`` convention).  The distinguished subgroup H is the indices below 2^n,
@@ -110,7 +112,7 @@ class FiniteGroup:
     _ncl: Optional[List[Tuple[int, frozenset]]] = None
 
     def mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
+        return self.table[a][b]
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -206,14 +208,40 @@ class CayleyTableGroup(FiniteGroup):
         return str(a) if self.names is None else self.names[a]
 
 
+def _twists(n: int, k: int) -> List[List[int]]:
+    """beta[e1][e2] = twist(e1, e2), the f-part flip of (e1, 0)(e2, 0).
+
+    e1 and e2 are GF(2) n-vectors read as bitmasks with the first coordinate
+    most significant.  The twist flips coordinate (i + k) mod n for every i
+    with e1_i = e2_i = 1 and, when e2_0 = 1, coordinate j - 1 for every
+    1 <= j <= k with e1_j = 1.  Every term is a bit of e1 times a bit of e2,
+    so the twist is bilinear over GF(2): twist(e1 ^ e1', e2) = twist(e1, e2)
+    ^ twist(e1', e2).  Only the n rows of the unit vectors are read off the
+    rule; every other row is beta[e1 ^ low] ^ beta[low], low the lowest set
+    bit of e1, two rows already built.
+    """
+    m, top = 1 << n, 1 << (n - 1)
+    beta = [[0] * m] * m  # every row but row 0 is replaced below
+    for i in range(n):
+        unit = top >> i
+        square = top >> (i + k) % n
+        twist = 1 << (n - i) if 1 <= i <= k else 0
+        beta[unit] = [(square if e2 & unit else 0) ^ (twist if e2 & top else 0) for e2 in range(m)]
+    for e1 in range(1, m):
+        low = e1 & -e1
+        if e1 != low:
+            beta[e1] = [*map(operator.xor, beta[e1 ^ low], beta[low])]
+    return beta
+
+
 def _twisted_table(n: int, k: int) -> List[List[int]]:
     """Table of (e1, f1)(e2, f2) = (e1 ^ e2, f1 ^ f2 ^ twist(e1, e2)).
 
-    e and f are GF(2) n-vectors read as bitmasks with the first coordinate
-    most significant, and the element index is e * 2^n + f.  The twist flips
-    coordinate (i + k) mod n for every i with e1_i = e2_i = 1 and, when
-    e2_0 = 1, coordinate j - 1 for every 1 <= j <= k with e1_j = 1.  At k = 0
-    only the squares remain, which is C4^n with a_i^2 = b_i.
+    The element index is e * 2^n + f, and row e1 of the twists is row e1
+    of one ``_twists`` list.  Every twist term is a bit of e1 times a bit of
+    e2, so twist(., e2) is linear in e1 and each row past the unit vectors
+    is the XOR of two rows built before it.  At k = 0 only the squares
+    remain, which is C4^n with a_i^2 = b_i.
 
     The products of (e1, f1) with the coset e2 are the 2^n indices
     (e1 ^ e2, c ^ f) for f in order, where c = f1 ^ twist(e1, e2), so each
@@ -222,24 +250,10 @@ def _twisted_table(n: int, k: int) -> List[List[int]]:
     pointers.
     """
     m = 1 << n
-
-    def bit(e: int, j: int) -> int:
-        return (e >> (n - 1 - j)) & 1
-
-    def twist(e1: int, e2: int) -> int:
-        t = 0
-        if bit(e2, 0):
-            for j in range(1, k + 1):
-                t ^= bit(e1, j) << (n - j)
-        for i in range(n):
-            t ^= (bit(e1, i) & bit(e2, i)) << (n - 1 - (i + k) % n)
-        return t
-
     ints = list(range(m * m))
     block = [[[ints[(e << n) | (c ^ f)] for f in range(m)] for c in range(m)] for e in range(m)]
     table = []
-    for e1 in range(m):
-        tw = [twist(e1, e2) for e2 in range(m)]
+    for e1, tw in enumerate(_twists(n, k)):
         for f1 in range(m):
             table.append(list(itertools.chain.from_iterable(
                 [block[e1 ^ e2][f1 ^ tw[e2]] for e2 in range(m)]
@@ -271,13 +285,14 @@ class GnkGroup(FiniteGroup):
         return _twisted_table(self.n, self.k)
 
     def _inverses(self) -> List[int]:
-        """(e, f)^-1 = (e, f ^ twist(e, e)), read in closed form off the table.
+        """(e, f)^-1 = (e, f ^ twist(e, e)), read off the diagonal of ``_twists``.
 
         (e, f)(e, f') = (0, f ^ f' ^ twist(e, e)) is the identity exactly when
-        f' = f ^ twist(e, e), and twist(e, e) is the index of (e, 0)^2.
+        f' = f ^ twist(e, e).  Every twist term is a bit of e1 times a bit of
+        e2, so the twists form one bilinear list and no table is built.
         """
-        n, table = self.n, self.table
-        squares = [table[e << n][e << n] for e in range(1 << n)]
+        n = self.n
+        squares = [row[e] for e, row in enumerate(_twists(n, self.k))]
         return [a ^ squares[a >> n] for a in range(self.order)]
 
     def _bits(self, v: int) -> List[int]:

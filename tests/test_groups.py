@@ -50,6 +50,7 @@ from rshds.groups import (
     involutions,
     _commutator_power_subgroup,
     _irredundant_generators,
+    _twisted_table,
     is_normal,
     normal_subgroups_of_prime_index,
     quotient,
@@ -169,6 +170,25 @@ def test_gnk_table_follows_the_word_product(case):
     n, k, a, b = case
     g = _gnk(n, k)
     assert g.mul(a, b) == gnk_index(n, word_mul(n, k, gnk_word(n, a), gnk_word(n, b)))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(n)])
+def test_twisted_table_is_the_word_product(n, k):
+    """The whole table, k = n-1 included: GnkGroup refuses it, the builder does not."""
+    words = [gnk_word(n, a) for a in range(4**n)]
+    expected = [[gnk_index(n, word_mul(n, k, w1, w2)) for w2 in words] for w1 in words]
+    assert _twisted_table(n, k) == expected
+
+
+def test_gnk_inverses_and_h_need_no_table():
+    n, k = 7, 3
+    g = GnkGroup(n, k)
+    sub = g.distinguished_subgroup()
+    assert (g.order, sub.members) == (16384, tuple(range(128)))
+    zero = (0,) * n
+    for a in [0, g.order - 1, *random.Random(26).sample(range(g.order), 300)]:
+        assert word_mul(n, k, gnk_word(n, a), gnk_word(n, g.inv(a))) == (zero, zero)
+    assert g._table is None
 
 
 @st.composite
