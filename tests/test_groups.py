@@ -186,7 +186,7 @@ def test_gnk_inverses_and_h_need_no_table():
     sub = g.distinguished_subgroup()
     assert (g.order, sub.members) == (16384, tuple(range(128)))
     zero = (0,) * n
-    for a in [0, g.order - 1, *random.Random(26).sample(range(g.order), 300)]:
+    for a in [0, g.order - 1, *random.Random(7).sample(range(g.order), 300)]:
         assert word_mul(n, k, gnk_word(n, a), gnk_word(n, g.inv(a))) == (zero, zero)
     assert g._table is None
 
