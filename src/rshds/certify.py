@@ -184,7 +184,8 @@ def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> C
     in the module docstring a difference set that misses H meets every
     other coset in h/2 points, so none holds a whole coset and m = 0 is the
     only partition.  When D meets D^-1 the witness is the least coset the
-    intersection meets but does not fill, or else m, with a warning.
+    intersection meets but does not fill, or else m, with a warning.  An H
+    of another group is a :class:`PreconditionError`.
     """
     return _rshds(group, sub, elements, lambda: check_difference_set(group, elements))
 
@@ -193,6 +194,8 @@ def _rshds(
     group: FiniteGroup, sub: Subgroup, elements: Sequence[int], equation: Callable[[], CertReport]
 ) -> CertReport:
     """``check_rshds``, with the difference-equation report from ``equation()``."""
+    if sub.parent is not group:
+        raise PreconditionError("subgroup belongs to a different group")
     name = "rshds-structure"
     h = sub.order
     witnesses: Dict[str, object] = {}
@@ -238,6 +241,8 @@ def _rshds(
 
 def coset_profile(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> CertReport:
     """Certify |D meet Hg| = h/2 on every nontrivial coset and 0 on H."""
+    if sub.parent is not group:
+        raise PreconditionError("subgroup belongs to a different group")
     dec = cosets(group, sub)
     profile = [0] * dec.num_cosets
     for g in _index_set(elements, group.order, PreconditionError):
@@ -583,6 +588,8 @@ def quotient_check(
     fingerprint list of H-swallowing shapes: H must lie in N.  Anything
     else: the profile is reported without judgment.
     """
+    if sub.parent is not group:
+        raise PreconditionError("subgroup belongs to a different group")
     dset = _index_set(elements, group.order, PreconditionError)
     q, proj = quotient(group, normal_sub)
     u = q.order

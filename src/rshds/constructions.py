@@ -138,11 +138,11 @@ def assignment_difference_set(assignment: HyperplaneAssignment) -> DifferenceSet
 def _subgroup_f2_coordinates(group: FiniteGroup, sub: Subgroup) -> Dict[int, int]:
     """F_2 coordinates, as bitmasks, on an elementary abelian 2-subgroup.
 
-    The members of H in a gnk or c4n group are their own vectors; otherwise
-    ``coordinatize_elementary_abelian`` picks the basis among the members in
-    increasing order, its first coordinate read as the highest bit.
+    The members of ``distinguished_subgroup`` are their own vectors;
+    otherwise ``coordinatize_elementary_abelian`` picks the basis among the
+    members in increasing order, its first coordinate read as the highest bit.
     """
-    if isinstance(group, GnkGroup) and sub == group.distinguished_subgroup():
+    if sub == group.distinguished_subgroup():
         return {m: m for m in sub.members}
     coords = coordinatize_elementary_abelian(group, 2, sub.members)
     return {m: sum(b << i for i, b in enumerate(reversed(c))) for m, c in coords.items()}

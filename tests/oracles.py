@@ -14,7 +14,10 @@ coordinates on H, kept to pin the one F_p coordinatization;
 ``hadamard_reference`` is 2D - J entry by entry from ``mul`` and ``inv``,
 kept to pin the one-pass sign rows of ``certify.hadamard_matrix``;
 ``table_refusal_reference`` applies the proof of a Cayley table one rule at
-a time over the whole table, to pin the refusals of the byte pass.
+a time over the whole table, to pin the refusals of the byte pass;
+``mcfarland_set`` and ``mcfarland_count`` build and count the hyperplane
+sets D(w, c) of a twist group, a perfect-matching count the library does
+not have.
 """
 from __future__ import annotations
 
@@ -93,6 +96,45 @@ def c4n_word(n: int, a: int) -> Tuple[int, ...]:
 
 def c4n_index(word: Sequence[int]) -> int:
     return gnk_index(len(word), (tuple(x % 2 for x in word), tuple(x // 2 for x in word)))
+
+
+def mcfarland_set(n: int, w: Sequence[int], c: Sequence[int]) -> FrozenSet[int]:
+    """D(w, c) = {(e, f) : e != 0, w(e).f = c(e)} as indices e * 2^n + f.
+
+    ``w`` and ``c`` are read at the nonzero e: w(e) a nonzero vector of F_2^n
+    as a bitmask, c(e) a bit.  D meets each nontrivial coset of H = {(0, f)}
+    in an affine hyperplane, |H|/2 points.
+    """
+    m = 1 << n
+    return frozenset((e << n) | f for e in range(1, m) for f in range(m)
+                     if bin(w[e] & f).count("1") % 2 == c[e])
+
+
+def mcfarland_count(n: int, k: int, skew: bool) -> int:
+    """The skew (or, with ``skew=False``, self-inverse) sets D(w, c) of twist (n, k), w a bijection.
+
+    With s(e) = (e, 0)^2 from ``gnk_square``, (e, f)^-1 = (e, f + s(e)), so
+    D^-1 meets the coset e in {f : w(e).f = c(e) + w(e).s(e)}: D is skew
+    exactly when w(e).s(e) = 1 at every e, and self-inverse exactly when it
+    is 0 at every e.  Every c is allowed, so the count is 2^(2^n - 1)
+    perm(M) with M[e][u] = [u.s(e) = 1] (skew) or [u.s(e) = 0] over the
+    nonzero e and u.  perm(M), the perfect matchings of M, is a subset DP:
+    ways[used] counts the matchings of the first |used| rows onto the
+    columns in ``used``.
+    """
+    m = 1 << n
+    squares = [from_bits(gnk_square(n, k, bits(e, n))) for e in range(1, m)]
+    allowed = [[u - 1 for u in range(1, m) if bin(u & s).count("1") % 2 == skew]
+               for s in squares]
+    ways = [0] * (1 << (m - 1))
+    ways[0] = 1
+    for used, count in enumerate(ways):
+        row = bin(used).count("1")
+        if count and row < m - 1:
+            for col in allowed[row]:
+                if not used >> col & 1:
+                    ways[used | 1 << col] += count
+    return 2 ** (m - 1) * ways[-1]
 
 
 def naive_difference_tally(group: FiniteGroup, elements: Sequence[int]) -> Dict[int, int]:

@@ -43,6 +43,7 @@ from rshds.constructions import (
 from rshds.formats import build_group, read_cayley, write_cayley
 from rshds.groups import (
     IDENTITY,
+    CayleyTableGroup,
     GroupError,
     ParameterSet,
     closure,
@@ -221,6 +222,38 @@ def test_check_rshds_reports_a_wrong_size(gnk20):
     sub = gnk20.distinguished_subgroup()
     report = check_rshds(gnk20, sub, [4, 7, 8, 9, 12])
     assert not report.passed and report.witnesses == {"size": 5}
+
+
+def test_check_rshds_reports_an_odd_subgroup_order_and_an_element_of_h(gnk20):
+    c9 = cyclic_group(9)
+    report = check_rshds(c9, closure(c9, [3]), [])
+    assert not report.passed and report.witnesses == {"subgroup_order": 3}
+    assert report.warnings == ["subgroup order must be even and at least 2"]
+    sub, inside = gnk20.distinguished_subgroup(), [1, 7, 8, 9, 12, 14]
+    report = check_rshds(gnk20, sub, inside)
+    assert not report.passed and report.witnesses == {"element_in_subgroup": 1}
+    report = coset_profile(gnk20, sub, inside)
+    assert not report.passed and report.witnesses == {"profile": [1, 1, 2, 2], "bad_coset": 0}
+
+
+@pytest.mark.parametrize("members", [[0, 1, 2, 5], [0, 1, 10, 11]])
+def test_a_subgroup_of_another_group_is_refused(cand20, members):
+    # S is a subgroup of C2^4 with 3 and 5 swapped, not of gnk:2,0, and D +
+    # D^-1 + S is not gnk:2,0; read as a set of gnk:2,0 it passed
+    # rshds-structure ({0, 1, 2, 5}) and coset-profile ({0, 1, 10, 11})
+    group, elements = cand20.group, cand20.elements
+    p = [5 if a == 3 else 3 if a == 5 else a for a in range(16)]
+    other = CayleyTableGroup([[p[p[a] ^ p[b]] for b in range(16)] for a in range(16)])
+    sub = groups.Subgroup(other, members)
+    kernel = normal_subgroups_of_prime_index(group)[0][0]
+    for check in (check_rshds, coset_profile, check_schur_ring, spectrum, check_hadamard,
+                  lambda g, s, d: quotient_check(g, s, d, kernel)):
+        with pytest.raises(PreconditionError, match="subgroup belongs to a different group"):
+            check(group, sub, elements)
+    reports = certify.run_checks(group, sub, elements, certify.CHECK_ORDER)
+    assert [r.passed for r in reports] == [True, False, False, False, False, False]
+    for report in reports[1:]:
+        assert report.witnesses == {"precondition": "subgroup belongs to a different group"}
 
 
 def test_a_passing_check_rshds_builds_no_coset_decomposition(monkeypatch, cand31):
@@ -597,6 +630,28 @@ def test_quotient_c4_family_of_a_synthetic_profile(name, elements, family):
         ]
 
 
+# C2^4 with the kernel N = <1, 2, 4> of index 2, or N = <1, 2> with G/N =
+# C2^2 on the swallowing list; the sets need not be difference sets, and a
+# prime-index N must hold H, meet D in h(h-p)/(2p) = 2 points and every
+# other coset in h^2/(2p) = 4
+@pytest.mark.parametrize("h_gens, kernel_gens, elements, case, problem", [
+    ([1, 2], [1, 2, 4], [4, 5, 8, 9, 10, 11], "prime-index", None),
+    ([1, 8], [1, 2, 4], [4, 5, 8, 9, 10, 11], "prime-index",
+     "subgroup is not contained in the kernel"),
+    ([1, 2], [1, 2, 4], [4, 5, 6, 8, 9, 10, 11], "prime-index",
+     "|N meet D| != h(h-p)/(2p) for p=2"),
+    ([1, 2], [1, 2, 4], [4, 5, 8, 9, 10], "prime-index",
+     "coset 1 does not meet D in h^2/(2p) points"),
+    ([4, 8], [1, 2], [], "swallowing-quotient", "subgroup is not contained in the kernel"),
+])
+def test_quotient_check_names_each_problem(h_gens, kernel_gens, elements, case, problem):
+    group = elementary_abelian_2_group(4)
+    report = quotient_check(group, closure(group, h_gens), elements, closure(group, kernel_gens))
+    assert report.witnesses["case"] == case
+    assert report.passed is (problem is None)
+    assert report.witnesses.get("problems") == (None if problem is None else [problem])
+
+
 def test_quotient_requires_normal_kernel():
     from rshds.groups import dihedral_group
 
@@ -697,14 +752,14 @@ def test_screen_finds_the_group_generators_once(monkeypatch, tmp_path, spec):
     # generators of G: a gnk group finds them on first use, and a table read
     # by read_cayley keeps the ones its proof found
     whole = []
-    real = groups._generators
+    real = groups._irredundant_generators
 
     def counted(table):
         if len(table) == 64:
             whole.append(1)
         return real(table)
 
-    monkeypatch.setattr(groups, "_generators", counted)
+    monkeypatch.setattr(groups, "_irredundant_generators", counted)
     if spec.startswith("file:"):
         path = tmp_path / "g.cayley.json"
         write_cayley(build_group(spec[5:]), path)
@@ -738,8 +793,9 @@ def test_structural_tests_match_the_reference_screen(monkeypatch, name):
     h = round(g.order ** 0.5)
     subs = [None, *subgroups_of_order_reference(g, h)]
     expected = structural_tests_reference(g, h, subs, certify._SWALLOWING_FINGERPRINTS)
-    for route in ("_quotient_table", "normal_subgroups_of_prime_index"):
+    for route in ("quotient", "normal_subgroups_of_prime_index"):
         monkeypatch.setattr(groups, route, _no_kernel_built)
+    monkeypatch.setattr(certify, "quotient", _no_kernel_built)  # certify's import of it
     for members, screen in zip(subs, expected):
         report = structural_tests(g, h, None if members is None else groups.Subgroup(g, members))
         assert (report.passed, report.witnesses) == screen, members

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,11 @@ from oracles import (
     find_hyperplane_assignment_reference,
     from_bits,
     gnk_square,
+    mcfarland_count,
+    mcfarland_set,
     naive_difference_tally,
 )
-from rshds import certify, f2, fixtures
+from rshds import certify, f2, fixtures, groups
 from rshds.constructions import (
     AssignmentPreconditionError,
     BudgetExceededError,
@@ -120,9 +123,88 @@ def test_gnk_rejects_bad_parameters():
         gnk_difference_set(1, 0)
 
 
+@pytest.mark.parametrize("elements, message", [
+    ([4, 7, 8, 9, 12], "candidate has 5 elements, not k=6"),
+    ([1, 7, 8, 9, 12, 14], "element 1 lies in the excluded subgroup"),
+])
+def test_a_candidate_refuses_a_wrong_size_or_an_element_of_h(gnk20, elements, message):
+    with pytest.raises(ConstructionError, match=message):
+        DifferenceSetCandidate(gnk20, gnk20.distinguished_subgroup(), elements)
+
+
+# ---------------------------------------------------------------------------
+# McFarland sets D(w, c), counted by the perfect matchings of M
+# ---------------------------------------------------------------------------
+
+
+def _kind(group, elements):
+    inverses = {group.inv(g) for g in elements}
+    if inverses == set(elements):
+        return "self-inverse"
+    return "mixed" if inverses & set(elements) else "skew"
+
+
+def test_mcfarland_sets_are_every_set_that_misses_h_at_order_16(cand20):
+    # the brute force over every 6-subset of G - H, H the distinguished
+    # subgroup of gnk:2,0, finds exactly the 48 sets D(w, c) with w a
+    # bijection of the nonzero vectors, and the permanent counts their kinds
+    group, sub = cand20.group, cand20.subgroup
+    brute = set()
+    for d in combinations([g for g in range(16) if g not in sub], 6):
+        tally = naive_difference_tally(group, d)
+        if all(tally.get(g, 0) == 2 for g in range(1, 16)):
+            brute.add(frozenset(d))
+    sets = {mcfarland_set(2, (0, *w), (0, *c))
+            for w in permutations(range(1, 4)) for c in product((0, 1), repeat=3)}
+    assert len(sets) == 48 and sets == brute
+    kinds = Counter(_kind(group, d) for d in sets)
+    assert kinds == {"skew": 16, "self-inverse": 8, "mixed": 24}
+    assert (mcfarland_count(2, 0, skew=True), mcfarland_count(2, 0, skew=False)) == (16, 8)
+
+
+# twist (n, k) is gnk:n,k for k < n-1 (c4n:n at k = 0); GnkGroup refuses
+# k = n-1, whose squares collide, but its squares are nonzero and M still
+# has perfect matchings.  18,432 is the count of the complete order-64
+# searches on gnk:3,1 and c4n:3.
+@pytest.mark.parametrize("n, k, skew, self_inverse", [
+    (3, 0, 18_432, 3_072),
+    (3, 1, 18_432, 3_072),
+    (3, 2, 6_144, None),
+    (4, 0, 5_253_348_982_784, 806_141_034_496),
+    (4, 1, 5_253_348_982_784, 806_141_034_496),
+    (4, 2, 5_253_348_982_784, 806_141_034_496),
+    (4, 3, 190_253_629_440, None),
+])
+def test_mcfarland_counts(n, k, skew, self_inverse):
+    # s(e), the square the oracle reads off its word product, is the
+    # diagonal of the library's twist list
+    diagonal = [row[e] for e, row in enumerate(groups._twists(n, k))]
+    assert diagonal == [from_bits(gnk_square(n, k, bits(e, n))) for e in range(1 << n)]
+    assert mcfarland_count(n, k, skew=True) == skew
+    if self_inverse is not None:
+        assert mcfarland_count(n, k, skew=False) == self_inverse
+
+
 # ---------------------------------------------------------------------------
 # matching construction
 # ---------------------------------------------------------------------------
+
+
+
+def test_assignment_precondition_rejects_a_trivial_subgroup():
+    trivial = cyclic_group(1)
+    with pytest.raises(AssignmentPreconditionError, match="nontrivial"):
+        find_hyperplane_assignment(trivial, closure(trivial, []))
+
+
+def test_assignment_precondition_rejects_a_non_normal_subgroup():
+    # <(s, 1), (1, c)> in D4 x C2, s a reflection: a C2^2 that r conjugates
+    # out of itself
+    group = direct_product(dihedral_group(4), cyclic_group(2))
+    sub = closure(group, [8, 1])
+    assert sub.order == 4 and sub.is_elementary_abelian_2()
+    with pytest.raises(AssignmentPreconditionError, match="not normal"):
+        find_hyperplane_assignment(group, sub)
 
 
 def test_assignment_on_c4_squared():

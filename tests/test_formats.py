@@ -60,6 +60,8 @@ MALFORMED_DSET = {
     "duplicate-elements": _json({**_DSET, "elements": [4, 4]}),
     "elements-boolean": _json({**_DSET, "elements": [True, 5, 6]}),
     "subgroup-boolean": _json({**_DSET, "subgroup": [True, 2]}),
+    "distinguished-on-a-file-group": _json({**_DSET, "group": f"file:{G36_FILE}"}),
+    "elements-not-a-list": _json({**_DSET, "elements": 4}),
 }
 MALFORMED_CAYLEY = {
     "not-json": "{",

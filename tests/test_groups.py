@@ -42,6 +42,7 @@ from rshds.groups import (
     Subgroup,
     closure,
     closure_members,
+    coordinatize_elementary_abelian,
     cosets,
     cyclic_group,
     dihedral_group,
@@ -472,6 +473,15 @@ def test_is_normal_examples():
     c2 = closure(s3, [reflection])
     assert c2.order == 2
     assert not is_normal(s3, c2)
+
+
+@pytest.mark.parametrize("group, members, message", [
+    (cyclic_group(4), range(4), "element 1 has order != 2"),
+    (elementary_abelian_2_group(2), [0, 1, 2], "coordinatization failed"),
+], ids=["order-4-element", "not-closed"])
+def test_coordinatize_elementary_abelian_refusals(group, members, message):
+    with pytest.raises(GroupError, match=message):
+        coordinatize_elementary_abelian(group, 2, members)
 
 
 def test_cosets_examples():

@@ -85,7 +85,7 @@ def private_helpers_without_callers(sources: dict) -> list:
 
     ``sources`` maps module names to their source.  A module-level ``_name``
     function or class is reached by a name read, an attribute read
-    (``groups._generators``) or a name imported; a ``_name`` method of a
+    (``groups._greedy_reach``) or a name imported; a ``_name`` method of a
     module-level class only by an attribute read (``self._validate()``).
     Dunder names are the interpreter's and never count as helpers.
     """

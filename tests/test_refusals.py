@@ -44,6 +44,7 @@ from rshds.groups import (
     dihedral_group,
     direct_product,
     elementary_abelian_2_group,
+    is_normal,
     subgroups_of_order,
     validate_group_table,
 )
@@ -107,6 +108,13 @@ def test_write_dset_refuses_a_negative_index_for_a_file_spec(tmp_path, subgroup,
     assert not path.exists()
 
 
+def test_write_dset_refuses_an_unknown_subgroup_token(tmp_path):
+    path = tmp_path / "d.json"
+    with pytest.raises(FormatError, match="unknown subgroup token"):
+        write_dset(path, "gnk:2,0", "everything", D)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name", sorted(TAKERS))
 def test_numpy_indices_pass(tmp_path, name):
     call, base, _, cases = TAKERS[name]
@@ -118,10 +126,11 @@ def test_numpy_indices_pass(tmp_path, name):
 COEFFS = [int(g in D) for g in range(G.order)]
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
-def test_coefficients_are_refused_not_coerced(bad):
+@pytest.mark.parametrize("coeffs", [[0.5, *COEFFS[1:]], [1.0, *COEFFS[1:]], [True, *COEFFS[1:]],
+                                    COEFFS[1:]], ids=["float", "integral-float", "bool", "short"])
+def test_coefficients_are_refused_not_coerced(coeffs):
     with pytest.raises(AlgebraError):
-        AlgebraElement(G, [bad, *COEFFS[1:]])
+        AlgebraElement(G, coeffs)
 
 
 def test_any_integer_coefficient_passes():
@@ -167,6 +176,7 @@ SCALARS = {
     "structural_tests H of order 2": lambda: _screen_without_walks(4, closure(G, [1])),
     "structural_tests H of another G": lambda: _screen_without_walks(
         4, GnkGroup(2, 0).distinguished_subgroup()),
+    "is_normal H of another G": lambda: is_normal(G, GnkGroup(2, 0).distinguished_subgroup()),
     "exhaustive_search bool budget": lambda: _search_without_blocks(True),
     "exhaustive_search float budget": lambda: _search_without_blocks(2.5),
     "exhaustive_search string budget": lambda: _search_without_blocks("10"),
@@ -209,6 +219,13 @@ def test_table_entries_are_refused_not_coerced(prove, case):
     # bytes() takes a bool, and a row with 1.0 for 1 equals a permutation
     with pytest.raises(GroupTableError, match="expected integers"):
         prove(BAD_ENTRIES[case])
+
+
+@pytest.mark.parametrize("prove", [CayleyTableGroup, validate_group_table],
+                         ids=["CayleyTableGroup", "validate_group_table"])
+def test_an_empty_table_is_refused(prove):
+    with pytest.raises(GroupTableError, match="empty table"):
+        prove([])
 
 
 def test_a_table_group_is_proved_a_group():
