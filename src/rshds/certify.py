@@ -661,7 +661,11 @@ def _screen_order(group: FiniteGroup, h_candidate: int) -> int:
 
 
 def structural_tests(
-    group: FiniteGroup, h_candidate: int, sub: Optional[Subgroup] = None
+    group: FiniteGroup,
+    h_candidate: int,
+    sub: Optional[Subgroup] = None,
+    *,
+    unique_normal_h: bool = False,
 ) -> CertReport:
     """Run the four screening tests for candidate subgroup order h.
 
@@ -691,18 +695,10 @@ def structural_tests(
     T4 walks only the subgroups that meet H in the identity alone (the
     ``avoid`` set of ``_subgroups_dividing``), and its witness is the least
     complement in member-tuple order.
-    """
-    return _structural_tests(group, h_candidate, sub, unique_normal_h=False)
 
-
-def _structural_tests(
-    group: FiniteGroup, h_candidate: int, sub: Optional[Subgroup], unique_normal_h: bool
-) -> CertReport:
-    """``structural_tests``, where ``unique_normal_h`` lets the screen's walk supply H.
-
-    With it and no H given, H is the normal subgroup of order h when the
-    walk finds exactly one, which is how ``rshds screen`` picks H on a table
-    with no distinguished subgroup.
+    With ``unique_normal_h`` and no H given, H is the normal subgroup of
+    order h when the walk finds exactly one, so T2 and T4 run on it; this is
+    how ``rshds screen`` picks H on a table with no distinguished subgroup.
     """
     h = _screen_order(group, h_candidate)
     if sub is not None and (sub.parent is not group or sub.order != h):

@@ -182,7 +182,7 @@ def _cmd_screen(args) -> int:
         sub = _parse_subgroup(group, args.subgroup)
     else:
         sub = group.distinguished_subgroup()
-    report = certify._structural_tests(group, args.h, sub, unique_normal_h=True)
+    report = certify.structural_tests(group, args.h, sub, unique_normal_h=True)
     _emit_reports([report], args.json)
     return EXIT_OK if report.passed else EXIT_FAIL
 

@@ -460,7 +460,7 @@ def exhaustive_search(
             if any(inv[x] == x for x in mem):
                 return SearchResult([], nodes=0, leaves=0)
             pairs = [(x, inv[x]) for x in mem if x < inv[x]]
-            blocks.append([tuple(choice) for choice in itertools.product(*pairs)])
+            blocks.append(list(itertools.product(*pairs)))
         else:
             mem_i = members_by_coset[i]
             mem_j = members_by_coset[j]
@@ -484,11 +484,10 @@ def exhaustive_search(
 
     # choices are numbered through all blocks, and depth d walks depths[d]
     elements_of = [c for block in blocks for c in block]
-    rows = [[table[a] for a in c] for c in elements_of]
     invs = [[inv[a] for a in c] for c in elements_of]
     internal = [
-        sum([pair[ra[ib]] for n, ra in enumerate(rs) for ib in ivs[n + 1:]])
-        for rs, ivs in zip(rows, invs)
+        sum([pair[table[a][ib]] for n, a in enumerate(c) for ib in ivs[n + 1:]])
+        for c, ivs in zip(elements_of, invs)
     ]
     depths: List[Iterable[int]] = []
     first = 0
@@ -503,7 +502,7 @@ def exhaustive_search(
         shifts = _central_involutions(table, sub)
         index = {frozenset(elements_of[c]): c for c in block} if shifts else {}
         for c in choices:
-            if all(index[frozenset([row[z] for row in rows[c]])] >= c for z in shifts):
+            if all(index[frozenset([table[a][z] for a in elements_of[c]])] >= c for z in shifts):
                 yield c
 
     if depths:  # depth 0 is entered once, so a generator serves it

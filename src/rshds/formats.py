@@ -138,12 +138,13 @@ def write_dset(
 
     ``subgroup`` is either the literal string "distinguished" or a list of
     generator indices whose closure is the subgroup.  Indices obey
-    ``groups._indices`` for the order of a gnk: or c4n: spec.  A file:
-    spec's table is not read again here, so a negative index is refused and
-    ``read_dset`` checks the upper bound.
+    ``groups._indices`` for the order of ``build_group(spec)``, so a gnk:
+    or c4n: spec that ``read_dset`` refuses raises the same GroupError here
+    (a ``GnkGroup`` builds no table).  A file: spec's table is not read, so
+    a negative index is refused and ``read_dset`` checks the upper bound.
     """
     spec = group_spec if isinstance(group_spec, GroupSpec) else GroupSpec.parse(group_spec)
-    order = None if spec.kind == "file" else 4**spec.n
+    order = None if spec.kind == "file" else build_group(spec).order
     if isinstance(subgroup, str):
         if subgroup != "distinguished":
             raise FormatError(f"unknown subgroup token {subgroup!r}")

@@ -605,7 +605,6 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
 class CosetDecomposition(NamedTuple):
     """Right cosets Hg with lexicographically least representatives, H first."""
 
-    subgroup: Subgroup
     transversal: Tuple[int, ...]
     coset_of: Tuple[int, ...]
 
@@ -628,7 +627,7 @@ def cosets(group: FiniteGroup, sub: Subgroup) -> CosetDecomposition:
         transversal.append(g)
         for row in rows:
             coset_of[row[g]] = idx
-    return CosetDecomposition(sub, tuple(transversal), tuple(coset_of))
+    return CosetDecomposition(tuple(transversal), tuple(coset_of))
 
 
 def quotient(

@@ -43,6 +43,7 @@ from rshds.constructions import (
 from rshds.formats import build_group, read_cayley, write_cayley
 from rshds.groups import (
     IDENTITY,
+    C4PowerGroup,
     CayleyTableGroup,
     GroupError,
     ParameterSet,
@@ -94,6 +95,17 @@ def test_check_difference_set_singleton(gnk20):
     assert report.passed
     assert report.witnesses["k"] == 1
     assert report.witnesses["lambda"] == 0
+
+
+def test_check_difference_set_degenerate_orders():
+    # one element of C4 off 2C4 is a (4, 1, 0) set: h = 2, with its warning
+    report = check_difference_set(C4PowerGroup(1), [2])
+    assert report.passed and report.params == ParameterSet(2, m=None)
+    assert report.warnings == ["degenerate h=2: lambda = 0, the structural theorems are vacuous"]
+    # the trivial group has no difference to count: lambda = 0, and no h fits
+    report = check_difference_set(cyclic_group(1), [])
+    assert report.passed and report.params is None and report.warnings == []
+    assert report.witnesses == {"k": 0, "lambda": 0}
 
 
 def test_check_difference_set_two_elements_fails(gnk20):
@@ -301,6 +313,33 @@ def test_coset_lemma_by_brute_force_at_order_16(spec, dset_counts):
         assert skew == (16 if distinguished else 0)
 
 
+def test_a_non_normal_subgroup_carries_difference_sets_but_no_skew_one():
+    # H = <(s, 1), (1, c)> in D4 x C2, s a reflection, is not normal.  Among
+    # the 924 6-subsets of G - H, 16 are difference sets: 8 self-inverse, 8
+    # mixed and none skew.  Each meets every coset outside H in h/2 points,
+    # but meets its inverse in a set that is no union of cosets.  So "H is
+    # normal" holds for the skew partition G = D + D^-1 + H, not for every
+    # difference set that misses H
+    group = direct_product(dihedral_group(4), cyclic_group(2))
+    sub = closure(group, [8, 1])
+    assert sub.members == (0, 1, 8, 9) and not groups.is_normal(group, sub)
+    outside = [g for g in range(16) if g not in sub]
+    kinds = {"skew": 0, "self-inverse": 0, "mixed": 0}
+    for d in combinations(outside, 6):
+        tally = naive_difference_tally(group, d)
+        if not all(tally.get(g, 0) == 2 for g in range(1, 16)):
+            continue
+        inverses = {group.inv(g) for g in d}
+        kind = ("self-inverse" if inverses == set(d)
+                else "mixed" if inverses & set(d) else "skew")
+        kinds[kind] += 1
+        assert check_difference_set(group, d).passed
+        assert coset_profile(group, sub, d).passed
+        rshds = check_rshds(group, sub, d)
+        assert not rshds.passed and "intersection_not_coset_union_at" in rshds.witnesses
+    assert kinds == {"skew": 0, "self-inverse": 8, "mixed": 8}
+
+
 @pytest.mark.parametrize("check", [check_rshds, coset_profile])
 def test_repeated_and_out_of_range_indices_are_refused(cand20, check):
     group, sub, elements = cand20.group, cand20.subgroup, list(cand20.elements)
@@ -506,6 +545,35 @@ def test_spectrum_and_hadamard_read_the_structure_constants(monkeypatch, cand20,
         assert _fails(spectrum, cand20) and _fails(check_hadamard, cand20), (i, j, t)
     monkeypatch.setattr(certify, "_schur_structure", real)
     assert not _fails(spectrum, cand20) and not _fails(check_hadamard, cand20)
+
+
+def _not_symmetric(i, j):
+    return [f"structure constants not symmetric at ({i},{j})",
+            f"structure constants not symmetric at ({j},{i})"]
+
+
+# each cell of gnk:2,0's structure table whose constants schur compares, and
+# the problems it names when any one constant of that cell is lowered by 2
+@pytest.mark.parametrize("cell, problems", [
+    ((0, 1), _not_symmetric(0, 1)),
+    ((0, 2), ["H*D != (h/2)(G-H)", "D and H do not commute", *_not_symmetric(0, 2)]),
+    ((2, 2), ["D^2 != (k-lam-h/2)(D+D^-1) + (k-lam)(H-1)"]),
+    ((2, 3), ["D and D^-1 do not commute", *_not_symmetric(2, 3)]),
+], ids=["symmetry", "H*D", "D^2", "D*D^-1"])
+def test_schur_ring_names_each_problem_of_a_changed_constant(monkeypatch, cand20, cell, problems):
+    real = certify._schur_structure
+    i, j = cell
+    for t in range(4):
+        def mutated(*args, t=t):
+            base, structure, witnesses = real(*args)
+            table = [[list(c) for c in row] for row in structure.coordinates]
+            table[i][j][t] -= 2
+            coords = tuple(tuple(tuple(c) for c in row) for row in table)
+            return base, SchurStructure(coords), witnesses
+
+        monkeypatch.setattr(certify, "_schur_structure", mutated)
+        report, _ = check_schur_ring(cand20.group, cand20.subgroup, cand20.elements)
+        assert not report.passed and report.witnesses["problems"] == problems, t
 
 
 def test_hadamard_certificate(cand20, cand30):

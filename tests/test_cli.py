@@ -10,7 +10,7 @@ import pytest
 
 from rshds import algebra, certify, cli, groups
 from rshds.formats import read_hadamard, write_cayley
-from rshds.groups import cyclic_group, direct_product, elementary_abelian_2_group
+from rshds.groups import cyclic_group, dihedral_group, direct_product, elementary_abelian_2_group
 
 G36_SPEC = "file:" + str(Path(cli.__file__).parent / "data" / "g36_1.json")
 
@@ -100,6 +100,23 @@ def test_thm81_certify_json_golden_hash(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["certify", str(dset), "--json"]) == cli.EXIT_FAIL
     assert sha16(capsys.readouterr().out.encode()) == "544665b8dce7f8f7"
+
+
+def test_construct_writes_a_default_name_in_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "gnk:2,0"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith("wrote gnk_2_0.dset.json\n")
+    assert sha16((tmp_path / "gnk_2_0.dset.json").read_bytes()) == CONSTRUCT_SHA256["gnk:2,0"]
+
+
+def test_thm81_prints_none_when_no_matching_exists(tmp_path, monkeypatch, capsys):
+    # {0, 4, 8, 12} is a normal C2^2 of D4 x C2 that no hyperplane matching
+    # fits, so nothing is certified and no file is written
+    monkeypatch.chdir(tmp_path)
+    write_cayley(direct_product(dihedral_group(4), cyclic_group(2)), "d4c2.json")
+    assert cli.main(["thm81", "file:d4c2.json", "gens=4,8"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "none\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d4c2.json"]
 
 
 def test_export_hadamard_golden_hash(tmp_path):
@@ -242,6 +259,11 @@ def test_exit_codes_usage_errors(tmp_path, capsys):
         # order is ASCII digits alone
         ["search", "gnk:2,0", "auto"],
         ["search", G36_SPEC, "auto-n6"],
+        # construct builds gnk: and c4n: sets only, --checks takes known
+        # names only, and a table read from a file has no distinguished subgroup
+        ["construct", G36_SPEC],
+        ["certify", "DSET", "--checks", "dset,nope"],
+        ["thm81", G36_SPEC, "distinguished"],
     ],
 )
 def test_bad_subgroup_tokens_and_empty_check_lists_are_usage_errors(tmp_path, capsys, argv):
@@ -354,6 +376,17 @@ def test_screen_of_a_plain_table_walks_the_normal_lattice_once(monkeypatch):
     assert calls == [[3, 4, 6, 9]]
 
 
+def test_quotient_checks_every_prime_index_kernel_by_default(tmp_path, capsys):
+    # gnk:3,1 has 7 kernels of index 2, and its set passes against each
+    dset = tmp_path / "d.json"
+    assert cli.main(["construct", "gnk:3,1", "--out", str(dset)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["quotient", str(dset), "--json"]) == cli.EXIT_OK
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 7
+    assert all(r["pass"] and r["witnesses"]["case"] == "prime-index" for r in reports)
+
+
 def test_search_resolves_the_auto_subgroup(capsys):
     assert cli.main(["search", G36_SPEC, "auto-6"]) == cli.EXIT_OK
     assert capsys.readouterr().out.startswith("found 0 difference set(s)")
@@ -366,7 +399,8 @@ def test_auto_subgroup_must_be_unique(capsys, c6xc6_spec):
 
 # `search` stdout (16 hex digits of its sha256; the budget stop prints nothing
 # there) and the start of the stats line it ends stderr with.  The sets are as
-# first released; the node and leaf counts are those of the reduced walk.
+# first released; the node and leaf counts are those of the reduced walk.  The
+# c4n:1 stdout is its two sets after the line "warning: degenerate h=2, lambda = 0".
 SEARCH_RUNS = [
     (["gnk:2,0", "distinguished"], cli.EXIT_OK, "ed8a38e6a96a8bdf",
      "search: 34 nodes, 8 leaves, "),
@@ -374,11 +408,13 @@ SEARCH_RUNS = [
      "search: 2992 nodes, 0 leaves, "),
     (["gnk:3,1", "distinguished", "--budget", "10000"], cli.EXIT_BUDGET, "e3b0c44298fc1c14",
      "search: 10001 nodes, 24 leaves, "),
+    (["c4n:1", "distinguished"], cli.EXIT_OK, "09bcbb97f308f643",
+     "search: 1 nodes, 1 leaves, "),
 ]
 
 
 @pytest.mark.parametrize("argv, code, stdout_sha, stats", SEARCH_RUNS,
-                         ids=["gnk:2,0", "G36_1", "budget-stop"])
+                         ids=["gnk:2,0", "G36_1", "budget-stop", "h=2"])
 def test_search_prints_its_stats_to_stderr_only(capsys, argv, code, stdout_sha, stats):
     assert cli.main(["search", *argv]) == code
     captured = capsys.readouterr()

@@ -6,6 +6,8 @@ its own error class, and numpy integers pass with the result plain ints give.
 """
 from __future__ import annotations
 
+import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -30,7 +32,7 @@ from rshds.constructions import (
     exhaustive_search,
 )
 from rshds.fixtures import g36_1
-from rshds.formats import FormatError, read_cayley, write_cayley, write_dset
+from rshds.formats import FormatError, read_cayley, read_dset, write_cayley, write_dset
 from rshds.groups import (
     C4PowerGroup,
     CayleyTableGroup,
@@ -112,6 +114,21 @@ def test_write_dset_refuses_an_unknown_subgroup_token(tmp_path):
     path = tmp_path / "d.json"
     with pytest.raises(FormatError, match="unknown subgroup token"):
         write_dset(path, "gnk:2,0", "everything", D)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("spec", ["gnk:3,2", "c4n:0"])
+def test_write_dset_refuses_a_spec_that_read_dset_refuses(tmp_path, spec):
+    # both take the group's order from build_group, so write_dset writes no
+    # file that read_dset would refuse for its spec, and gives the same reason
+    written_by_hand = tmp_path / "hand.json"
+    doc = {"group": spec, "subgroup": "distinguished", "elements": [63]}
+    written_by_hand.write_text(json.dumps(doc))
+    with pytest.raises(GroupError) as refused:
+        read_dset(written_by_hand)
+    path = tmp_path / "d.json"
+    with pytest.raises(GroupError, match=re.escape(str(refused.value))):
+        write_dset(path, spec, "distinguished", [63])
     assert not path.exists()
 
 
