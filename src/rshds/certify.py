@@ -198,15 +198,11 @@ def _rshds(
         raise PreconditionError("subgroup belongs to a different group")
     name = "rshds-structure"
     h = sub.order
+    refusal = _order_refusal(name, group, h)
+    if refusal is not None:
+        return refusal
     witnesses: Dict[str, object] = {}
     params = _unpinned_params(h)
-    if params is None:
-        return CertReport(name, False, None, {"subgroup_order": h},
-                          ["subgroup order must be even and at least 2"])
-    if group.order != h * h:
-        witnesses["group_order"] = group.order
-        witnesses["required_order"] = h * h
-        return CertReport(name, False, params, witnesses)
     dset = _index_set(elements, group.order, PreconditionError)
     overlap = dset & sub.member_set
     if overlap:
@@ -239,10 +235,30 @@ def _rshds(
     return CertReport(name, eq.passed, params, witnesses, _degenerate_warnings(h))
 
 
+def _order_refusal(name: str, group: FiniteGroup, h: int) -> Optional[CertReport]:
+    """The failing report of a check that needs h even >= 2 and |G| = h^2, or None."""
+    params = _unpinned_params(h)
+    if params is None:
+        return CertReport(name, False, None, {"subgroup_order": h},
+                          ["subgroup order must be even and at least 2"])
+    if group.order != h * h:
+        return CertReport(name, False, params,
+                          {"group_order": group.order, "required_order": h * h})
+    return None
+
+
 def coset_profile(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> CertReport:
-    """Certify |D meet Hg| = h/2 on every nontrivial coset and 0 on H."""
+    """Certify |D meet Hg| = h/2 on every nontrivial coset and 0 on H.
+
+    Like ``check_rshds`` it fails, with the same witnesses, unless h is even
+    and |G| = h^2: h/2 is no count for odd h, and the coset lemma's h/2
+    holds only for the parameters (h^2, h(h-1)/2, h(h-2)/4).
+    """
     if sub.parent is not group:
         raise PreconditionError("subgroup belongs to a different group")
+    refusal = _order_refusal("coset-profile", group, sub.order)
+    if refusal is not None:
+        return refusal
     dec = cosets(group, sub)
     profile = [0] * dec.num_cosets
     for g in _index_set(elements, group.order, PreconditionError):
@@ -559,14 +575,18 @@ def hadamard_matrix(group: FiniteGroup, elements: Sequence[int]) -> List[List[in
 
 
 # ``FiniteGroup.fingerprint`` of each quotient shape that forces H inside the
-# kernel: C2^2, C2^3, D3, C6, C9, C3xC3, C10, D5, C2xD3 and C2xC6
-_SWALLOWING_FINGERPRINTS = frozenset({
+# kernel.  The elementary abelian ones, C2^2, C2^3 and C3xC3, are counted off
+# G/K_p by ``structural_tests``; the other seven are D3, C6, C9, C10, D5,
+# C2xD3 and C2xC6
+_ELEMENTARY_SWALLOWING = frozenset({
     (4, True, (1, 2, 2, 2)),
     (8, True, (1, 2, 2, 2, 2, 2, 2, 2)),
+    (9, True, (1, 3, 3, 3, 3, 3, 3, 3, 3)),
+})
+_SWALLOWING_FINGERPRINTS = _ELEMENTARY_SWALLOWING | frozenset({
     (6, False, (1, 2, 2, 2, 3, 3)),
     (6, True, (1, 2, 3, 3, 6, 6)),
     (9, True, (1, 3, 3, 9, 9, 9, 9, 9, 9)),
-    (9, True, (1, 3, 3, 3, 3, 3, 3, 3, 3)),
     (10, True, (1, 2, 5, 5, 5, 5, 10, 10, 10, 10)),
     (10, False, (1, 2, 2, 2, 2, 2, 5, 5, 5, 5)),
     (12, False, (1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6)),
@@ -660,6 +680,23 @@ def _screen_order(group: FiniteGroup, h_candidate: int) -> int:
     return h
 
 
+def _subspace_count(p: int, order: int, index: int) -> int:
+    """Subspaces of index ``index`` in the F_p-space of ``order`` elements.
+
+    With order = p^s and index = p^r this is the Gaussian binomial [s r]_p,
+    which counts the subspaces of dimension r and, by duality, those of
+    codimension r: the ordered independent r-tuples, the product of
+    p^s - p^i over i < r, over the ordered bases of one r-space, the product
+    of p^r - p^i.  When r > s the factor p^s - p^s makes it 0.
+    """
+    num = den = q = 1
+    while q < index:
+        num *= order - q
+        den *= index - q
+        q *= p
+    return num // den
+
+
 def structural_tests(
     group: FiniteGroup,
     h_candidate: int,
@@ -676,25 +713,29 @@ def structural_tests(
     given).  T3: some normal subgroup of order h exists.  T4 (needs H): no
     order-h subgroup intersects H trivially.
 
-    T1 needs no kernel of prime index one by one.  A surjection of G onto
-    C_p, which is abelian of exponent p, kills every commutator and every
-    p-th power, so its kernel holds K_p = G'G^p and is the preimage of the
-    kernel of a surjection of G/K_p onto C_p.  G/K_p is elementary abelian,
-    F_p^r with p^r = |G:K_p|, and those kernels are its hyperplanes: there
-    are (p^r - 1)/(p - 1) of them, and for r >= 1 they meet in 0.  So the
-    kernels of index p number (|G:K_p| - 1)/(p - 1) and meet in K_p (when
-    r = 0 there are none, and K_p = G changes no intersection), and T1's
-    core is the intersection of the K_p from ``_commutator_power_subgroup``
-    with the swallowing kernels.
+    T1 walks to no kernel of an elementary abelian quotient.  A surjection
+    of G onto C_p^r, abelian of exponent p, kills every commutator and
+    every p-th power, so its kernel holds K_p = G'G^p and is the preimage of
+    the kernel of a surjection of G/K_p onto C_p^r.  G/K_p is elementary
+    abelian, F_p^s with p^s = |G:K_p|, and those kernels are its subspaces
+    of codimension r: there are [s r]_p of them (``_subspace_count``, 0 when
+    r > s), and for 1 <= r <= s they meet in 0.  So the kernels of index p
+    (r = 1) number (|G:K_p| - 1)/(p - 1), those of the shapes C2^2, C2^3
+    and C3xC3 (r = 2, 3 and 2) are counted the same way, and all of them
+    meet in K_p (when there are none, K_p = G or p^r > |G:K_p|, and K_p
+    changes no intersection).  T1's core is the intersection of the K_p from
+    ``_commutator_power_subgroup`` with the kernels of the other swallowing
+    shapes.
 
     A bad h or H is refused before any walk: h must be a positive int with
     |G| = h^2, and H a subgroup of this group of order h.  One normal walk
     (``subgroups_of_order``) finds the normal subgroups of order h for T3
-    and of order |G|/d, d a swallowing quotient order, for T1, and
-    ``FiniteGroup.fingerprint`` reads each kernel's quotient shape off G.
-    T4 walks only the subgroups that meet H in the identity alone (the
-    ``avoid`` set of ``_subgroups_dividing``), and its witness is the least
-    complement in member-tuple order.
+    and of order |G|/d, d the order of a swallowing shape that is not
+    elementary abelian, for T1, and ``FiniteGroup.fingerprint`` reads each
+    such kernel's quotient shape off G.  T4 walks only the subgroups that
+    meet H in the identity alone (the ``avoid`` set of
+    ``_subgroups_dividing``), and its witness is the least complement in
+    member-tuple order.
 
     With ``unique_normal_h`` and no H given, H is the normal subgroup of
     order h when the walk finds exactly one, so T2 and T4 run on it; this is
@@ -706,7 +747,11 @@ def structural_tests(
     witnesses: Dict[str, object] = {}
     warnings: List[str] = []
     prime_cores = {p: _commutator_power_subgroup(group, p) for p in _prime_factors(group.order)}
-    swallowing = _SWALLOWING_FINGERPRINTS
+    spaces = {p: group.order // len(k) for p, k in prime_cores.items()}  # |G:K_p| = p^s
+    # C_p^r of order d = p^r: every non-identity element has order p
+    elementary = sum(_subspace_count(p, spaces[p], d)
+                     for d, _, (_, p, *_) in _ELEMENTARY_SWALLOWING if p in spaces)
+    swallowing = _SWALLOWING_FINGERPRINTS - _ELEMENTARY_SWALLOWING
     orders = {group.order // d for d, _, _ in swallowing if group.order % d == 0}  # kernels
     normal = subgroups_of_order(group, h, *orders, normal=True)
     normal_h = [s for s in normal if s.order == h]
@@ -719,9 +764,8 @@ def structural_tests(
     witnesses["T1"] = {
         "pass": t1,
         "core_order": len(core),
-        "prime_index_kernels": sum((group.order // len(k) - 1) // (p - 1)
-                                   for p, k in prime_cores.items()),
-        "swallowing_kernels": len(kernels),
+        "prime_index_kernels": sum(_subspace_count(p, spaces[p], p) for p in spaces),
+        "swallowing_kernels": len(kernels) + elementary,
     }
     inv_closure = closure(group, involutions(group))
     if sub is not None:

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -246,6 +247,23 @@ def test_check_rshds_reports_an_odd_subgroup_order_and_an_element_of_h(gnk20):
     assert not report.passed and report.witnesses == {"element_in_subgroup": 1}
     report = coset_profile(gnk20, sub, inside)
     assert not report.passed and report.witnesses == {"profile": [1, 1, 2, 2], "bad_coset": 0}
+
+
+def test_coset_profile_fails_where_check_rshds_does():
+    # h/2 is no count for odd h, and the lemma's h/2 needs |G| = h^2: on C9
+    # with H = <3> the profile [0, 1, 1] passed, and so did D = {1, 2, 3} on
+    # C8 with H = <4>, whose params read v = 4
+    c9 = cyclic_group(9)
+    for check in (check_rshds, coset_profile):
+        report = check(c9, closure(c9, [3]), [1, 2])
+        assert not report.passed and report.params is None
+        assert report.witnesses == {"subgroup_order": 3}
+        assert report.warnings == ["subgroup order must be even and at least 2"]
+    c8 = cyclic_group(8)
+    for check in (check_rshds, coset_profile):
+        report = check(c8, closure(c8, [4]), [1, 2, 3])
+        assert not report.passed and report.params.v == 4
+        assert report.witnesses == {"group_order": 8, "required_order": 4}
 
 
 @pytest.mark.parametrize("members", [[0, 1, 2, 5], [0, 1, 10, 11]])
@@ -851,13 +869,20 @@ def _no_kernel_built(*args):
     raise AssertionError("a prime-index kernel or quotient table was built")
 
 
-@pytest.mark.parametrize("name", sorted(
-    name for name, g in REFERENCE_GROUPS.items() if round(g.order ** 0.5) ** 2 == g.order
-))
+# the square REFERENCE_GROUPS and C6xC6, whose |G:K_3| = 9 gives it both a
+# C2^2 and a C3xC3 quotient; order 4 is the kernel order of C9 and of C3xC3
+_SCREEN_REFERENCE_GROUPS = {
+    **{name: g for name, g in REFERENCE_GROUPS.items() if round(g.order ** 0.5) ** 2 == g.order},
+    "C6xC6": direct_product(cyclic_group(6), cyclic_group(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCREEN_REFERENCE_GROUPS))
 def test_structural_tests_match_the_reference_screen(monkeypatch, name):
     # H = None and every subgroup of order h, normal or not; T1 reads its
-    # prime-index kernels off G'G^p, so it builds no quotient table
-    g = REFERENCE_GROUPS[name]
+    # prime-index and elementary abelian kernels off G'G^p, so it builds no
+    # quotient table
+    g = _SCREEN_REFERENCE_GROUPS[name]
     h = round(g.order ** 0.5)
     subs = [None, *subgroups_of_order_reference(g, h)]
     expected = structural_tests_reference(g, h, subs, certify._SWALLOWING_FINGERPRINTS)
@@ -867,6 +892,55 @@ def test_structural_tests_match_the_reference_screen(monkeypatch, name):
     for members, screen in zip(subs, expected):
         report = structural_tests(g, h, None if members is None else groups.Subgroup(g, members))
         assert (report.passed, report.witnesses) == screen, members
+
+
+def _subspaces_by_size(p, s):
+    """Sizes of all subspaces of F_p^s, each grown from {0} one vector at a time."""
+    vectors = list(product(range(p), repeat=s))
+    zero = frozenset([(0,) * s])
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for space in frontier:
+            for v in vectors:
+                if v not in space:
+                    grown = frozenset(tuple((a + c * b) % p for a, b in zip(u, v))
+                                      for u in space for c in range(p))
+                    if grown not in seen:
+                        seen.add(grown)
+                        nxt.append(grown)
+        frontier = nxt
+    return Counter(len(space) for space in seen)
+
+
+@pytest.mark.parametrize("p, s", [(p, s) for p in (2, 3) for s in range(5)])
+def test_subspace_count_is_the_brute_force_count(p, s):
+    sizes = _subspaces_by_size(p, s)
+    for r in range(1, s + 2):
+        assert certify._subspace_count(p, p ** s, p ** r) == sizes[p ** (s - r)], r
+    assert certify._subspace_count(p, p ** s, p) == (p ** s - 1) // (p - 1)
+
+
+def test_a_c4n3_screen_walks_only_to_h_and_fingerprints_no_kernel(monkeypatch):
+    # every swallowing shape of an order dividing 64 is elementary abelian, so
+    # T1 counts its kernels off G/K_2 and the walk's one target is h = 8
+    walks, shapes = [], []
+    real_walk, real_fingerprint = groups._normal_subgroups_dividing, C4PowerGroup.fingerprint
+
+    def walk(group, orders):
+        walks.append(sorted(orders))
+        return real_walk(group, orders)
+
+    def fingerprint(self, kernel=None):
+        shapes.append(real_fingerprint(self, kernel))
+        return shapes[-1]
+
+    monkeypatch.setattr(groups, "_normal_subgroups_dividing", walk)
+    monkeypatch.setattr(C4PowerGroup, "fingerprint", fingerprint)
+    group = C4PowerGroup(3)
+    report = structural_tests(group, 8, group.distinguished_subgroup())
+    assert report.passed and walks == [[8]] and shapes == []
+    assert report.witnesses["T1"]["swallowing_kernels"] > 0
 
 
 def test_swallowing_fingerprints_are_the_ten_shapes():

@@ -363,7 +363,8 @@ def test_screen_refuses_a_non_square_order_before_any_walk(monkeypatch, capsys, 
 
 
 def test_screen_of_a_plain_table_walks_the_normal_lattice_once(monkeypatch):
-    # H, the unique normal subgroup of order 6, comes from the screen's own walk
+    # H, the unique normal subgroup of order 6, comes from the screen's own walk;
+    # order 9, the kernel order of C2^2, is counted off G/K_2 and not walked
     calls = []
     real = groups._normal_subgroups_dividing
 
@@ -373,7 +374,7 @@ def test_screen_of_a_plain_table_walks_the_normal_lattice_once(monkeypatch):
 
     monkeypatch.setattr(groups, "_normal_subgroups_dividing", counted)
     assert cli.main(["screen", G36_SPEC, "6"]) == cli.EXIT_OK
-    assert calls == [[3, 4, 6, 9]]
+    assert calls == [[3, 4, 6]]
 
 
 def test_quotient_checks_every_prime_index_kernel_by_default(tmp_path, capsys):
