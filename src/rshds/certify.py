@@ -7,6 +7,9 @@ sets, the minimal polynomial and trace/multiplicity data, the Hadamard
 property of 2D - J, quotient distributions, and the four structural
 screening tests.  Checks return a :class:`CertReport`; violated
 preconditions raise :class:`PreconditionError` instead of reporting.
+The bodies of ``quotient_check`` and ``structural_tests`` live in
+``screen``, with the subgroup lattice they walk, and each imports its body
+inside the call: ``rshds certify`` and ``export-hadamard`` never load them.
 
 The coset lemma: if D is a (h^2, h(h-1)/2, h(h-2)/4) difference set in G
 that misses a subgroup H of order h, then |D meet Hx| = h/2 for every right
@@ -43,23 +46,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, convolve, from_set
-from .groups import (
-    IDENTITY,
-    FiniteGroup,
-    GroupError,
-    ParameterSet,
-    Subgroup,
-    _commutator_power_subgroup,
-    _index_set,
-    _indices,
-    _prime_factors,
-    _subgroups_dividing,
-    closure,
-    cosets,
-    involutions,
-    quotient,
-    subgroups_of_order,
-)
+from .groups import IDENTITY, FiniteGroup, ParameterSet, Subgroup, _index_set, cosets
 
 
 class PreconditionError(ValueError):
@@ -574,26 +561,6 @@ def hadamard_matrix(group: FiniteGroup, elements: Sequence[int]) -> List[List[in
 # ---------------------------------------------------------------------------
 
 
-# ``FiniteGroup.fingerprint`` of each quotient shape that forces H inside the
-# kernel.  The elementary abelian ones, C2^2, C2^3 and C3xC3, are counted off
-# G/K_p by ``structural_tests``; the other seven are D3, C6, C9, C10, D5,
-# C2xD3 and C2xC6
-_ELEMENTARY_SWALLOWING = frozenset({
-    (4, True, (1, 2, 2, 2)),
-    (8, True, (1, 2, 2, 2, 2, 2, 2, 2)),
-    (9, True, (1, 3, 3, 3, 3, 3, 3, 3, 3)),
-})
-_SWALLOWING_FINGERPRINTS = _ELEMENTARY_SWALLOWING | frozenset({
-    (6, False, (1, 2, 2, 2, 3, 3)),
-    (6, True, (1, 2, 3, 3, 6, 6)),
-    (9, True, (1, 3, 3, 9, 9, 9, 9, 9, 9)),
-    (10, True, (1, 2, 5, 5, 5, 5, 10, 10, 10, 10)),
-    (10, False, (1, 2, 2, 2, 2, 2, 5, 5, 5, 5)),
-    (12, False, (1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6)),
-    (12, True, (1, 2, 2, 2, 3, 3, 6, 6, 6, 6, 6, 6)),
-})
-
-
 def quotient_check(
     group: FiniteGroup,
     sub: Subgroup,
@@ -608,93 +575,14 @@ def quotient_check(
     fingerprint list of H-swallowing shapes: H must lie in N.  Anything
     else: the profile is reported without judgment.
     """
-    if sub.parent is not group:
-        raise PreconditionError("subgroup belongs to a different group")
-    dset = _index_set(elements, group.order, PreconditionError)
-    q, proj = quotient(group, normal_sub)
-    u = q.order
-    xs = [0] * u
-    ys = [0] * u
-    for g in dset:
-        xs[proj[g]] += 1
-    for m in sub.members:
-        ys[proj[m]] += 1
-    h = sub.order
-    params = _unpinned_params(h)
-    witnesses: Dict[str, object] = {"quotient_order": u, "x": xs, "y": ys}
-    warnings: List[str] = []
-    problems: List[str] = []
-    if _prime_factors(u) == [u]:
-        p = u
-        witnesses["case"] = "prime-index"
-        if ys[0] != h:
-            problems.append("subgroup is not contained in the kernel")
-        if 2 * p * xs[0] != h * (h - p):
-            problems.append(f"|N meet D| != h(h-p)/(2p) for p={p}")
-        for i in range(1, u):
-            if 2 * p * xs[i] != h * h:
-                problems.append(f"coset {i} does not meet D in h^2/(2p) points")
-                break
-    elif u == 4 and any(q.element_order(a) == 4 for a in range(1, 4)):
-        witnesses["case"] = "cyclic-4"
-        gen = min(a for a in range(1, 4) if q.element_order(a) == 4)
-        seq = [IDENTITY, gen, q.mul(gen, gen), q.mul(q.mul(gen, gen), gen)]
-        low, high, sq = h * (h - 2), h * (h + 2), h * h
-        # the solved families as (2y, 8x), both read along 1, g, g^2, g^3
-        families = {
-            "i": ([h, 0, h, 0], [low, low, low, high]),
-            "ii": ([h, 0, h, 0], [low, high, low, low]),
-            "iii": ([2 * h, 0, 0, 0], [sq - 4 * h, sq, sq, sq]),
-        }
-        profile = ([2 * ys[a] for a in seq], [8 * xs[a] for a in seq])
-        family = next((f for f, shape in families.items() if shape == profile), None)
-        if family is None:
-            problems.append("profile matches none of the three solved families")
-        else:
-            witnesses["family"] = family
-    elif q.fingerprint() in _SWALLOWING_FINGERPRINTS:
-        witnesses["case"] = "swallowing-quotient"
-        witnesses["quotient_fingerprint_order"] = u
-        if ys[0] != h:
-            problems.append("subgroup is not contained in the kernel")
-    else:
-        witnesses["case"] = "profile-only"
-        warnings.append("no pass/fail criterion applies to this quotient; profile reported")
-    if problems:
-        witnesses["problems"] = problems
-    return CertReport("quotient-distribution", not problems, params, witnesses, warnings)
+    from .screen import _quotient_check
+
+    return _quotient_check(group, sub, elements, normal_sub)
 
 
 # ---------------------------------------------------------------------------
 # structural screening tests
 # ---------------------------------------------------------------------------
-
-
-def _screen_order(group: FiniteGroup, h_candidate: int) -> int:
-    """The h of a screen of G: a positive int with |G| = h^2, else GroupError."""
-    (h,) = _indices([h_candidate])
-    if h <= 0:
-        raise GroupError(f"h = {h} is not positive")
-    if group.order != h * h:
-        raise GroupError(f"group order {group.order} != h^2 = {h * h}")
-    return h
-
-
-def _subspace_count(p: int, order: int, index: int) -> int:
-    """Subspaces of index ``index`` in the F_p-space of ``order`` elements.
-
-    With order = p^s and index = p^r this is the Gaussian binomial [s r]_p,
-    which counts the subspaces of dimension r and, by duality, those of
-    codimension r: the ordered independent r-tuples, the product of
-    p^s - p^i over i < r, over the ordered bases of one r-space, the product
-    of p^r - p^i.  When r > s the factor p^s - p^s makes it 0.
-    """
-    num = den = q = 1
-    while q < index:
-        num *= order - q
-        den *= index - q
-        q *= p
-    return num // den
 
 
 def structural_tests(
@@ -718,75 +606,29 @@ def structural_tests(
     every p-th power, so its kernel holds K_p = G'G^p and is the preimage of
     the kernel of a surjection of G/K_p onto C_p^r.  G/K_p is elementary
     abelian, F_p^s with p^s = |G:K_p|, and those kernels are its subspaces
-    of codimension r: there are [s r]_p of them (``_subspace_count``, 0 when
+    of codimension r: there are [s r]_p of them (``screen._subspace_count``, 0 when
     r > s), and for 1 <= r <= s they meet in 0.  So the kernels of index p
     (r = 1) number (|G:K_p| - 1)/(p - 1), those of the shapes C2^2, C2^3
     and C3xC3 (r = 2, 3 and 2) are counted the same way, and all of them
     meet in K_p (when there are none, K_p = G or p^r > |G:K_p|, and K_p
     changes no intersection).  T1's core is the intersection of the K_p from
-    ``_commutator_power_subgroup`` with the kernels of the other swallowing
-    shapes.
+    ``screen._commutator_power_subgroup`` with the kernels of the other
+    swallowing shapes.
 
     A bad h or H is refused before any walk: h must be a positive int with
     |G| = h^2, and H a subgroup of this group of order h.  One normal walk
     (``subgroups_of_order``) finds the normal subgroups of order h for T3
     and of order |G|/d, d the order of a swallowing shape that is not
-    elementary abelian, for T1, and ``FiniteGroup.fingerprint`` reads each
+    elementary abelian, for T1, and ``screen.fingerprint`` reads each
     such kernel's quotient shape off G.  T4 walks only the subgroups that
     meet H in the identity alone (the ``avoid`` set of
-    ``_subgroups_dividing``), and its witness is the least complement in
-    member-tuple order.
+    ``screen._subgroups_dividing``), and its witness is the least complement
+    in member-tuple order.
 
     With ``unique_normal_h`` and no H given, H is the normal subgroup of
     order h when the walk finds exactly one, so T2 and T4 run on it; this is
     how ``rshds screen`` picks H on a table with no distinguished subgroup.
     """
-    h = _screen_order(group, h_candidate)
-    if sub is not None and (sub.parent is not group or sub.order != h):
-        raise GroupError(f"H must be a subgroup of this group of order h = {h}")
-    witnesses: Dict[str, object] = {}
-    warnings: List[str] = []
-    prime_cores = {p: _commutator_power_subgroup(group, p) for p in _prime_factors(group.order)}
-    spaces = {p: group.order // len(k) for p, k in prime_cores.items()}  # |G:K_p| = p^s
-    # C_p^r of order d = p^r: every non-identity element has order p
-    elementary = sum(_subspace_count(p, spaces[p], d)
-                     for d, _, (_, p, *_) in _ELEMENTARY_SWALLOWING if p in spaces)
-    swallowing = _SWALLOWING_FINGERPRINTS - _ELEMENTARY_SWALLOWING
-    orders = {group.order // d for d, _, _ in swallowing if group.order % d == 0}  # kernels
-    normal = subgroups_of_order(group, h, *orders, normal=True)
-    normal_h = [s for s in normal if s.order == h]
-    if sub is None and unique_normal_h and len(normal_h) == 1:
-        sub = normal_h[0]
-    kernels = [s for s in normal if s.order in orders and group.fingerprint(s) in swallowing]
-    core = set(range(group.order)).intersection(*prime_cores.values(),
-                                                *(s.member_set for s in kernels))
-    t1 = len(core) % h == 0
-    witnesses["T1"] = {
-        "pass": t1,
-        "core_order": len(core),
-        "prime_index_kernels": sum(_subspace_count(p, spaces[p], p) for p in spaces),
-        "swallowing_kernels": len(kernels) + elementary,
-    }
-    inv_closure = closure(group, involutions(group))
-    if sub is not None:
-        t2 = all(m in sub for m in inv_closure.members)
-    else:
-        t2 = inv_closure.is_elementary_abelian_2() and h % inv_closure.order == 0
-    witnesses["T2"] = {"pass": t2, "involution_closure_order": inv_closure.order}
-    t3 = bool(normal_h)
-    witnesses["T3"] = {"pass": t3, "normal_subgroups_of_order_h": len(normal_h)}
-    t4: Optional[bool]
-    if sub is not None:
-        missing = _subgroups_dividing(group, [h], sub.member_set - {IDENTITY})
-        complement = min((sorted(s) for s in missing if len(s) == h), default=None)
-        t4 = complement is None
-        entry: Dict[str, object] = {"pass": t4}
-        if complement is not None:
-            entry["complement"] = complement
-        witnesses["T4"] = entry
-    else:
-        t4 = None
-        witnesses["T4"] = {"pass": None}
-        warnings.append("T4 skipped: no candidate subgroup given")
-    passed = t1 and t2 and t3 and (t4 is not False)
-    return CertReport("structural-tests", passed, _unpinned_params(h), witnesses, warnings)
+    from .screen import _structural_tests
+
+    return _structural_tests(group, h_candidate, sub, unique_normal_h)

@@ -15,6 +15,11 @@ whole tree.
 Each process runs one subcommand, and each subcommand imports the layers it
 uses: only ``construct``, ``thm81`` and ``search`` import ``constructions``
 (and with it ``f2``), so ``certify`` and ``export-hadamard`` never load them.
+The subgroup lattice, the screens and the Cayley-table proof are in the
+module ``rshds.screen``, which the ``screen`` and ``quotient`` commands, an
+``auto-<order>`` subgroup token and a ``file:`` spec load; ``construct``,
+``certify``, ``export-hadamard`` and ``thm81`` on a gnk: or c4n: spec never
+do.
 """
 from __future__ import annotations
 
@@ -174,9 +179,11 @@ def _cmd_thm81(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    from .screen import _screen_order
+
     spec = GroupSpec.parse(args.spec)
     group = formats.build_group(spec)
-    certify._screen_order(group, args.h)
+    _screen_order(group, args.h)
     sub: Optional[Subgroup]
     if args.subgroup:
         sub = _parse_subgroup(group, args.subgroup)

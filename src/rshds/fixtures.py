@@ -1,9 +1,14 @@
-"""Built-in example groups: the order-36 screening survivor and permutation groups."""
+"""Built-in example groups: the order-36 screening survivor and permutation groups.
+
+Each is built by ``screen.table_group``, so importing this module loads
+``screen``, the subgroup lattice and the table proof with it.
+"""
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
 from .groups import CayleyTableGroup
+from .screen import table_group
 
 
 def g36_1() -> CayleyTableGroup:
@@ -15,17 +20,11 @@ def g36_1() -> CayleyTableGroup:
     b central of order 2).
     """
 
-    def enc(i: int, j: int) -> int:
-        return i * 4 + j
+    def product(a: int, b: int) -> int:
+        # c^i a^j c^i2 a^j2 = c^(i + (-1)^j i2) a^(j+j2), c^i a^j at index 4i + j
+        (i, j), (i2, j2) = divmod(a, 4), divmod(b, 4)
+        return (i + (-i2 if j % 2 else i2)) % 9 * 4 + (j + j2) % 4
 
-    table = [[0] * 36 for _ in range(36)]
-    for i in range(9):
-        for j in range(4):
-            for i2 in range(9):
-                for j2 in range(4):
-                    # c^i a^j c^i2 a^j2 = c^(i + (-1)^j i2) a^(j+j2)
-                    ii = (i + (i2 if j % 2 == 0 else -i2)) % 9
-                    table[enc(i, j)][enc(i2, j2)] = enc(ii, (j + j2) % 4)
     names = []
     for i in range(9):
         for j in range(4):
@@ -35,7 +34,7 @@ def g36_1() -> CayleyTableGroup:
             if j:
                 part.append(f"a{j}" if j > 1 else "a")
             names.append("*".join(part) if part else "1")
-    return CayleyTableGroup(table, names=names)
+    return table_group(36, product, names)
 
 
 def permutation_table_group(generators: Sequence[Tuple[int, ...]]) -> CayleyTableGroup:
@@ -59,12 +58,13 @@ def permutation_table_group(generators: Sequence[Tuple[int, ...]]) -> CayleyTabl
         frontier = nxt
     ordered: List[Tuple[int, ...]] = sorted(elems)
     index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(degree))] for q in ordered]
-        for p in ordered
-    ]
+
+    def product(a: int, b: int) -> int:
+        p, q = ordered[a], ordered[b]
+        return index[tuple(p[q[i]] for i in range(degree))]
+
     names = ["".join(str(x) for x in p) for p in ordered]
-    return CayleyTableGroup(table, names=names)
+    return table_group(len(ordered), product, names)
 
 
 def alternating_group_5() -> CayleyTableGroup:

@@ -107,14 +107,22 @@ def write_cayley(group: FiniteGroup, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
-def read_cayley(path: Union[str, Path]) -> CayleyTableGroup:
-    """Parse a cayley-v1 document; ``CayleyTableGroup`` proves the table and names."""
+def _cayley_document(path: Union[str, Path]) -> Tuple[dict, int]:
+    """A cayley-v1 document read as JSON only, and its ``order``, which must be an int."""
     doc = _read_object(path, CAYLEY_FORMAT)
     if doc.get("format") != CAYLEY_FORMAT:
         raise FormatError(f"not a {CAYLEY_FORMAT} document: {path}")
     order = doc.get("order")
+    if type(order) is not int:
+        raise FormatError(f"order/table mismatch in {path}")
+    return doc, order
+
+
+def read_cayley(path: Union[str, Path]) -> CayleyTableGroup:
+    """Parse a cayley-v1 document; ``CayleyTableGroup`` proves the table and names."""
+    doc, order = _cayley_document(path)
     table = doc.get("table")
-    if type(order) is not int or not isinstance(table, list) or len(table) != order:
+    if not isinstance(table, list) or len(table) != order:
         raise FormatError(f"order/table mismatch in {path}")
     try:
         return CayleyTableGroup(table, names=doc.get("names"))
@@ -138,13 +146,15 @@ def write_dset(
 
     ``subgroup`` is either the literal string "distinguished" or a list of
     generator indices whose closure is the subgroup.  Indices obey
-    ``groups._indices`` for the order of ``build_group(spec)``, so a gnk:
-    or c4n: spec that ``read_dset`` refuses raises the same GroupError here
-    (a ``GnkGroup`` builds no table).  A file: spec's table is not read, so
-    a negative index is refused and ``read_dset`` checks the upper bound.
+    ``groups._indices`` for the group's order, so no index outside it is
+    written.  A gnk: or c4n: spec takes it from ``build_group(spec)``, so a
+    spec that ``read_dset`` refuses raises the same GroupError here (a
+    ``GnkGroup`` builds no table).  A file: spec takes the ``order`` field of
+    its cayley-v1 document, read as JSON with no table proof and refused,
+    as ``read_cayley`` refuses it, unless it is an int.
     """
     spec = group_spec if isinstance(group_spec, GroupSpec) else GroupSpec.parse(group_spec)
-    order = None if spec.kind == "file" else build_group(spec).order
+    order = _cayley_document(spec.path)[1] if spec.kind == "file" else build_group(spec).order
     if isinstance(subgroup, str):
         if subgroup != "distinguished":
             raise FormatError(f"unknown subgroup token {subgroup!r}")
@@ -152,9 +162,6 @@ def write_dset(
     else:
         sub_field = _indices(subgroup, order, FormatError)
     dset = sorted(_index_set(elements, order, FormatError))
-    generators = [] if isinstance(sub_field, str) else sub_field
-    if min([*generators, *dset], default=0) < 0:
-        raise FormatError("negative element index")
     doc = {"group": str(spec), "subgroup": sub_field, "elements": dset}
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 

@@ -15,37 +15,38 @@ lexicographic normal form inside the coset), so matrices written in this
 order are block aligned with H.
 
 Everything here is plain Python on lists of ints, and every check is exact
-at every order.  The one exception is the proof of a table of list rows up
-to order 256: one byte holds each entry there, so one ``bytes()`` pass reads
-and checks the rows and Light's test composes the ``bytes`` rows with
-``bytes.translate``, in C.  Every other table (rows of another type, rows
-that pass refuses, or an order above 256) composes tuples, and both kernels
-give the same verdict, message and witness.
-One greedy routine, ``_greedy_reach``, computes every closure: it right
-multiplies from the identity by each candidate not yet reached and skips
-the others, which serves ``closure_members``, the generating set of a whole
-table (every element a candidate, least first) and its pruning in
-``_irredundant_generators``.
+at every order.  One greedy routine, ``_greedy_reach``, computes every
+closure: it right multiplies from the identity by each candidate not yet
+reached and skips the others, which serves ``closure_members``, the
+generating set of a whole table (every element a candidate, least first)
+and its pruning in ``_irredundant_generators``.
 A subset is a subgroup exactly when it is its closure.
 Other group facts are proved on generators from ``_irredundant_generators``:
-Light's test proves associativity, ``fingerprint`` finds G/N abelian when
-the commutators of generators lie in N, and ``is_normal`` (which
-``quotient`` calls) conjugates every member of the subgroup by generators
-of the group, since every element of a finite group is a product of
-generators.  A group finds its generating set once, with no spare generator
+``is_normal`` (which ``quotient`` calls) conjugates every member of the
+subgroup by generators of the group, since every element of a finite group
+is a product of generators, and the table proof and the fingerprints use
+them too.  A group finds its generating set once, with no spare generator
 (a table group in its proof).  All groups are immutable after construction
 and all functions here are pure.
+
+The subgroup lattice, the table proof and the small standard groups live in
+``screen``, which a process loads only when it runs them:
+``subgroups_of_order``, ``quotient`` and ``normal_subgroups_of_prime_index``
+import their bodies from it inside the call, and so does
+``CayleyTableGroup``, which every ``file:`` spec builds.  So the commands
+``construct``, ``certify``, ``export-hadamard`` and ``thm81`` on a gnk: or
+c4n: spec never load it, while ``screen``, ``quotient``, an ``auto-<order>``
+subgroup token and a ``file:`` spec do.  ``validate_group_table`` and the
+table builders (``cyclic_group`` and the others) are defined there and
+still resolve here.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 IDENTITY = 0
-
-SUBGROUP_ENUM_CAP = 256
 
 
 class GroupError(ValueError):
@@ -111,7 +112,7 @@ class FiniteGroup:
     _inv: List[int]
     _table: Optional[List[List[int]]] = None
     _gens: Optional[List[int]] = None
-    _ncl: Optional[List[Tuple[int, frozenset]]] = None
+    _ncl: Optional[List[Tuple[int, frozenset]]] = None  # ``screen._class_closures``
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -138,32 +139,6 @@ class FiniteGroup:
             self._gens = _irredundant_generators(self.table)
         return self._gens
 
-    def _class_closures(self) -> List[Tuple[int, frozenset]]:
-        """(x, ncl(x)) for each distinct normal closure of a conjugacy class, found once.
-
-        Each class is the ``_conjugates`` orbit of its least element x, and
-        each closure keeps the x of the first class that has it.  The class
-        of x^k, for k prime to the order of x, is skipped: its members y^k
-        generate the same cyclic groups as the members y of the class of x.
-        """
-        if self._ncl is None:
-            table = self.table
-            found: Dict[frozenset, int] = {}
-            classed: set = set()
-            for x in range(self.order):
-                if x not in classed:
-                    cls = _conjugates(self, [x])
-                    found.setdefault(closure_members(self, cls), x)
-                    o = self.element_order(x)
-                    for y in cls:
-                        p = y
-                        for k in range(1, o):
-                            if math.gcd(k, o) == 1:
-                                classed.add(p)
-                            p = table[p][y]
-            self._ncl = [(x, c) for c, x in found.items()]
-        return self._ncl
-
     def element_order(self, a: int, kernel: frozenset = frozenset({IDENTITY})) -> int:
         """The least k >= 1 with a^k in ``kernel``: the order of a, or of aN if it is a normal N."""
         table, k, x = self.table, 1, a
@@ -171,36 +146,21 @@ class FiniteGroup:
             k, x = k + 1, table[x][a]
         return k
 
-    def fingerprint(self, kernel: Optional["Subgroup"] = None) -> Tuple[int, bool, Tuple[int, ...]]:
-        """Cheap isomorphism fingerprint of G/N: (order, abelian?, element-order multiset).
-
-        N is ``kernel``, a normal subgroup (trivial by default), and G/N is
-        read off G: the order of the coset xN is that of any of its x
-        modulo N, and G/N is abelian exactly when the commutators of the
-        generators of G lie in N.
-        """
-        kernel = closure(self, []) if kernel is None else kernel
-        if kernel.parent is not self:
-            raise GroupError("subgroup belongs to a different group")
-        table, inv, n = self.table, self._inv, kernel.member_set
-        orders = sorted(self.element_order(x, n) for x in cosets(self, kernel).transversal)
-        abelian = all(table[table[inv[a]][inv[b]]][table[a][b]] in n
-                      for a, b in itertools.combinations(self._generating_set(), 2))
-        return (len(orders), abelian, tuple(orders))
-
     def distinguished_subgroup(self) -> Optional["Subgroup"]:
         """The H of a gnk or c4n group, each member its own F_2 vector; else None."""
         return None
 
 
 class CayleyTableGroup(FiniteGroup):
-    """Group of an explicit table that ``validate_group_table``'s proof passes.
+    """Group of an explicit table that ``screen.validate_group_table``'s proof passes.
 
     It keeps the proof's generators and inverses; ``names`` is None or a
     list of one str per element.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], *, names: Optional[List[str]] = None):
+        from .screen import _proved_table
+
         self._table, self._gens, self._inv = _proved_table(table)
         self.order = len(self._table)
         if not (names is None or type(names) is list and [*map(type, names)] == [str] * self.order):
@@ -333,7 +293,7 @@ class C4PowerGroup(GnkGroup):
 
 
 # ---------------------------------------------------------------------------
-# table validation
+# closures and generators
 # ---------------------------------------------------------------------------
 
 
@@ -385,104 +345,6 @@ def _irredundant_generators(table: Sequence[Sequence[int]]) -> List[int]:
         if len(_greedy_reach(table, rest)[1]) == n:
             gens = rest
     return gens
-
-
-def _byte_proof(table: Sequence[Sequence[int]]) -> Optional[Tuple[list, List[bytes], List[int]]]:
-    """(int rows, ``bytes`` rows, inverses) when 0 < n <= 256 and every row is a list
-    (``bytes()`` would read another buffer's raw memory) that is a permutation of
-    0..n-1 with no bool, else None.  ``bytes(row)`` refuses every non-integer but
-    a bool, and in a row that is a permutation (n bytes, none of 0..n-1 missing)
-    only the entries 0 and 1 can be bools; ``find(1)`` is -1 at n = 1.
-    """
-    n = len(table)
-    if not 0 < n <= 256 or {*map(type, table)} != {list}:
-        return None
-    everything = bytes(range(n))
-    try:
-        rows = [bytes(row) for row in table]
-    except (TypeError, ValueError):  # a non-integer, or an entry outside 0..255
-        return None
-    if any(len(b) != n or everything.translate(None, b) or type(row[b.index(0)]) is bool
-           or type(row[b.find(1)]) is bool for row, b in zip(table, rows)):
-        return None
-    return [list(b) for b in rows], rows, [b.index(0) for b in rows]
-
-
-def _check_rows(table: Sequence[Sequence[int]]) -> None:
-    """Raise the size, range or permutation error of the first bad row, with its witness."""
-    n = len(table)
-    everything = set(range(n))
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise GroupTableError(f"table is not {n}x{n}", {"row": i, "length": len(row)})
-        if set(row) != everything:
-            for j, x in enumerate(row):
-                if x not in everything:
-                    raise GroupTableError(
-                        "table entry out of range", {"row": i, "col": j, "value": x}
-                    )
-            raise GroupTableError("row is not a permutation", {"row": i})
-
-
-def validate_group_table(table: Sequence[Sequence[int]]) -> None:
-    """Check a multiplication table is a group with identity at index 0.
-
-    Exact at every order.  Each row keeps the rule of ``_indices`` (no bool
-    or float entry) and must be a permutation of 0..n-1, and row and column 0
-    must be the identity.  Associativity is Light's test (Clifford &
-    Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
-    elements b with (ab)c = a(bc) for all a, c are closed under products, so
-    it suffices to check b over the generators from
-    ``_irredundant_generators``, at most log2(n) at n^2 lookups each.
-    Columns need no check of their own: a monoid whose rows all hold the
-    identity is a group.  Raises GroupTableError with a witness on the first
-    violation.
-
-    The rows pick the kernel, and ``_byte_proof`` runs once.  List rows of
-    order n <= 256 that it reads as ``bytes`` (every entry fits in a byte)
-    take the byte kernel: the row a(b.) of Light's test is
-    ``row_b.translate(row_a padded to 256 bytes)``, which composes the two
-    rows in C.  Every other table (rows of another type, rows the byte pass
-    refuses, or n > 256) is read by ``_indices`` and ``_check_rows``, and
-    its tuple rows are composed by ``operator.itemgetter``.  Both kernels
-    run the same loop over the same generators, so every refusal names the
-    same first violation and witness.
-    """
-    _proved_table(table)
-
-
-def _proved_table(table: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], List[int]]:
-    """``validate_group_table``'s proof: the int rows, the generators it ran on and the inverses."""
-    table = list(table)
-    n = len(table)
-    proof = _byte_proof(table)
-    if proof is not None:
-        table, rows, inv = proof
-        maps = [row + bytes(256 - n) for row in rows]  # translate tables
-    else:
-        table = [_indices(row, error=GroupTableError) for row in table]
-        if n == 0:
-            raise GroupTableError("empty table")
-        _check_rows(table)
-        rows = maps = list(map(tuple, table))  # compared as tuples, the type itemgetter returns
-        inv = [row.index(IDENTITY) for row in rows]
-    col = next((j for j in range(n) if table[0][j] != j), None)
-    if col is not None:
-        raise GroupTableError("identity is not at index 0 (row)", {"col": col})
-    i = next((i for i in range(n) if table[i][0] != i), None)
-    if i is not None:
-        raise GroupTableError("identity is not at index 0 (column)", {"row": i})
-    gens = _irredundant_generators(rows)
-    for b in gens:
-        # a(bc) for every c, as a function of the map of row a; n >= 2 here
-        # (C1 has no generators), so itemgetter returns a tuple
-        compose = operator.itemgetter(*rows[b]) if proof is None else rows[b].translate
-        for a, (row_a, map_a) in enumerate(zip(rows, maps)):
-            left, right = rows[row_a[b]], compose(map_a)
-            if left != right:
-                c = next(c for c in range(n) if left[c] != right[c])
-                raise GroupTableError("associativity violated", {"triple": [a, b, c]})
-    return table, gens, inv
 
 
 # ---------------------------------------------------------------------------
@@ -565,27 +427,6 @@ def closure_members(group: FiniteGroup, generators: Iterable[int]) -> frozenset:
     return frozenset(_greedy_reach(group.table, generators)[1])
 
 
-def _conjugates(group: FiniteGroup, seeds: Iterable[int]) -> set:
-    """The orbit of ``seeds`` under conjugation by the generators of G.
-
-    This is their orbit under all of G: conjugation by a product is the
-    composite of the conjugations by its factors, every element of G is a
-    product of generators, and a permutation's inverse is one of its powers.
-    """
-    table = group.table
-    maps = [(table[g], group._inv[g]) for g in group._generating_set()]
-    orbit = set(seeds)
-    stack = list(orbit)
-    while stack:
-        x = stack.pop()
-        for row, gi in maps:
-            y = table[row[x]][gi]
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
-    return orbit
-
-
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """Whether g s g^-1 lies in ``sub`` for every member s of sub and generator g of G.
 
@@ -641,18 +482,9 @@ def quotient(
     coset representatives alone, one lookup per pair of cosets; quotient
     element i is the coset ``transversal[i]``.
     """
-    if not is_normal(group, normal_sub):
-        raise GroupError("quotient requires a normal subgroup")
-    table = group.table
-    dec = cosets(group, normal_sub)
-    reps = dec.transversal
-    proj = list(dec.coset_of)
-    qtable = [[proj[table[r][t]] for t in reps] for r in reps]
-    return CayleyTableGroup(qtable), proj
+    from .screen import _quotient
 
-
-def involutions(group: FiniteGroup) -> List[int]:
-    return [g for g in range(1, group.order) if group.mul(g, g) == IDENTITY]
+    return _quotient(group, normal_sub)
 
 
 def subgroups_of_order(group: FiniteGroup, *orders: int, normal: bool = False) -> List[Subgroup]:
@@ -662,109 +494,11 @@ def subgroups_of_order(group: FiniteGroup, *orders: int, normal: bool = False) -
     calls, sorted by member tuple.  It prunes every subgroup whose order
     divides no target m, which is safe since each subgroup of order m is
     reached through a chain of subgroups whose orders divide m.  The walks
-    are ``_subgroups_dividing`` and ``_normal_subgroups_dividing``.
+    are ``screen._subgroups_dividing`` and ``screen._normal_subgroups_dividing``.
     """
-    targets = set(_indices(orders))
-    if group.order > SUBGROUP_ENUM_CAP:
-        raise GroupError(f"group order {group.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
-    if not targets or any(m <= 0 or group.order % m for m in targets):
-        raise GroupError(f"orders {sorted(targets)} are not one or more divisors of {group.order}")
-    walk = _normal_subgroups_dividing if normal else _subgroups_dividing
-    found = sorted(tuple(sorted(s)) for s in walk(group, targets) if len(s) in targets)
-    return [Subgroup(group, s, validate=False) for s in found]
+    from .screen import _subgroups_of_order
 
-
-def _walk_orders(orders: Iterable[int]) -> Tuple[set, set]:
-    """(keep, grow): every divisor of a target order, and those below a target they divide."""
-    pairs = [(d, m) for m in set(orders) for d in range(1, m + 1) if m % d == 0]
-    return {d for d, _ in pairs}, {d for d, m in pairs if d < m}
-
-
-def _subgroups_dividing(
-    group: FiniteGroup, orders: Iterable[int], avoid: frozenset = frozenset()
-) -> set:
-    """Member sets of the subgroups met by the closure search for ``orders``.
-
-    Each subgroup S keeps the generators it was first reached by, so a
-    closure runs over at most log2(m) + 1 generators.  Once g has been tried
-    on S, the rest of the double coset SgS is skipped, since <S, sgr> is
-    <S, g> for s, r in S.  Only subgroups that miss ``avoid``, a set of
-    non-identity elements, are met: generators in it and closures that meet
-    it are skipped.  Every subgroup of a subgroup that misses ``avoid``
-    misses it too, so the chain to each one survives.
-    """
-    table = group.table
-    keep, grow = _walk_orders(orders)
-    triv = frozenset({IDENTITY})
-    seen = {triv: ()}
-    frontier = [triv]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            if len(sub) not in grow:
-                continue
-            gens = seen[sub]
-            rows = [table[s] for s in sub]
-            tried = set(sub) | avoid
-            for g in range(1, group.order):
-                if g in tried:
-                    continue
-                for row in rows:
-                    sg = table[row[g]]
-                    tried.update([sg[r] for r in sub])
-                c = closure_members(group, gens + (g,))
-                if len(c) not in keep or c in seen or not avoid.isdisjoint(c):
-                    continue
-                seen[c] = gens + (g,)
-                nxt.append(c)
-        frontier = nxt
-    return set(seen)
-
-
-def _normal_subgroups_dividing(group: FiniteGroup, orders: Iterable[int]) -> set:
-    """Member sets of the normal subgroups whose order divides some m in ``orders``.
-
-    Every normal N is the join of the closures ncl(x), x in N, and each
-    partial join lies in N, so the walk joins one class closure K = ncl(x)
-    at a time and prunes every join whose order divides no m.  For N
-    normal the join is NK, the union of the cosets Ny, y in K, of order
-    |N||K|/|N meet K|, which is checked before the join is built.  NK is
-    the least normal subgroup holding N and x, and one holding N and x
-    holds every x' in Nx, so NK depends only on the coset Nx: it is N when
-    x lies in N, and each coset of N gives one join.
-    """
-    table = group.table
-    keep, grow = _walk_orders(orders)
-    closures = [(x, c) for x, c in group._class_closures() if len(c) in keep]
-    seen = {c for _, c in closures}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for n in frontier:
-            if len(n) not in grow:
-                continue
-            rows = [table[y] for y in n]
-            done = set(n)
-            for x, k in closures:
-                if x in done:
-                    continue
-                done.update([row[x] for row in rows])
-                if len(n) * len(k) // len(n & k) not in keep:
-                    continue
-                join = set(n)
-                for y in k:
-                    if y not in join:
-                        join.update([row[y] for row in rows])
-                join = frozenset(join)
-                if join not in seen:
-                    seen.add(join)
-                    nxt.append(join)
-        frontier = nxt
-    return seen
-
-
-def _prime_factors(n: int) -> List[int]:
-    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    return _subgroups_of_order(group, orders, normal)
 
 
 def coordinatize_elementary_abelian(
@@ -793,97 +527,30 @@ def coordinatize_elementary_abelian(
     return coords
 
 
-def _commutator_power_subgroup(group: FiniteGroup, p: int) -> frozenset:
-    """Member set of K_p = G'G^p, the least normal N with G/N elementary abelian of exponent p.
-
-    With X the generators of G from ``_irredundant_generators``, K is the
-    closure of the ``_conjugates`` of the commutators a^-1 b^-1 a b and the
-    powers a^p for a, b in X.  K is normal and lies in G'G^p; modulo K the
-    generators commute and have order p, so G/K is elementary abelian and
-    K = G'G^p.
-    """
-    table, inv = group.table, group._inv
-    gens = group._generating_set()
-    seeds = {table[table[inv[a]][inv[b]]][table[a][b]] for a in gens for b in gens}
-    for a in gens:
-        x = a
-        for _ in range(p - 1):
-            x = table[x][a]
-        seeds.add(x)
-    return closure_members(group, _conjugates(group, seeds))
-
-
 def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, int]]:
     """All kernels of surjections onto a cyclic group of prime order.
 
-    Every surjection onto C_p kills K = ``_commutator_power_subgroup``, so
-    the kernels of index p are the pull-backs of the hyperplanes of G/K over
-    F_p.  Sorted by (p, member tuple).
+    Every surjection onto C_p kills K = ``screen._commutator_power_subgroup``,
+    so the kernels of index p are the pull-backs of the hyperplanes of G/K
+    over F_p.  Sorted by (p, member tuple).
     """
-    out: List[Tuple[Subgroup, int]] = []
-    for p in _prime_factors(group.order):
-        kernel = Subgroup(group, _commutator_power_subgroup(group, p), validate=False)
-        w, proj = quotient(group, kernel)
-        if w.order == 1:
-            continue
-        coords = coordinatize_elementary_abelian(w, p, range(w.order))
-        for phi in itertools.product(range(p), repeat=len(coords[IDENTITY])):
-            if next((x for x in phi if x), 0) != 1:  # one functional per kernel: first nonzero 1
-                continue
-            zero = {x for x, c in coords.items() if sum(a * b for a, b in zip(phi, c)) % p == 0}
-            members = [g for g in range(group.order) if proj[g] in zero]
-            out.append((Subgroup(group, members, validate=False), p))
-    out.sort(key=lambda t: (t[1], t[0].members))
-    return out
+    from .screen import _normal_subgroups_of_prime_index
+
+    return _normal_subgroups_of_prime_index(group)
 
 
-# ---------------------------------------------------------------------------
-# small standard groups (fingerprint references, fixtures, tests)
-# ---------------------------------------------------------------------------
+# What ``screen`` defines and callers outside the package read from here:
+# the small table builders and the table proof.  A process that reads none
+# of them never loads ``screen`` for them.
+_FROM_SCREEN = frozenset({
+    "cyclic_group", "dihedral_group", "direct_product", "elementary_abelian_2_group",
+    "validate_group_table",
+})
 
 
-def cyclic_group(n: int) -> CayleyTableGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = [f"t{i}" if i else "1" for i in range(n)]
-    return CayleyTableGroup(table, names=names)
+def __getattr__(name: str):
+    if name in _FROM_SCREEN:
+        from . import screen
 
-
-def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> CayleyTableGroup:
-    n1, n2 = g1.order, g2.order
-    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            for b1 in range(n1):
-                for b2 in range(n2):
-                    table[a1 * n2 + a2][b1 * n2 + b2] = (
-                        g1.mul(a1, b1) * n2 + g2.mul(a2, b2)
-                    )
-    names = [
-        f"({g1.element_name(a1)},{g2.element_name(a2)})"
-        for a1 in range(n1)
-        for a2 in range(n2)
-    ]
-    return CayleyTableGroup(table, names=names)
-
-
-def dihedral_group(n: int) -> CayleyTableGroup:
-    """Dihedral group of order 2n: rotations r^i and reflections r^i s."""
-    order = 2 * n
-
-    def enc(i: int, j: int) -> int:
-        return i + n * j
-
-    table = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    # (r^i s^j)(r^i2 s^j2) = r^(i + (-1)^j i2) s^(j+j2)
-                    ii = (i + (i2 if j == 0 else -i2)) % n
-                    table[enc(i, j)][enc(i2, j2)] = enc(ii, (j + j2) % 2)
-    return CayleyTableGroup(table)
-
-
-def elementary_abelian_2_group(r: int) -> CayleyTableGroup:
-    table = [[i ^ j for j in range(1 << r)] for i in range(1 << r)]
-    return CayleyTableGroup(table)
+        return getattr(screen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

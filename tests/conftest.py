@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from rshds import constructions, fixtures, groups
+from rshds import constructions, fixtures, groups, screen
 
 
 @pytest.fixture(scope="session")
@@ -49,4 +49,4 @@ def g36_h(g36):
 
 @pytest.fixture(scope="session")
 def c2_4():
-    return groups.elementary_abelian_2_group(4)
+    return screen.elementary_abelian_2_group(4)

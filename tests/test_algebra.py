@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import naive_difference_tally, naive_product_tally
 from rshds.algebra import AlgebraElement, AlgebraError, convolve, from_set
-from rshds.groups import IDENTITY, C4PowerGroup, GnkGroup, cyclic_group
+from rshds.groups import IDENTITY, C4PowerGroup, GnkGroup
+from rshds.screen import cyclic_group
 
 # Sums and scalar multiples are formed on plain coefficient lists, and
 # elements are compared by their ``coeffs``.

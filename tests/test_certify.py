@@ -32,7 +32,7 @@ from rshds.certify import (
     spectrum,
     structural_tests,
 )
-from rshds import certify, fixtures, groups
+from rshds import certify, fixtures, groups, screen
 from rshds.constructions import (
     BudgetExceededError,
     assignment_difference_set,
@@ -50,14 +50,17 @@ from rshds.groups import (
     ParameterSet,
     closure,
     cosets,
+    normal_subgroups_of_prime_index,
+    quotient,
+    subgroups_of_order,
+)
+from rshds.screen import (
     cyclic_group,
     dihedral_group,
     direct_product,
     elementary_abelian_2_group,
+    fingerprint,
     involutions,
-    normal_subgroups_of_prime_index,
-    quotient,
-    subgroups_of_order,
 )
 
 
@@ -643,7 +646,7 @@ def test_quotient_c2_squared_kernel(cand30):
     kernel = closure(group, list(sub.members) + [a1])
     assert kernel.order == 16
     q, _ = quotient(group, kernel)
-    assert q.fingerprint() == (4, True, (1, 2, 2, 2))
+    assert fingerprint(q) == (4, True, (1, 2, 2, 2))
     report = quotient_check(group, sub, cand30.elements, kernel)
     assert report.passed
     assert report.witnesses["case"] == "swallowing-quotient"
@@ -659,7 +662,7 @@ def test_quotient_profile_only():
     kernel = closure(group, [0, 1, 2, 3, 8, 9, 10, 11])
     assert kernel.members == (0, 1, 2, 3, 8, 9, 10, 11)
     q, proj = quotient(group, kernel)
-    assert q.fingerprint() == (8, True, (1, 2, 2, 2, 4, 4, 4, 4))
+    assert fingerprint(q) == (8, True, (1, 2, 2, 2, 4, 4, 4, 4))
     report = quotient_check(group, sub, cand.elements, kernel)
     assert report.passed
     assert report.witnesses["case"] == "profile-only"
@@ -739,8 +742,6 @@ def test_quotient_check_names_each_problem(h_gens, kernel_gens, elements, case, 
 
 
 def test_quotient_requires_normal_kernel():
-    from rshds.groups import dihedral_group
-
     s3 = dihedral_group(3)
     refl = next(x for x in involutions(s3) if x >= 3)
     with pytest.raises(GroupError):
@@ -828,6 +829,7 @@ def test_screen_closure_count(monkeypatch):
         return real(group, generators)
 
     monkeypatch.setattr(groups, "closure_members", counted)
+    monkeypatch.setattr(screen, "closure_members", counted)  # screen's import of it
     assert structural_tests(group, 8, group.distinguished_subgroup()).passed
     assert 0 < len(calls) <= 250
 
@@ -846,6 +848,7 @@ def test_screen_finds_the_group_generators_once(monkeypatch, tmp_path, spec):
         return real(table)
 
     monkeypatch.setattr(groups, "_irredundant_generators", counted)
+    monkeypatch.setattr(screen, "_irredundant_generators", counted)  # the table proof's
     if spec.startswith("file:"):
         path = tmp_path / "g.cayley.json"
         write_cayley(build_group(spec[5:]), path)
@@ -885,13 +888,13 @@ def test_structural_tests_match_the_reference_screen(monkeypatch, name):
     g = _SCREEN_REFERENCE_GROUPS[name]
     h = round(g.order ** 0.5)
     subs = [None, *subgroups_of_order_reference(g, h)]
-    expected = structural_tests_reference(g, h, subs, certify._SWALLOWING_FINGERPRINTS)
+    expected = structural_tests_reference(g, h, subs, screen._SWALLOWING_FINGERPRINTS)
     for route in ("quotient", "normal_subgroups_of_prime_index"):
         monkeypatch.setattr(groups, route, _no_kernel_built)
-    monkeypatch.setattr(certify, "quotient", _no_kernel_built)  # certify's import of it
-    for members, screen in zip(subs, expected):
+    monkeypatch.setattr(screen, "quotient", _no_kernel_built)  # screen's import of it
+    for members, reference in zip(subs, expected):
         report = structural_tests(g, h, None if members is None else groups.Subgroup(g, members))
-        assert (report.passed, report.witnesses) == screen, members
+        assert (report.passed, report.witnesses) == reference, members
 
 
 def _subspaces_by_size(p, s):
@@ -917,26 +920,26 @@ def _subspaces_by_size(p, s):
 def test_subspace_count_is_the_brute_force_count(p, s):
     sizes = _subspaces_by_size(p, s)
     for r in range(1, s + 2):
-        assert certify._subspace_count(p, p ** s, p ** r) == sizes[p ** (s - r)], r
-    assert certify._subspace_count(p, p ** s, p) == (p ** s - 1) // (p - 1)
+        assert screen._subspace_count(p, p ** s, p ** r) == sizes[p ** (s - r)], r
+    assert screen._subspace_count(p, p ** s, p) == (p ** s - 1) // (p - 1)
 
 
 def test_a_c4n3_screen_walks_only_to_h_and_fingerprints_no_kernel(monkeypatch):
     # every swallowing shape of an order dividing 64 is elementary abelian, so
     # T1 counts its kernels off G/K_2 and the walk's one target is h = 8
     walks, shapes = [], []
-    real_walk, real_fingerprint = groups._normal_subgroups_dividing, C4PowerGroup.fingerprint
+    real_walk, real_fingerprint = screen._normal_subgroups_dividing, screen.fingerprint
 
     def walk(group, orders):
         walks.append(sorted(orders))
         return real_walk(group, orders)
 
-    def fingerprint(self, kernel=None):
-        shapes.append(real_fingerprint(self, kernel))
+    def counted(group, kernel=None):
+        shapes.append(real_fingerprint(group, kernel))
         return shapes[-1]
 
-    monkeypatch.setattr(groups, "_normal_subgroups_dividing", walk)
-    monkeypatch.setattr(C4PowerGroup, "fingerprint", fingerprint)
+    monkeypatch.setattr(screen, "_normal_subgroups_dividing", walk)
+    monkeypatch.setattr(screen, "fingerprint", counted)
     group = C4PowerGroup(3)
     report = structural_tests(group, 8, group.distinguished_subgroup())
     assert report.passed and walks == [[8]] and shapes == []
@@ -951,8 +954,8 @@ def test_swallowing_fingerprints_are_the_ten_shapes():
         cyclic_group(9), direct_product(c3, c3), cyclic_group(10), dihedral_group(5),
         direct_product(c2, dihedral_group(3)), direct_product(c2, c6),
     ]
-    assert certify._SWALLOWING_FINGERPRINTS == {g.fingerprint() for g in shapes}
-    assert len(certify._SWALLOWING_FINGERPRINTS) == 10
+    assert screen._SWALLOWING_FINGERPRINTS == {fingerprint(g) for g in shapes}
+    assert len(screen._SWALLOWING_FINGERPRINTS) == 10
 
 
 _SQUARE_GROUPS = sorted(
@@ -972,13 +975,13 @@ def _screens(name):
 def test_structural_tests_walk_the_normal_lattice_once(monkeypatch, name):
     # T1's kernels and T3's normal subgroups of order h come from one call
     calls = []
-    real = certify.subgroups_of_order
+    real = screen.subgroups_of_order
 
     def counted(*args, **kwargs):
         calls.append(args[1:])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "subgroups_of_order", counted)
+    monkeypatch.setattr(screen, "subgroups_of_order", counted)
     for g, h, sub in _screens(name):
         calls.clear()
         structural_tests(g, h, sub)
@@ -994,8 +997,9 @@ def test_structural_tests_build_no_quotient(monkeypatch, name):
     def refused(*args):
         raise AssertionError("structural_tests built a quotient or proved normality")
 
-    monkeypatch.setattr(certify, "quotient", refused)
-    monkeypatch.setattr(groups, "is_normal", refused)
+    monkeypatch.setattr(screen, "quotient", refused)
+    for namespace in (groups, screen):
+        monkeypatch.setattr(namespace, "is_normal", refused)
     assert [structural_tests(g, h, sub) for g, h, sub in _screens(name)] == reports
 
 

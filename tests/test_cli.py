@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rshds import algebra, certify, cli, groups
+from rshds import algebra, certify, cli, screen
 from rshds.formats import read_hadamard, write_cayley
-from rshds.groups import cyclic_group, dihedral_group, direct_product, elementary_abelian_2_group
+from rshds.screen import cyclic_group, dihedral_group, direct_product, elementary_abelian_2_group
 
 G36_SPEC = "file:" + str(Path(cli.__file__).parent / "data" / "g36_1.json")
 
@@ -357,7 +357,7 @@ def test_screen_refuses_a_non_square_order_before_any_walk(monkeypatch, capsys, 
     def ran(*args):
         raise AssertionError("a normal walk ran")
 
-    monkeypatch.setattr(groups, "_normal_subgroups_dividing", ran)
+    monkeypatch.setattr(screen, "_normal_subgroups_dividing", ran)
     assert cli.main(["screen", G36_SPEC, "3", *token]) == cli.EXIT_USAGE
     assert "error: group order 36 != h^2 = 9" in capsys.readouterr().err
 
@@ -366,13 +366,13 @@ def test_screen_of_a_plain_table_walks_the_normal_lattice_once(monkeypatch):
     # H, the unique normal subgroup of order 6, comes from the screen's own walk;
     # order 9, the kernel order of C2^2, is counted off G/K_2 and not walked
     calls = []
-    real = groups._normal_subgroups_dividing
+    real = screen._normal_subgroups_dividing
 
     def counted(group, orders):
         calls.append(sorted(orders))
         return real(group, orders)
 
-    monkeypatch.setattr(groups, "_normal_subgroups_dividing", counted)
+    monkeypatch.setattr(screen, "_normal_subgroups_dividing", counted)
     assert cli.main(["screen", G36_SPEC, "6"]) == cli.EXIT_OK
     assert calls == [[3, 4, 6]]
 

@@ -48,12 +48,9 @@ from rshds.groups import (
     closure,
     coordinatize_elementary_abelian,
     cosets,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    elementary_abelian_2_group,
     subgroups_of_order,
 )
+from rshds.screen import cyclic_group, dihedral_group, direct_product, elementary_abelian_2_group
 
 
 # ---------------------------------------------------------------------------

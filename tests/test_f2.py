@@ -4,13 +4,8 @@ import pytest
 
 from rshds import f2
 from rshds.constructions import _hyperplanes
-from rshds.groups import (
-    IDENTITY,
-    C4PowerGroup,
-    GnkGroup,
-    elementary_abelian_2_group,
-    subgroups_of_order,
-)
+from rshds.groups import IDENTITY, C4PowerGroup, GnkGroup, subgroups_of_order
+from rshds.screen import elementary_abelian_2_group
 
 
 def test_dot_examples():

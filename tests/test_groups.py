@@ -32,7 +32,6 @@ from oracles import (
 )
 from rshds import fixtures
 from rshds.groups import (
-    SUBGROUP_ENUM_CAP,
     C4PowerGroup,
     CayleyTableGroup,
     GnkGroup,
@@ -44,18 +43,22 @@ from rshds.groups import (
     closure_members,
     coordinatize_elementary_abelian,
     cosets,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    elementary_abelian_2_group,
-    involutions,
-    _commutator_power_subgroup,
     _irredundant_generators,
     _twisted_table,
     is_normal,
     normal_subgroups_of_prime_index,
     quotient,
     subgroups_of_order,
+)
+from rshds.screen import (
+    SUBGROUP_ENUM_CAP,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    elementary_abelian_2_group,
+    fingerprint,
+    involutions,
+    _commutator_power_subgroup,
     validate_group_table,
 )
 
@@ -622,30 +625,30 @@ def _all_subgroups(g):
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
 def test_abelian_and_exponent_two_match_the_scans(name):
     g = REFERENCE_GROUPS[name]
-    assert g.fingerprint()[1] == is_abelian_reference(g)
+    assert fingerprint(g)[1] == is_abelian_reference(g)
     for s in _all_subgroups(g):
         order_is_power_of_2 = s.order & (s.order - 1) == 0
         expected = all(g.mul(a, a) == 0 for a in s.members) and order_is_power_of_2
         assert s.is_elementary_abelian_2() == expected, s.members
         if is_normal(g, s):
             q = quotient(g, s)[0]
-            assert q.fingerprint()[1] == is_abelian_reference(q), s.members
+            assert fingerprint(q)[1] == is_abelian_reference(q), s.members
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_GROUPS))
 def test_fingerprint_of_a_kernel_matches_its_quotient(name):
     g = REFERENCE_GROUPS[name]
     trivial = _fingerprint_reference(g.table)
-    assert g.fingerprint() == g.fingerprint(closure(g, [])) == trivial
+    assert fingerprint(g) == fingerprint(g, closure(g, [])) == trivial
     for s in _all_subgroups(g):
         found = quotient_reference(g, s.members)
         if found is not None:
-            assert g.fingerprint(s) == _fingerprint_reference(found[0]), s.members
+            assert fingerprint(g, s) == _fingerprint_reference(found[0]), s.members
 
 
 def test_fingerprint_refuses_a_kernel_of_another_group():
     with pytest.raises(GroupError, match="different group"):
-        GnkGroup(2, 0).fingerprint(GnkGroup(2, 0).distinguished_subgroup())
+        fingerprint(GnkGroup(2, 0), GnkGroup(2, 0).distinguished_subgroup())
 
 
 def _assert_normality_and_quotient_match_the_scans(g, s):
@@ -764,11 +767,11 @@ def test_prime_index_normals_c6():
 def test_direct_product_and_dihedral():
     d10 = dihedral_group(5)
     assert d10.order == 10
-    assert d10.fingerprint()[:2] == (10, False)
+    assert fingerprint(d10)[:2] == (10, False)
     c2xc6 = direct_product(cyclic_group(2), cyclic_group(6))
     assert c2xc6.order == 12
-    assert c2xc6.fingerprint()[:2] == (12, True)
-    assert max(c2xc6.fingerprint()[2]) == 6
+    assert fingerprint(c2xc6)[:2] == (12, True)
+    assert max(fingerprint(c2xc6)[2]) == 6
 
 
 # ---------------------------------------------------------------------------

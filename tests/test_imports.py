@@ -230,3 +230,36 @@ def test_package_import_binds_only_the_version():
             "sorted(m for m in sys.modules if m.startswith('rshds.')))")
     assert _fresh_output(code) == "[] []"
 
+
+
+
+def _fresh_cli(directory: Path, argv: list) -> str:
+    """'<exit code> <lattice loaded?>' after ``rshds argv`` in ``directory``, in a new interpreter.
+
+    The lattice is loaded when ``rshds.screen`` is, or when any loaded rshds
+    module holds the subgroup walk or the table proof.
+    """
+    code = (f"import os, sys, rshds.cli; os.chdir({str(directory)!r}); "
+            f"code = rshds.cli.main({argv!r}); "
+            "print(code, 'rshds.screen' in sys.modules or any("
+            "hasattr(m, '_subgroups_dividing') or hasattr(m, '_proved_table') "
+            "for n, m in list(sys.modules.items()) if n.startswith('rshds.')))")
+    return _fresh_output(code).splitlines()[-1]
+
+
+def test_only_the_screen_commands_load_the_lattice(tmp_path):
+    # construct, certify and export-hadamard on gnk:3,1 and c4n:3, and thm81,
+    # compile no subgroup lattice, screen or table proof; a screen does.  The
+    # steps share one directory, so each reads what those before it wrote,
+    # and the c4n:3 set is self-inverse, so its certify and export exit 1
+    steps = {
+        "construct gnk:3,1 --out g.json": "0 False",
+        "certify g.json": "0 False",
+        "export-hadamard g.json --out g.had": "0 False",
+        "construct c4n:3 --out c.json": "0 False",
+        "certify c.json": "1 False",
+        "export-hadamard c.json --out c.had": "1 False",
+        "thm81 gnk:3,1 distinguished --out t.json": "0 False",
+        "screen gnk:3,1 8": "0 True",
+    }
+    assert {step: _fresh_cli(tmp_path, step.split()) for step in steps} == steps

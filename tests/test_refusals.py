@@ -42,12 +42,14 @@ from rshds.groups import (
     ParameterSet,
     Subgroup,
     closure,
+    is_normal,
+    subgroups_of_order,
+)
+from rshds.screen import (
     cyclic_group,
     dihedral_group,
     direct_product,
     elementary_abelian_2_group,
-    is_normal,
-    subgroups_of_order,
     validate_group_table,
 )
 
@@ -99,14 +101,50 @@ def test_element_indices_are_refused_not_coerced(tmp_path, name, case):
         call(_variants(base)[case], tmp_path / "d.json")
 
 
+def _c4_table(directory):
+    """A cayley-v1 file of C4 in ``directory``."""
+    path = directory / "c4.json"
+    write_cayley(cyclic_group(4), path)
+    return path
+
+
 @pytest.mark.parametrize("subgroup, elements", [([1], [-1, 9]), ([-1], [1, 2])],
                          ids=["element", "generator"])
 def test_write_dset_refuses_a_negative_index_for_a_file_spec(tmp_path, subgroup, elements):
-    # the table of a file: spec is not read, so only read_dset checks the
-    # upper bound, but no index below 0 is ever written
+    table = _c4_table(tmp_path)
     path = tmp_path / "d.json"
-    with pytest.raises(FormatError):
-        write_dset(path, "file:c4.json", subgroup, elements)
+    with pytest.raises(FormatError, match=re.escape("element index outside 0..3")):
+        write_dset(path, f"file:{table}", subgroup, elements)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("subgroup, elements", [([1], [9]), ([4], [1, 2]), ([1], [1, 2, 3, 4])],
+                         ids=["element", "generator", "order"])
+def test_write_dset_takes_the_order_of_a_file_spec_from_its_table(tmp_path, subgroup, elements):
+    # the order field of the cayley-v1 document bounds every index, so
+    # write_dset writes no file that read_dset would refuse; the table is
+    # read as JSON only, without its proof
+    table = _c4_table(tmp_path)
+    path = tmp_path / "d.json"
+    with pytest.raises(FormatError, match=re.escape("element index outside 0..3")):
+        write_dset(path, f"file:{table}", subgroup, elements)
+    assert not path.exists()
+    write_dset(path, f"file:{table}", [2], [1, 3])
+    group, sub, elems, _ = read_dset(path)
+    assert group.order == 4 and sub.members == (0, 2) and elems == (1, 3)
+
+
+@pytest.mark.parametrize("order", [None, 4.0, "4", True])
+def test_write_dset_refuses_a_file_spec_whose_order_is_no_int(tmp_path, order):
+    # as read_cayley refuses it
+    table = tmp_path / "c4.json"
+    doc = {"format": "cayley-v1", "table": cyclic_group(4).table}
+    table.write_text(json.dumps(doc if order is None else {**doc, "order": order}))
+    with pytest.raises(FormatError, match="order/table mismatch") as refused:
+        read_cayley(table)
+    path = tmp_path / "d.json"
+    with pytest.raises(FormatError, match=re.escape(str(refused.value))):
+        write_dset(path, f"file:{table}", [2], [1])
     assert not path.exists()
 
 
@@ -160,9 +198,9 @@ def test_any_integer_coefficient_passes():
 def _screen_without_walks(h, sub=None):
     """``structural_tests`` with each walk made to fail: only a refusal up front passes."""
     ran = AssertionError("a walk ran")
-    with mock.patch("rshds.groups._normal_subgroups_dividing", side_effect=ran), \
-            mock.patch("rshds.certify._subgroups_dividing", side_effect=ran), \
-            mock.patch("rshds.certify._commutator_power_subgroup", side_effect=ran):
+    with mock.patch("rshds.screen._normal_subgroups_dividing", side_effect=ran), \
+            mock.patch("rshds.screen._subgroups_dividing", side_effect=ran), \
+            mock.patch("rshds.screen._commutator_power_subgroup", side_effect=ran):
         return structural_tests(G, h, sub)
 
 
