@@ -12,41 +12,30 @@ time; nodes and leaves count the reduced walk of ``exhaustive_search`` (one
 first-coset choice per orbit of the central involutions of H), not the
 whole tree.
 
-Each process runs one subcommand, and each subcommand imports the layers it
-uses: only ``construct``, ``thm81`` and ``search`` import ``constructions``
-(and with it ``f2``), so ``certify`` and ``export-hadamard`` never load them.
-The subgroup lattice, the screens and the Cayley-table proof are in the
-module ``rshds.screen``, which the ``screen`` and ``quotient`` commands, an
-``auto-<order>`` subgroup token and a ``file:`` spec load; ``construct``,
-``certify``, ``export-hadamard`` and ``thm81`` on a gnk: or c4n: spec never
-do.
+Each process runs one command and imports only the layers it uses:
+``constructions`` (and ``f2``) for ``construct``, ``thm81`` and ``search``;
+``rshds.screen`` (the subgroup lattice, the screens and the Cayley-table
+proof) for ``screen``, ``quotient``, an ``auto-<order>`` token or a ``file:``
+spec.  Nor does it import argparse: the command table ``_COMMANDS`` is the one
+parser, because argparse, with the gettext and locale it loads, took about
+6 ms of a 70 ms process.  Options are spelled in full (``--json``, not ``--js``).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 import time
-from typing import List, Optional, Sequence
+from types import SimpleNamespace
+from typing import List, NoReturn, Optional, Sequence
 
 from . import certify, formats
 from .certify import CHECK_ORDER, CertReport, PreconditionError
 from .formats import FormatError, GroupSpec
-from .groups import (
-    FiniteGroup,
-    GroupError,
-    ParameterSet,
-    Subgroup,
-    closure,
-    normal_subgroups_of_prime_index,
-    subgroups_of_order,
-)
+from .groups import (FiniteGroup, GroupError, ParameterSet, Subgroup, closure,
+                     normal_subgroups_of_prime_index, subgroups_of_order)
 
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 _AUTO_RE = re.compile(r"auto-([0-9]+)")
 _INDEX_RE = re.compile(r"[0-9]+")
@@ -57,18 +46,15 @@ def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
     if token == "distinguished":
         sub = group.distinguished_subgroup()
         if sub is None:
-            raise FormatError(
-                f"group has no distinguished subgroup; use gens=... ({token!r})"
-            )
+            raise FormatError(f"group has no distinguished subgroup; use gens=... ({token!r})")
         return sub
     m = _AUTO_RE.fullmatch(token)
     if m:
         order = int(m.group(1))
         candidates = subgroups_of_order(group, order, normal=True)
         if len(candidates) != 1:
-            raise FormatError(
-                f"expected exactly one normal subgroup of order {order}, found {len(candidates)}"
-            )
+            raise FormatError(f"expected exactly one normal subgroup of order {order}, "
+                              f"found {len(candidates)}")
         return candidates[0]
     if token.startswith("gens="):
         gens = [x for x in token[5:].split(",") if x != ""]
@@ -104,11 +90,6 @@ def _params_line(params) -> str:
     return f"(v,k,lambda)=({params.v},{params.k},{params.lam})"
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
 def _cmd_params(args) -> int:
     print(_params_line(ParameterSet(args.h)))
     return EXIT_OK
@@ -136,16 +117,15 @@ def _cmd_construct(args) -> int:
 
 def _cmd_certify(args) -> int:
     group, sub, elements, _ = formats.read_dset(args.dset)
+    names = list(CHECK_ORDER)
     if args.checks is not None:
-        names = [c.strip() for c in args.checks.split(",") if c.strip()]
-        if not names:
+        asked = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not asked:
             raise FormatError(f"--checks {args.checks!r} names no check")
-        for c in names:
+        for c in asked:
             if c not in CHECK_ORDER:
                 raise FormatError(f"unknown check {c!r}; choose from {','.join(CHECK_ORDER)}")
-        names = [c for c in CHECK_ORDER if c in names]
-    else:
-        names = list(CHECK_ORDER)
+        names = [c for c in CHECK_ORDER if c in asked]
     reports = certify.run_checks(group, sub, elements, names)
     _emit_reports(reports, args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
@@ -161,14 +141,11 @@ def _cmd_thm81(args) -> int:
     if assignment is None:
         print("none")
         return EXIT_OK
-    h = sub.order
-    n = h.bit_length() - 1
-    for i in range(1, h):
+    n = sub.order.bit_length() - 1
+    for i in range(1, sub.order):
         rep = assignment.decomposition.transversal[i]
-        print(
-            f"coset {i}: rep {group.element_name(rep)} -> hyperplane normal "
-            f"{assignment.normals[i]:0{n}b}"
-        )
+        print(f"coset {i}: rep {group.element_name(rep)} -> hyperplane normal "
+              f"{assignment.normals[i]:0{n}b}")
     candidate = constructions.assignment_difference_set(assignment)
     report = certify.check_difference_set(group, candidate.elements)
     _emit_reports([report], args.json)
@@ -184,11 +161,7 @@ def _cmd_screen(args) -> int:
     spec = GroupSpec.parse(args.spec)
     group = formats.build_group(spec)
     _screen_order(group, args.h)
-    sub: Optional[Subgroup]
-    if args.subgroup:
-        sub = _parse_subgroup(group, args.subgroup)
-    else:
-        sub = group.distinguished_subgroup()
+    sub = _parse_subgroup(group, args.subgroup) if args.subgroup else group.distinguished_subgroup()
     report = certify.structural_tests(group, args.h, sub, unique_normal_h=True)
     _emit_reports([report], args.json)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -211,14 +184,11 @@ def _cmd_search(args) -> int:
         result = exhaustive_search(group, sub, budget=args.budget)
     except BudgetExceededError as exc:
         _search_stats(exc.nodes, exc.leaves, time.perf_counter() - start)
-        print(
-            f"budget exceeded: {exc} (nodes={exc.nodes}, leaves={exc.leaves}, found={exc.found})",
-            file=sys.stderr,
-        )
+        print(f"budget exceeded: {exc} (nodes={exc.nodes}, leaves={exc.leaves}, found={exc.found})",
+              file=sys.stderr)
         return EXIT_BUDGET
     _search_stats(result.nodes, result.leaves, time.perf_counter() - start)
-    print(f"found {result.count} difference set(s) "
-          f"({result.nodes} nodes, {result.leaves} leaves)")
+    print(f"found {result.count} difference set(s) ({result.nodes} nodes, {result.leaves} leaves)")
     if result.candidates and result.candidates[0].params.h == 2:
         print("warning: degenerate h=2, lambda = 0")
     for c in result.candidates:
@@ -234,14 +204,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_quotient(args) -> int:
     group, sub, elements, _ = formats.read_dset(args.dset)
-    kernels = []
     if args.kernel:
-        kernels.append(_parse_subgroup(group, args.kernel))
+        kernels = [_parse_subgroup(group, args.kernel)]
     else:
         kernels = [s for s, _ in normal_subgroups_of_prime_index(group)]
-    reports = [
-        certify.quotient_check(group, sub, elements, n) for n in kernels
-    ]
+    reports = [certify.quotient_check(group, sub, elements, n) for n in kernels]
     _emit_reports(reports, args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
@@ -269,76 +236,109 @@ def _cmd_dump_table(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table, and the one parser that reads it
 # ---------------------------------------------------------------------------
 
+# name -> (help, options, positionals), the last two as its usage line shows
+# them: a bracketed one is optional, and an option with a metavar takes a
+# value.  A value is a str, or an int for h and --budget; an absent one is
+# None, or False for an option that takes no value.  The handler, _cmd_<name>,
+# is looked up when a command line is parsed, so a wrapper set on it runs.
+_COMMANDS = {
+    "params": ("print (v,k,lambda) = (h^2, h(h-1)/2, h(h-2)/4) for an even h", (), "h"),
+    "construct": ("build the canonical difference set of a gnk: or c4n: group",
+                  ("[--json]", "[--out OUT]"), "spec"),
+    "certify": ("run certificates on a dset-v1 file; CHECKS is a comma list from "
+                f"{','.join(CHECK_ORDER)} (default all)", ("[--json]", "[--checks CHECKS]"),
+                "dset"),
+    "thm81": ("search a hyperplane-to-coset matching and build its difference set",
+              ("[--json]", "[--out OUT]"), "spec subgroup"),
+    "screen": ("run the four structural tests", ("[--json]",), "spec h [subgroup]"),
+    "search": ("exhaustively enumerate all partition difference sets; N is a node budget",
+               ("[--out OUT]", "[--budget N]"), "spec subgroup"),
+    "quotient": ("quotient distribution checks for a dset-v1 file against the normal KERNEL "
+                 "(default: each of prime index)", ("[--json]", "[--kernel KERNEL]"), "dset"),
+    "export-hadamard": ("write the +-1 matrix of a certified m=0 set",
+                        ("[--json]", "--out OUT"), "dset"),
+    "dump-table": ("write a cayley-v1 table", ("[--out OUT]",), "spec"),
+}
+# an option, as argparse told them apart: not "-", and not a negative number
+_OPTION_LIKE_RE = re.compile(r"-(?!\d+$|\d*\.\d+$).", re.S)
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rshds",
-        description="Construct and exactly certify difference sets disjoint from a subgroup.",
-    )
-    # each subcommand takes --json and --out only if it reads them
-    as_json = argparse.ArgumentParser(add_help=False)
-    as_json.add_argument("--json", action="store_true", help="emit reports as JSON")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="output file path")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="print (v,k,lambda) = (h^2, h(h-1)/2, h(h-2)/4) for an even h")
-    p.add_argument("h", type=int)
-    p.set_defaults(func=_cmd_params)
+def _stop(name: Optional[str], error: Optional[str] = None) -> NoReturn:
+    """Print the help of ``name`` and exit 0, or its usage and ``error`` and exit 2."""
+    if name is None:
+        usage = "usage: rshds [-h] {" + ",".join(_COMMANDS) + "} ..."
+        about = ["Construct and exactly certify difference sets disjoint from a subgroup.", "",
+                 "commands:", *(f"  {cmd:<16} {entry[0]}" for cmd, entry in _COMMANDS.items())]
+    else:
+        usage = " ".join(["usage: rshds", name, "[-h]", *_COMMANDS[name][1], _COMMANDS[name][2]])
+        about = [_COMMANDS[name][0]]
+    if error is None:
+        print(usage, "", *about, sep="\n")
+        raise SystemExit(EXIT_OK)
+    print(usage, f"error: {error}", sep="\n", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
-    p = sub.add_parser("construct", parents=[as_json, out],
-                       help="build the canonical difference set of a gnk: or c4n: group")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("certify", parents=[as_json], help="run certificates on a dset-v1 file")
-    p.add_argument("dset")
-    p.add_argument("--checks", help=f"comma list from {','.join(CHECK_ORDER)} (default all)")
-    p.set_defaults(func=_cmd_certify)
+def _value(name: str, dest: str, value: str):
+    try:
+        return int(value) if dest in ("h", "--budget") else value
+    except ValueError:
+        _stop(name, f"argument {dest}: invalid int value: {value!r}")
 
-    p = sub.add_parser("thm81", parents=[as_json, out],
-                       help="search a hyperplane-to-coset matching and build its difference set")
-    p.add_argument("spec")
-    p.add_argument("subgroup")
-    p.set_defaults(func=_cmd_thm81)
 
-    p = sub.add_parser("screen", parents=[as_json], help="run the four structural tests")
-    p.add_argument("spec")
-    p.add_argument("h", type=int)
-    p.add_argument("subgroup", nargs="?", default=None)
-    p.set_defaults(func=_cmd_screen)
-
-    p = sub.add_parser("search", parents=[out],
-                       help="exhaustively enumerate all partition difference sets")
-    p.add_argument("spec")
-    p.add_argument("subgroup")
-    p.add_argument("--budget", type=int, default=None, help="node budget for the search")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("quotient", parents=[as_json],
-                       help="quotient distribution checks for a dset-v1 file")
-    p.add_argument("dset")
-    p.add_argument("--kernel", help="subgroup token for the normal kernel (default: all prime-index)")
-    p.set_defaults(func=_cmd_quotient)
-
-    p = sub.add_parser("export-hadamard", parents=[as_json],
-                       help="write the +-1 matrix of a certified m=0 set")
-    p.add_argument("dset")
-    p.add_argument("--out", required=True, help="output file path")
-    p.set_defaults(func=_cmd_export_hadamard)
-
-    p = sub.add_parser("dump-table", parents=[out], help="write a cayley-v1 table")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_dump_table)
-    return parser
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The command, its handler and its arguments, as argparse read them."""
+    name, *rest = argv or [None]
+    if name in ("-h", "--help"):
+        _stop(None)
+    if name not in _COMMANDS:
+        _stop(None, f"invalid choice: {name!r} (choose from {', '.join(_COMMANDS)})"
+              if name else "the following arguments are required: command")
+    _, options, positionals = _COMMANDS[name]
+    dests = positionals.replace("[", "").replace("]", "").split()
+    required = len(dests) - positionals.count("[")
+    flags = {option.strip("[]").split()[0]: option for option in options}
+    values = dict.fromkeys(dests)
+    values.update((flag[2:], None if " " in option else False) for flag, option in flags.items())
+    taken, extras, limit, args = 0, [], len(dests), iter(rest)
+    for arg in args:
+        if arg == "--" or not _OPTION_LIKE_RE.match(arg):
+            for word in list(args) if arg == "--" else [arg]:
+                if taken < limit:
+                    values[dests[taken]] = _value(name, dests[taken], word)
+                    taken += 1
+                else:
+                    extras.append(word)
+            continue
+        if arg in ("-h", "--help"):
+            _stop(name)
+        if taken >= required:  # as argparse did, an option here ends the positionals
+            limit = taken
+        flag, eq, value = arg.partition("=")
+        if flag in flags and " " in flags[flag]:
+            value = value if eq else next(args, None)
+            if value is None or (not eq and _OPTION_LIKE_RE.match(value)):
+                _stop(name, f"argument {flag}: expected one argument")
+            values[flag[2:]] = _value(name, flag, value)
+        elif flag in flags and not eq:
+            values[flag[2:]] = True
+        else:
+            extras.append(arg)
+    missing = dests[taken:required] + [
+        flag for flag, option in flags.items() if option[0] != "[" and values[flag[2:]] is None]
+    if missing:
+        _stop(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _stop(name, f"unrecognized arguments: {' '.join(extras)}")
+    handler = globals()["_cmd_" + name.replace("-", "_")]
+    return SimpleNamespace(command=name, func=handler, **values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (FormatError, GroupError, PreconditionError, OSError) as exc:

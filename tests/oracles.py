@@ -17,15 +17,18 @@ kept to pin the one-pass sign rows of ``certify.hadamard_matrix``;
 a time over the whole table, to pin the refusals of the byte pass;
 ``mcfarland_set`` and ``mcfarland_count`` build and count the hyperplane
 sets D(w, c) of a twist group, a perfect-matching count the library does
-not have.
+not have; ``build_parser_reference`` is the argparse parser the CLI had
+before its command table, kept to pin what ``cli._parse`` reads.
 """
 from __future__ import annotations
 
+import argparse
 import itertools
 import operator
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from rshds import f2
+from rshds import cli, f2
+from rshds.certify import CHECK_ORDER
 from rshds.constructions import (
     DEFAULT_SEARCH_BUDGET,
     UNAIDED_SEARCH_LIMIT,
@@ -711,3 +714,67 @@ NONASSOCIATIVE_LOOP_5 = [
     [3, 4, 1, 2, 0],
     [4, 2, 0, 1, 3],
 ]
+
+
+def build_parser_reference() -> argparse.ArgumentParser:
+    """The argparse parser of the CLI before the command table replaced it."""
+    parser = argparse.ArgumentParser(
+        prog="rshds",
+        description="Construct and exactly certify difference sets disjoint from a subgroup.",
+    )
+    # each subcommand takes --json and --out only if it reads them
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="emit reports as JSON")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file path")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("params", help="print (v,k,lambda) = (h^2, h(h-1)/2, h(h-2)/4) for an even h")
+    p.add_argument("h", type=int)
+    p.set_defaults(func=cli._cmd_params)
+
+    p = sub.add_parser("construct", parents=[as_json, out],
+                       help="build the canonical difference set of a gnk: or c4n: group")
+    p.add_argument("spec")
+    p.set_defaults(func=cli._cmd_construct)
+
+    p = sub.add_parser("certify", parents=[as_json], help="run certificates on a dset-v1 file")
+    p.add_argument("dset")
+    p.add_argument("--checks", help=f"comma list from {','.join(CHECK_ORDER)} (default all)")
+    p.set_defaults(func=cli._cmd_certify)
+
+    p = sub.add_parser("thm81", parents=[as_json, out],
+                       help="search a hyperplane-to-coset matching and build its difference set")
+    p.add_argument("spec")
+    p.add_argument("subgroup")
+    p.set_defaults(func=cli._cmd_thm81)
+
+    p = sub.add_parser("screen", parents=[as_json], help="run the four structural tests")
+    p.add_argument("spec")
+    p.add_argument("h", type=int)
+    p.add_argument("subgroup", nargs="?", default=None)
+    p.set_defaults(func=cli._cmd_screen)
+
+    p = sub.add_parser("search", parents=[out],
+                       help="exhaustively enumerate all partition difference sets")
+    p.add_argument("spec")
+    p.add_argument("subgroup")
+    p.add_argument("--budget", type=int, default=None, help="node budget for the search")
+    p.set_defaults(func=cli._cmd_search)
+
+    p = sub.add_parser("quotient", parents=[as_json],
+                       help="quotient distribution checks for a dset-v1 file")
+    p.add_argument("dset")
+    p.add_argument("--kernel", help="subgroup token for the normal kernel (default: all prime-index)")
+    p.set_defaults(func=cli._cmd_quotient)
+
+    p = sub.add_parser("export-hadamard", parents=[as_json],
+                       help="write the +-1 matrix of a certified m=0 set")
+    p.add_argument("dset")
+    p.add_argument("--out", required=True, help="output file path")
+    p.set_defaults(func=cli._cmd_export_hadamard)
+
+    p = sub.add_parser("dump-table", parents=[out], help="write a cayley-v1 table")
+    p.add_argument("spec")
+    p.set_defaults(func=cli._cmd_dump_table)
+    return parser

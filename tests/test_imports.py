@@ -87,7 +87,10 @@ def private_helpers_without_callers(sources: dict) -> list:
     function or class is reached by a name read, an attribute read
     (``groups._greedy_reach``) or a name imported; a ``_name`` method of a
     module-level class only by an attribute read (``self._validate()``).
-    Dunder names are the interpreter's and never count as helpers.
+    A ``_cmd_<name>`` handler is reached by a string key ``<name>`` (dashes
+    read as underscores) of a dict literal, as ``cli._parse`` looks each
+    handler up by its command's name in ``cli._COMMANDS``.  Dunder names are
+    the interpreter's and never count as helpers.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced, attributes = set(), set()
@@ -99,6 +102,9 @@ def private_helpers_without_callers(sources: dict) -> list:
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(a.name for a in node.names)
+            elif isinstance(node, ast.Dict):
+                referenced.update("_cmd_" + key.value.replace("-", "_") for key in node.keys
+                                  if isinstance(key, ast.Constant) and isinstance(key.value, str))
     referenced |= attributes
     helpers = [
         f"{module}.{node.name}"
@@ -123,8 +129,11 @@ def test_private_helpers_without_callers_are_found():
              "def __getattr__(name):\n    pass\ndef public():\n    return _used()\n",
         "b": "from .a import _imported\nimport a\na._attribute\n",
         "c": "def _imported():\n    pass\ndef _attribute():\n    pass\n",
+        # a handler is reached by its command's key in a table, and only by that
+        "d": "def _cmd_dump_table(a):\n    pass\ndef _cmd_gone(a):\n    pass\n"
+             "TABLE = {'dump-table': 1}\nTEXT = 'gone'\n",
     }
-    assert private_helpers_without_callers(sources) == ["a._Lone", "a._unused"]
+    assert private_helpers_without_callers(sources) == ["a._Lone", "a._unused", "d._cmd_gone"]
 
 
 def test_private_methods_without_readers_are_found():
@@ -263,3 +272,17 @@ def test_only_the_screen_commands_load_the_lattice(tmp_path):
         "screen gnk:3,1 8": "0 True",
     }
     assert {step: _fresh_cli(tmp_path, step.split()) for step in steps} == steps
+
+
+def test_the_ladder_commands_load_no_argparse_or_gettext(tmp_path):
+    # the command table is the CLI's one parser: argparse, with the gettext and
+    # locale it loads, took about 6 ms of each fresh CLI process.  Each step is
+    # a new interpreter, and certify and export-hadamard read what construct wrote
+    steps = ["construct gnk:3,1 --out g.json", "certify g.json",
+             "export-hadamard g.json --out g.had", "thm81 gnk:3,1 distinguished --out t.json",
+             "params 4"]
+    for step in steps:
+        code = (f"import os, sys, rshds.cli; os.chdir({str(tmp_path)!r}); "
+                f"code = rshds.cli.main({step.split()!r}); "
+                "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+        assert (step, _fresh_output(code).splitlines()[-1]) == (step, "0 []")

@@ -1,0 +1,34 @@
+"""The benchmark's tracer sees the CLI handlers that ``cli.main`` runs.
+
+``perfbench.tracer`` wraps each ``cli._cmd_<name>`` handler by setting the
+module attribute, and the per-layer metrics ``cli.construct_s``,
+``cli.certify_s`` and the rest read those spans.  ``cli._parse`` finds the
+handler by name in the module's globals when it parses, so the wrapper is
+what runs.  A command table that held the handler objects it was given at
+import would run the unwrapped handlers, and those metrics would read 0
+without any error; this test fails instead.
+"""
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+from rshds import cli
+
+
+def test_the_tracer_records_the_construct_and_certify_handlers(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    tracer_module = importlib.import_module("perfbench.tracer")
+    dset = str(tmp_path / "d.json")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["construct", "gnk:2,0", "--out", dset]) == cli.EXIT_OK
+        assert cli.main(["certify", dset]) == cli.EXIT_OK
+    finally:
+        tracer.remove()
+    recorded = {span[0] for span in tracer.spans}
+    assert {"cli._cmd_construct", "cli._cmd_certify"} <= recorded, sorted(recorded)
+    assert tracer.stats["cli._cmd_construct"][0] == tracer.stats["cli._cmd_certify"][0] == 1
+    metrics = tracer_module.summarize([tracer.snapshot()])
+    assert metrics["cli.construct_s"] > 0 and metrics["cli.certify_s"] > 0
