@@ -12,13 +12,18 @@ time; nodes and leaves count the reduced walk of ``exhaustive_search`` (one
 first-coset choice per orbit of the central involutions of H), not the
 whole tree.
 
-Each process runs one command and imports only the layers it uses:
-``constructions`` (and ``f2``) for ``construct``, ``thm81`` and ``search``;
-``rshds.screen`` (the subgroup lattice, the screens and the Cayley-table
-proof) for ``screen``, ``quotient``, an ``auto-<order>`` token or a ``file:``
-spec.  Nor does it import argparse: the command table ``_COMMANDS`` is the one
-parser, because argparse, with the gettext and locale it loads, took about
-6 ms of a 70 ms process.  Options are spelled in full (``--json``, not ``--js``).
+Each process runs one subcommand, and each subcommand imports the layers it
+uses: only ``construct``, ``thm81`` and ``search`` import ``constructions``
+(and with it ``f2``), so ``certify`` and ``export-hadamard`` never load them.
+The subgroup lattice, the screens and the Cayley-table proof are in the
+module ``rshds.screen``, which the ``screen`` and ``quotient`` commands, an
+``auto-<order>`` subgroup token and a ``file:`` spec load; ``construct``,
+``certify``, ``export-hadamard`` and ``thm81`` on a gnk: or c4n: spec never
+do.
+
+The command table ``_COMMANDS`` is the one parser: no process imports
+argparse, which with the gettext and locale it loads took about 6 ms of a
+70 ms CLI process.  Options are spelled in full (``--json``, not ``--js``).
 """
 from __future__ import annotations
 
@@ -32,10 +37,20 @@ from typing import List, NoReturn, Optional, Sequence
 from . import certify, formats
 from .certify import CHECK_ORDER, CertReport, PreconditionError
 from .formats import FormatError, GroupSpec
-from .groups import (FiniteGroup, GroupError, ParameterSet, Subgroup, closure,
-                     normal_subgroups_of_prime_index, subgroups_of_order)
+from .groups import (
+    FiniteGroup,
+    GroupError,
+    ParameterSet,
+    Subgroup,
+    closure,
+    normal_subgroups_of_prime_index,
+    subgroups_of_order,
+)
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
+EXIT_OK = 0
+EXIT_FAIL = 1
+EXIT_USAGE = 2
+EXIT_BUDGET = 3
 
 _AUTO_RE = re.compile(r"auto-([0-9]+)")
 _INDEX_RE = re.compile(r"[0-9]+")
@@ -46,15 +61,18 @@ def _parse_subgroup(group: FiniteGroup, token: str) -> Subgroup:
     if token == "distinguished":
         sub = group.distinguished_subgroup()
         if sub is None:
-            raise FormatError(f"group has no distinguished subgroup; use gens=... ({token!r})")
+            raise FormatError(
+                f"group has no distinguished subgroup; use gens=... ({token!r})"
+            )
         return sub
     m = _AUTO_RE.fullmatch(token)
     if m:
         order = int(m.group(1))
         candidates = subgroups_of_order(group, order, normal=True)
         if len(candidates) != 1:
-            raise FormatError(f"expected exactly one normal subgroup of order {order}, "
-                              f"found {len(candidates)}")
+            raise FormatError(
+                f"expected exactly one normal subgroup of order {order}, found {len(candidates)}"
+            )
         return candidates[0]
     if token.startswith("gens="):
         gens = [x for x in token[5:].split(",") if x != ""]
@@ -90,6 +108,11 @@ def _params_line(params) -> str:
     return f"(v,k,lambda)=({params.v},{params.k},{params.lam})"
 
 
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+
 def _cmd_params(args) -> int:
     print(_params_line(ParameterSet(args.h)))
     return EXIT_OK
@@ -117,15 +140,16 @@ def _cmd_construct(args) -> int:
 
 def _cmd_certify(args) -> int:
     group, sub, elements, _ = formats.read_dset(args.dset)
-    names = list(CHECK_ORDER)
     if args.checks is not None:
-        asked = [c.strip() for c in args.checks.split(",") if c.strip()]
-        if not asked:
+        names = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not names:
             raise FormatError(f"--checks {args.checks!r} names no check")
-        for c in asked:
+        for c in names:
             if c not in CHECK_ORDER:
                 raise FormatError(f"unknown check {c!r}; choose from {','.join(CHECK_ORDER)}")
-        names = [c for c in CHECK_ORDER if c in asked]
+        names = [c for c in CHECK_ORDER if c in names]
+    else:
+        names = list(CHECK_ORDER)
     reports = certify.run_checks(group, sub, elements, names)
     _emit_reports(reports, args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
@@ -141,11 +165,14 @@ def _cmd_thm81(args) -> int:
     if assignment is None:
         print("none")
         return EXIT_OK
-    n = sub.order.bit_length() - 1
-    for i in range(1, sub.order):
+    h = sub.order
+    n = h.bit_length() - 1
+    for i in range(1, h):
         rep = assignment.decomposition.transversal[i]
-        print(f"coset {i}: rep {group.element_name(rep)} -> hyperplane normal "
-              f"{assignment.normals[i]:0{n}b}")
+        print(
+            f"coset {i}: rep {group.element_name(rep)} -> hyperplane normal "
+            f"{assignment.normals[i]:0{n}b}"
+        )
     candidate = constructions.assignment_difference_set(assignment)
     report = certify.check_difference_set(group, candidate.elements)
     _emit_reports([report], args.json)
@@ -161,7 +188,11 @@ def _cmd_screen(args) -> int:
     spec = GroupSpec.parse(args.spec)
     group = formats.build_group(spec)
     _screen_order(group, args.h)
-    sub = _parse_subgroup(group, args.subgroup) if args.subgroup else group.distinguished_subgroup()
+    sub: Optional[Subgroup]
+    if args.subgroup:
+        sub = _parse_subgroup(group, args.subgroup)
+    else:
+        sub = group.distinguished_subgroup()
     report = certify.structural_tests(group, args.h, sub, unique_normal_h=True)
     _emit_reports([report], args.json)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -184,11 +215,14 @@ def _cmd_search(args) -> int:
         result = exhaustive_search(group, sub, budget=args.budget)
     except BudgetExceededError as exc:
         _search_stats(exc.nodes, exc.leaves, time.perf_counter() - start)
-        print(f"budget exceeded: {exc} (nodes={exc.nodes}, leaves={exc.leaves}, found={exc.found})",
-              file=sys.stderr)
+        print(
+            f"budget exceeded: {exc} (nodes={exc.nodes}, leaves={exc.leaves}, found={exc.found})",
+            file=sys.stderr,
+        )
         return EXIT_BUDGET
     _search_stats(result.nodes, result.leaves, time.perf_counter() - start)
-    print(f"found {result.count} difference set(s) ({result.nodes} nodes, {result.leaves} leaves)")
+    print(f"found {result.count} difference set(s) "
+          f"({result.nodes} nodes, {result.leaves} leaves)")
     if result.candidates and result.candidates[0].params.h == 2:
         print("warning: degenerate h=2, lambda = 0")
     for c in result.candidates:
@@ -204,11 +238,14 @@ def _cmd_search(args) -> int:
 
 def _cmd_quotient(args) -> int:
     group, sub, elements, _ = formats.read_dset(args.dset)
+    kernels = []
     if args.kernel:
-        kernels = [_parse_subgroup(group, args.kernel)]
+        kernels.append(_parse_subgroup(group, args.kernel))
     else:
         kernels = [s for s, _ in normal_subgroups_of_prime_index(group)]
-    reports = [certify.quotient_check(group, sub, elements, n) for n in kernels]
+    reports = [
+        certify.quotient_check(group, sub, elements, n) for n in kernels
+    ]
     _emit_reports(reports, args.json)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
@@ -262,7 +299,7 @@ _COMMANDS = {
                         ("[--json]", "--out OUT"), "dset"),
     "dump-table": ("write a cayley-v1 table", ("[--out OUT]",), "spec"),
 }
-# an option, as argparse told them apart: not "-", and not a negative number
+# a dash-led word that is not "-" and not a negative number
 _OPTION_LIKE_RE = re.compile(r"-(?!\d+$|\d*\.\d+$).", re.S)
 
 
@@ -280,6 +317,14 @@ def _stop(name: Optional[str], error: Optional[str] = None) -> NoReturn:
         raise SystemExit(EXIT_OK)
     print(usage, f"error: {error}", sep="\n", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
+
+
+def _is_option(arg: str, flags) -> bool:
+    """Whether argparse read ``arg`` as an option: an option-like word with no
+    space in it, or one whose part before ``=`` names a flag (``--out=a b``)."""
+    flag = arg.partition("=")[0]
+    return bool(_OPTION_LIKE_RE.match(arg)) and (
+        " " not in arg or flag in flags or flag in ("-h", "--help"))
 
 
 def _value(name: str, dest: str, value: str):
@@ -305,7 +350,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
     values.update((flag[2:], None if " " in option else False) for flag, option in flags.items())
     taken, extras, limit, args = 0, [], len(dests), iter(rest)
     for arg in args:
-        if arg == "--" or not _OPTION_LIKE_RE.match(arg):
+        if arg == "--" or not _is_option(arg, flags):
             for word in list(args) if arg == "--" else [arg]:
                 if taken < limit:
                     values[dests[taken]] = _value(name, dests[taken], word)
@@ -320,7 +365,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
         flag, eq, value = arg.partition("=")
         if flag in flags and " " in flags[flag]:
             value = value if eq else next(args, None)
-            if value is None or (not eq and _OPTION_LIKE_RE.match(value)):
+            if value is None or (not eq and _is_option(value, flags)):
                 _stop(name, f"argument {flag}: expected one argument")
             values[flag[2:]] = _value(name, flag, value)
         elif flag in flags and not eq:

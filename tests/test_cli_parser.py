@@ -5,7 +5,9 @@ its command table.  Each valid command line below must give the same command,
 handler and attribute values on both; each invalid one must exit 2 on both,
 and the table's parser must print a usage line and an error line to stderr and
 nothing to stdout.  The one intended difference is that argparse took a unique
-prefix of an option (``--js`` for ``--json``) and the table does not.
+prefix of an option (``--js`` for ``--json``) and the table does not.  The
+table also keeps the Python 3.10/3.11 reading of ``ENDS_POSITIONALS`` on later
+versions, whose argparse reads that command line differently.
 """
 from __future__ import annotations
 
@@ -51,6 +53,12 @@ VALID = [
     ["export-hadamard", "d", "--out="],
     ["dump-table", "gnk:2,0", "--out", "t"],
     ["dump-table", "--out", "t", "gnk:2,0"],
+    # a dash-led word with a space in it is a value, unless it sets a flag
+    ["construct", "gnk:2,0", "--out", "-my out.json"],
+    ["construct", "-my spec"],
+    ["certify", "-a b.json", "--checks", "-dset, profile"],
+    ["construct", "gnk:2,0", "--out=my out.json"],
+    ["construct", "--bogus=a b"],
 ]
 
 INVALID = [
@@ -90,11 +98,15 @@ INVALID = [
     ["quotient", "d", "--out", "x.json"],
     ["search", "gnk:2,0", "distinguished", "--json"],
     ["thm81", "c4n:2", "distinguished", "--budget", "5"],
-    # an option after every required positional ends the positionals, as it
-    # does in the argparse of Python 3.10 and 3.11
-    pytest.param(["screen", "gnk:3,1", "8", "--json", "distinguished"], marks=pytest.mark.skipif(
-        sys.version_info >= (3, 12), reason="later argparse reads the optional positional")),
+    ["construct", "gnk:2,0", "--out", "--json=a b"],
+    ["construct", "gnk:2,0", "-my out.json"],
+    ["construct", "--help=a b"],
 ]
+
+# an option after every required positional ends the positionals, as it does
+# in the argparse of Python 3.10 and 3.11; later argparse reads the optional
+# positional after it, and the table keeps the older reading on every version
+ENDS_POSITIONALS = ["screen", "gnk:3,1", "8", "--json", "distinguished"]
 
 HELP = [["-h"], ["--help"], ["-h", "nonsense"], ["certify", "--help"], ["certify", "d", "-h"],
         ["export-hadamard", "d", "-h"], ["construct", "--bogus", "-h"]]
@@ -129,6 +141,17 @@ def test_an_invalid_command_line_exits_2_on_both_parsers(capsys, argv):
     out, err = capsys.readouterr()
     usage, error = err.splitlines()
     assert out == "" and usage.startswith("usage: rshds") and error.startswith("error: ")
+
+
+def test_an_option_after_the_required_positionals_ends_them(capsys):
+    if sys.version_info < (3, 12):
+        with pytest.raises(SystemExit):
+            _reference(ENDS_POSITIONALS)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(ENDS_POSITIONALS)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: distinguished\n")
 
 
 @pytest.mark.parametrize("argv", HELP, ids=" ".join)
