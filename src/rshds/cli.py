@@ -21,9 +21,10 @@ module ``rshds.screen``, which the ``screen`` and ``quotient`` commands, an
 ``certify``, ``export-hadamard`` and ``thm81`` on a gnk: or c4n: spec never
 do.
 
-The command table ``_COMMANDS`` is the one parser: no process imports
-argparse, which with the gettext and locale it loads took about 6 ms of a
-70 ms CLI process.  Options are spelled in full (``--json``, not ``--js``).
+The command table ``_COMMANDS`` is the one parser, not argparse.  It reads a
+command line as argparse did but for unique option prefixes (``--js``), an
+option after the required positionals on Python 3.12 and later, ``-h`` after a
+leading dash word or a bare flag's value, and a second or a trailing ``--``.
 """
 from __future__ import annotations
 
@@ -276,28 +277,26 @@ def _cmd_dump_table(args) -> int:
 # the command table, and the one parser that reads it
 # ---------------------------------------------------------------------------
 
-# name -> (help, options, positionals), the last two as its usage line shows
-# them: a bracketed one is optional, and an option with a metavar takes a
-# value.  A value is a str, or an int for h and --budget; an absent one is
-# None, or False for an option that takes no value.  The handler, _cmd_<name>,
-# is looked up when a command line is parsed, so a wrapper set on it runs.
+# name -> (handler, help, usage).  The help prints the usage after "rshds NAME
+# [-h]": a bracketed item is optional, and an option followed by a METAVAR
+# takes a value.  _parse runs what the module holds under the handler's name,
+# so a wrapper set on the handler runs.
 _COMMANDS = {
-    "params": ("print (v,k,lambda) = (h^2, h(h-1)/2, h(h-2)/4) for an even h", (), "h"),
-    "construct": ("build the canonical difference set of a gnk: or c4n: group",
-                  ("[--json]", "[--out OUT]"), "spec"),
-    "certify": ("run certificates on a dset-v1 file; CHECKS is a comma list from "
-                f"{','.join(CHECK_ORDER)} (default all)", ("[--json]", "[--checks CHECKS]"),
-                "dset"),
-    "thm81": ("search a hyperplane-to-coset matching and build its difference set",
-              ("[--json]", "[--out OUT]"), "spec subgroup"),
-    "screen": ("run the four structural tests", ("[--json]",), "spec h [subgroup]"),
-    "search": ("exhaustively enumerate all partition difference sets; N is a node budget",
-               ("[--out OUT]", "[--budget N]"), "spec subgroup"),
-    "quotient": ("quotient distribution checks for a dset-v1 file against the normal KERNEL "
-                 "(default: each of prime index)", ("[--json]", "[--kernel KERNEL]"), "dset"),
-    "export-hadamard": ("write the +-1 matrix of a certified m=0 set",
-                        ("[--json]", "--out OUT"), "dset"),
-    "dump-table": ("write a cayley-v1 table", ("[--out OUT]",), "spec"),
+    "params": (_cmd_params, "print (v,k,lambda) = (h^2, h(h-1)/2, h(h-2)/4) for an even h", "h"),
+    "construct": (_cmd_construct, "build the canonical difference set of a gnk: or c4n: group",
+                  "[--json] [--out OUT] spec"),
+    "certify": (_cmd_certify, "run certificates on a dset-v1 file; CHECKS is a comma list from "
+                f"{','.join(CHECK_ORDER)} (default all)", "[--json] [--checks CHECKS] dset"),
+    "thm81": (_cmd_thm81, "search a hyperplane-to-coset matching and build its difference set",
+              "[--json] [--out OUT] spec subgroup"),
+    "screen": (_cmd_screen, "run the four structural tests", "[--json] spec h [subgroup]"),
+    "search": (_cmd_search, "exhaustively enumerate all partition difference sets; N is a node "
+               "budget", "[--out OUT] [--budget N] spec subgroup"),
+    "quotient": (_cmd_quotient, "quotient distribution checks for a dset-v1 file against the "
+                 "normal KERNEL (default: each of prime index)", "[--json] [--kernel KERNEL] dset"),
+    "export-hadamard": (_cmd_export_hadamard, "write the +-1 matrix of a certified m=0 set",
+                        "[--json] --out OUT dset"),
+    "dump-table": (_cmd_dump_table, "write a cayley-v1 table", "[--out OUT] spec"),
 }
 # a dash-led word that is not "-" and not a negative number
 _OPTION_LIKE_RE = re.compile(r"-(?!\d+$|\d*\.\d+$).", re.S)
@@ -308,10 +307,10 @@ def _stop(name: Optional[str], error: Optional[str] = None) -> NoReturn:
     if name is None:
         usage = "usage: rshds [-h] {" + ",".join(_COMMANDS) + "} ..."
         about = ["Construct and exactly certify difference sets disjoint from a subgroup.", "",
-                 "commands:", *(f"  {cmd:<16} {entry[0]}" for cmd, entry in _COMMANDS.items())]
+                 "commands:", *(f"  {cmd:<16} {entry[1]}" for cmd, entry in _COMMANDS.items())]
     else:
-        usage = " ".join(["usage: rshds", name, "[-h]", *_COMMANDS[name][1], _COMMANDS[name][2]])
-        about = [_COMMANDS[name][0]]
+        usage = f"usage: rshds {name} [-h] {_COMMANDS[name][2]}"
+        about = [_COMMANDS[name][1]]
     if error is None:
         print(usage, "", *about, sep="\n")
         raise SystemExit(EXIT_OK)
@@ -335,19 +334,25 @@ def _value(name: str, dest: str, value: str):
 
 
 def _parse(argv: Sequence[str]) -> SimpleNamespace:
-    """The command, its handler and its arguments, as argparse read them."""
+    """The command, its handler and its arguments, read as the module docstring says."""
     name, *rest = argv or [None]
     if name in ("-h", "--help"):
         _stop(None)
     if name not in _COMMANDS:
         _stop(None, f"invalid choice: {name!r} (choose from {', '.join(_COMMANDS)})"
               if name else "the following arguments are required: command")
-    _, options, positionals = _COMMANDS[name]
-    dests = positionals.replace("[", "").replace("]", "").split()
-    required = len(dests) - positionals.count("[")
-    flags = {option.strip("[]").split()[0]: option for option in options}
+    handler, _, usage = _COMMANDS[name]
+    items = []  # [optional, word, METAVAR or None] for each item of the usage
+    for word in usage.split():
+        if word.strip("[]").isupper():  # the METAVAR of the option before it
+            items[-1][2] = word.strip("[]")
+        else:
+            items.append([word[0] == "[", word.strip("[]"), None])
+    dests = [word for _, word, _ in items if word[0] != "-"]
+    required = sum(not optional for optional, word, _ in items if word[0] != "-")
+    flags = {word: (optional, metavar) for optional, word, metavar in items if word[0] == "-"}
     values = dict.fromkeys(dests)
-    values.update((flag[2:], None if " " in option else False) for flag, option in flags.items())
+    values.update((flag[2:], None if metavar else False) for flag, (_, metavar) in flags.items())
     taken, extras, limit, args = 0, [], len(dests), iter(rest)
     for arg in args:
         if arg == "--" or not _is_option(arg, flags):
@@ -363,7 +368,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
         if taken >= required:  # as argparse did, an option here ends the positionals
             limit = taken
         flag, eq, value = arg.partition("=")
-        if flag in flags and " " in flags[flag]:
+        if flag in flags and flags[flag][1]:
             value = value if eq else next(args, None)
             if value is None or (not eq and _is_option(value, flags)):
                 _stop(name, f"argument {flag}: expected one argument")
@@ -373,13 +378,12 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
         else:
             extras.append(arg)
     missing = dests[taken:required] + [
-        flag for flag, option in flags.items() if option[0] != "[" and values[flag[2:]] is None]
+        flag for flag, (optional, _) in flags.items() if not optional and values[flag[2:]] is None]
     if missing:
         _stop(name, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _stop(name, f"unrecognized arguments: {' '.join(extras)}")
-    handler = globals()["_cmd_" + name.replace("-", "_")]
-    return SimpleNamespace(command=name, func=handler, **values)
+    return SimpleNamespace(command=name, func=globals()[handler.__name__], **values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

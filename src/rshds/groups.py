@@ -543,8 +543,7 @@ def normal_subgroups_of_prime_index(group: FiniteGroup) -> List[Tuple[Subgroup, 
 # the small table builders and the table proof.  A process that reads none
 # of them never loads ``screen`` for them.
 _FROM_SCREEN = frozenset({
-    "cyclic_group", "dihedral_group", "direct_product", "elementary_abelian_2_group",
-    "validate_group_table",
+    "cyclic_group", "dihedral_group", "direct_product", "validate_group_table",
 })
 
 

@@ -37,7 +37,6 @@ from rshds.constructions import (
     DifferenceSetCandidate,
     SearchResult,
     _check_assignment_preconditions,
-    _subgroup_f2_coordinates,
 )
 from rshds.groups import IDENTITY, FiniteGroup, Subgroup, cosets
 
@@ -647,14 +646,19 @@ def find_hyperplane_assignment_reference(
     a cross pair (i, j) takes a hyperplane w and its conjugate by t_i^-1,
     another unused one.  Same blocks, same normal order, so the same first
     solution: returns (normals, transversal), or None when no matching
-    exists.
+    exists.  H's F_2 coordinates are its members themselves when it is the
+    distinguished subgroup and ``f2_coordinates_reference`` otherwise.
     """
     _check_assignment_preconditions(group, sub)
     h = sub.order
     dec = cosets(group, sub)
     reps = dec.transversal
     pairing = [dec.coset_of[group.inv(rep)] for rep in reps]
-    member = {v: m for m, v in _subgroup_f2_coordinates(group, sub).items()}
+    if sub == group.distinguished_subgroup():
+        coords = {m: m for m in sub.members}
+    else:
+        coords = f2_coordinates_reference(group, sub)
+    member = {v: m for m, v in coords.items()}
     members_of = {
         w: frozenset(member[v] for v in range(h) if not f2.dot(v, w)) for w in range(1, h)
     }

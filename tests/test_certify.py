@@ -536,6 +536,54 @@ def test_spectrum_precondition(gnk20):
         spectrum(gnk20, gnk20.distinguished_subgroup(), [4, 5, 6])
 
 
+def _spectrum_of(table):
+    """``_spectrum`` at h = 4 (k = 6) on the class products ``table``, in the
+    class order (1, H-1, D, D^-1)."""
+    base = certify.CertReport("rshds", True, groups.ParameterSet(4, m=0))
+    return certify._spectrum(base, SchurStructure(tuple(map(tuple, table))))
+
+
+_UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_spectrum_fails_where_a_maximal_divisor_vanishes():
+    # class 0 is the unit, D^2 = 12 + 4D and every other product is zero, so
+    # (x-6)(2x+4) = 2D^2 - 8D - 24 vanishes and with it the annihilator
+    table = [[_UNIT[i + j] if 0 in (i, j) else (0, 0, 0, 0) for j in range(4)] for i in range(4)]
+    table[2][2] = (12, 0, 4, 0)
+    report = _spectrum_of(table)
+    assert not report.passed
+    assert report.witnesses == {
+        "annihilation": True,
+        "maximal_divisors_nonzero": {
+            "(x-k)(2x+h)": False, "(x-k)(4x^2+h^2)": True, "(2x+h)(4x^2+h^2)": True},
+    }
+
+
+def test_spectrum_fails_on_wrong_traces():
+    # Z[x]/(8x^4 - 32x^3 - 64x^2 - 128x - 384), the annihilator
+    # (x-6)(2x+4)(4x^2+16) expanded, with the classes (1, H-1, D, D^-1)
+    # standing for (1, x^3, x, x^2): every maximal divisor has degree < 4 and
+    # is nonzero, but x, x^2 and x^3 have no constant term, so the traces
+    # miss the 192 that the spectrum of D^3 needs
+    power = [(1, 0, 0, 0)]  # x^n in the basis (1, x, x^2, x^3)
+    for _ in range(6):
+        c0, c1, c2, c3 = power[-1]  # times x, with x^4 = 48 + 16x + 8x^2 + 4x^3
+        power.append((48 * c3, c0 + 16 * c3, c1 + 8 * c3, c2 + 4 * c3))
+    exponent = (0, 3, 1, 2)
+    table = [[power[exponent[i] + exponent[j]] for j in range(4)] for i in range(4)]
+    table = [[(c0, c3, c1, c2) for c0, c1, c2, c3 in row] for row in table]
+    report = _spectrum_of(table)
+    assert not report.passed
+    assert report.witnesses == {
+        "annihilation": True,
+        "maximal_divisors_nonzero": {
+            "(x-k)(2x+h)": True, "(x-k)(4x^2+h^2)": True, "(2x+h)(4x^2+h^2)": True},
+        "traces": [16, 0, 0, 0],
+        "expected_traces": [16, 0, 0, 192],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Hadamard
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
-"""The command table reads every command line as the argparse parser did.
+"""The command table reads command lines as the argparse parser did.
 
 ``oracles.build_parser_reference`` is the argparse parser the CLI had before
 its command table.  Each valid command line below must give the same command,
 handler and attribute values on both; each invalid one must exit 2 on both,
 and the table's parser must print a usage line and an error line to stderr and
-nothing to stdout.  The one intended difference is that argparse took a unique
-prefix of an option (``--js`` for ``--json``) and the table does not.  The
-table also keeps the Python 3.10/3.11 reading of ``ENDS_POSITIONALS`` on later
-versions, whose argparse reads that command line differently.
+nothing to stdout.  The intended differences are listed in ``ABBREVIATED``
+(argparse took a unique prefix of an option, ``--js`` for ``--json``, and the
+table does not) and ``DIFFERENT``.  The table also keeps the Python 3.10/3.11
+reading of ``ENDS_POSITIONALS`` on later versions, whose argparse reads that
+command line differently.  A generative test draws command lines from
+``TOKENS`` and holds the two parsers to the same reading apart from these.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import build_parser_reference
 from rshds import cli
@@ -119,9 +125,71 @@ ABBREVIATED = [
     ["certify", "d", "--check", "dset"],
 ]
 
+# argparse read these differently; the table keeps its own reading, which
+# ``_intended`` states for every command line of the same shape
+DIFFERENT = [
+    # argparse skipped a dash word before the command and obeyed a later -h;
+    # the table refuses a command line that starts with no command
+    ["--checks", "--help"],
+    # argparse refused a value given to a bare flag (--json, -h, --help) at
+    # once; the table counts it among the unrecognized arguments, which it
+    # reports only after the line is read, so a later -h prints the help
+    ["screen", "--json=1", "-h"],
+    # argparse passed a second -- into a str or int positional as an empty
+    # list; the table reads every word after the first -- as a positional
+    ["search", "--", "search", "--"],
+    ["screen", "--bogus=a b", "--", "--", "--budget"],
+    # argparse refused a trailing -- after an option that follows the
+    # positionals; the table reads no word after it
+    ["construct", "distinguished", "--out=", "--"],
+]
+
+# the nine commands, each flag bare and with a value, the words that end the
+# options or ask for help, negative and non-ASCII numbers, and dash-led words
+# with and without a space
+_FLAGS = ["--json", "--out", "--checks", "--kernel", "--budget"]
+TOKENS = [*cli._COMMANDS, *_FLAGS,
+          *(f"{flag}={value}" for flag in _FLAGS for value in ("", "1", "a b")),
+          "--", "-", "-h", "--help", "--help=1", "-4", "-.5", "٤", "-x", "-my out", "--bogus=a b",
+          "8", "d"]
+
 
 def _reference(argv):
     return vars(build_parser_reference().parse_args(argv))
+
+
+def _outcome(parse, argv):
+    """The attributes ``parse`` reads from ``argv``, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _intended(argv, reference):
+    """The table's reading of ``argv`` where ``DIFFERENT`` or ``ENDS_POSITIONALS``
+    says that it may differ from argparse's ``reference``, else None."""
+    parse = build_parser_reference().parse_args
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    helps = [i for i, arg in enumerate(head) if arg in ("-h", "--help")]
+    if helps and argv[0] not in cli._COMMANDS:
+        return cli.EXIT_USAGE
+    if helps and any(arg.partition("=")[0] in ("--json", "-h", "--help") and "=" in arg
+                     for arg in head[1:helps[0]]):
+        return cli.EXIT_OK
+    if argv.count("--") > 1:  # argparse reads a stand-in word for each later --
+        first = argv.index("--") + 1
+        read = _outcome(parse, [*argv[:first], *("\0" if a == "--" else a for a in argv[first:])])
+        if isinstance(read, dict):
+            return {dest: "--" if value == "\0" else value for dest, value in read.items()}
+        return read
+    if argv[-1:] == ["--"]:
+        return _outcome(parse, argv[:-1])
+    if (sys.version_info >= (3, 12) and argv[0] == "screen" and isinstance(reference, dict)
+            and reference["subgroup"] is not None):
+        return cli.EXIT_USAGE
+    return None
 
 
 @pytest.mark.parametrize("argv", VALID, ids=" ".join)
@@ -190,3 +258,39 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["rshds", "params", "4"])
     assert cli.main() == cli.EXIT_OK
     assert capsys.readouterr().out == "(v,k,lambda)=(16,6,2)\n"
+
+
+@pytest.mark.parametrize("argv", DIFFERENT, ids=" ".join)
+def test_an_intended_difference_reads_as_documented(argv):
+    reference = _outcome(build_parser_reference().parse_args, argv)
+    table = _outcome(cli._parse, argv)
+    assert table == _intended(argv, reference)
+    if sys.version_info < (3, 12):  # later argparse reads some of them as the table does
+        assert table != reference
+
+
+# a line of VALID with one word after the command replaced by a value, so
+# that many drawn lines are valid; any tokens; or a command and tokens
+_VALUES = ["8", "d", "-4", "-.5", "٤", "-", "-my out"]
+
+
+def _with_value(line, at, value):
+    """``line`` with its word ``at`` after the command, counted round, set to ``value``."""
+    at = 1 + at % (len(line) - 1)
+    return [*line[:at], value, *line[at + 1:]]
+
+
+_ARGVS = st.one_of(
+    st.builds(_with_value, st.sampled_from(VALID), st.integers(0, 5), st.sampled_from(_VALUES)),
+    st.lists(st.sampled_from(TOKENS), max_size=6),
+    st.builds(lambda name, rest: [name, *rest], st.sampled_from(list(cli._COMMANDS)),
+              st.lists(st.sampled_from(TOKENS), max_size=5)),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_ARGVS)
+def test_a_drawn_command_line_reads_as_argparse_read_it(argv):
+    reference = _outcome(build_parser_reference().parse_args, argv)
+    table = _outcome(cli._parse, argv)
+    assert table == reference or table == _intended(argv, reference)

@@ -87,16 +87,11 @@ def private_helpers_without_callers(sources: dict) -> list:
     function or class is reached by a name read, an attribute read
     (``groups._greedy_reach``) or a name imported; a ``_name`` method of a
     module-level class only by an attribute read (``self._validate()``).
-    A ``_cmd_<name>`` handler is also reached by a string key ``<name>``
-    (dashes read as underscores) of the dict literal assigned to
-    ``_COMMANDS`` in its own module, as ``cli._parse`` looks each handler up
-    by its command's name in ``cli._COMMANDS``.  Dunder names are the
-    interpreter's and never count as helpers.
+    Dunder names are the interpreter's and never count as helpers.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced, attributes = set(), set()
-    handlers = {module: set() for module in trees}
-    for module, tree in trees.items():
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -104,19 +99,13 @@ def private_helpers_without_callers(sources: dict) -> list:
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(a.name for a in node.names)
-        for node in tree.body:
-            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
-                    and any(isinstance(t, ast.Name) and t.id == "_COMMANDS" for t in node.targets)):
-                handlers[module].update(
-                    "_cmd_" + key.value.replace("-", "_") for key in node.value.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str))
     referenced |= attributes
     helpers = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (*FUNCTIONS, ast.ClassDef))
-        and _private(node.name) and node.name not in referenced | handlers[module]
+        and _private(node.name) and node.name not in referenced
     ]
     methods = [
         f"{module}.{cls.name}.{node.name}"
@@ -134,15 +123,8 @@ def test_private_helpers_without_callers_are_found():
              "def __getattr__(name):\n    pass\ndef public():\n    return _used()\n",
         "b": "from .a import _imported\nimport a\na._attribute\n",
         "c": "def _imported():\n    pass\ndef _attribute():\n    pass\n",
-        # a handler is reached by its command's key in its own module's
-        # _COMMANDS, and not by a key of another dict or of another module
-        "d": "def _cmd_dump_table(a):\n    pass\ndef _cmd_gone(a):\n    pass\n"
-             "def _cmd_other(a):\n    pass\n"
-             "_COMMANDS = {'dump-table': 1}\nTABLE = {'gone': 1}\nTEXT = 'gone'\n",
-        "e": "def _cmd_params(a):\n    pass\n_COMMANDS = {'other': 1}\nREPORT = {'params': 1}\n",
     }
-    assert private_helpers_without_callers(sources) == [
-        "a._Lone", "a._unused", "d._cmd_gone", "d._cmd_other", "e._cmd_params"]
+    assert private_helpers_without_callers(sources) == ["a._Lone", "a._unused"]
 
 
 def test_private_methods_without_readers_are_found():
