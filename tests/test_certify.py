@@ -21,7 +21,6 @@ from oracles import (
 from test_groups import REFERENCE_GROUPS
 from rshds.certify import (
     PreconditionError,
-    SchurStructure,
     check_difference_set,
     check_hadamard,
     check_rshds,
@@ -32,7 +31,7 @@ from rshds.certify import (
     spectrum,
     structural_tests,
 )
-from rshds import certify, fixtures, groups, screen
+from rshds import certify, fixtures, groups, schur, screen
 from rshds.constructions import (
     BudgetExceededError,
     assignment_difference_set,
@@ -54,6 +53,7 @@ from rshds.groups import (
     quotient,
     subgroups_of_order,
 )
+from rshds.schur import SchurStructure
 from rshds.screen import (
     cyclic_group,
     dihedral_group,
@@ -490,7 +490,7 @@ def test_schur_ring_precondition():
 def test_non_closing_product_is_the_witness(monkeypatch, cand20):
     # one coefficient of D*D moved off its class: schur names the first class
     # product read from it, and spectrum and hadamard refuse to run
-    real = certify.convolve
+    real = schur.convolve
     d_min = min(cand20.elements)
 
     def skewed(x, y):
@@ -499,7 +499,7 @@ def test_non_closing_product_is_the_witness(monkeypatch, cand20):
             out.coeffs[d_min] += 1
         return out
 
-    monkeypatch.setattr(certify, "convolve", skewed)
+    monkeypatch.setattr(schur, "convolve", skewed)
     args = (cand20.group, cand20.subgroup, cand20.elements)
     report, structure = check_schur_ring(*args)
     assert not report.passed and structure is None
@@ -540,7 +540,7 @@ def _spectrum_of(table):
     """``_spectrum`` at h = 4 (k = 6) on the class products ``table``, in the
     class order (1, H-1, D, D^-1)."""
     base = certify.CertReport("rshds", True, groups.ParameterSet(4, m=0))
-    return certify._spectrum(base, SchurStructure(tuple(map(tuple, table))))
+    return schur._spectrum(base, SchurStructure(tuple(map(tuple, table))))
 
 
 _UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -601,7 +601,7 @@ def _fails(check, cand) -> bool:
 def test_spectrum_and_hadamard_read_the_structure_constants(monkeypatch, cand20, i, j):
     # both checks evaluate in Z^4 with the certified table, so a table with
     # any one constant off by one must make each of them fail
-    real = certify._schur_structure
+    real = schur._schur_structure
     for t in range(4):
         def mutated(*args, t=t):
             base, structure, witnesses = real(*args)
@@ -610,9 +610,9 @@ def test_spectrum_and_hadamard_read_the_structure_constants(monkeypatch, cand20,
             coords = tuple(tuple(tuple(c) for c in row) for row in table)
             return base, SchurStructure(coords), witnesses
 
-        monkeypatch.setattr(certify, "_schur_structure", mutated)
+        monkeypatch.setattr(schur, "_schur_structure", mutated)
         assert _fails(spectrum, cand20) and _fails(check_hadamard, cand20), (i, j, t)
-    monkeypatch.setattr(certify, "_schur_structure", real)
+    monkeypatch.setattr(schur, "_schur_structure", real)
     assert not _fails(spectrum, cand20) and not _fails(check_hadamard, cand20)
 
 
@@ -630,7 +630,7 @@ def _not_symmetric(i, j):
     ((2, 3), ["D and D^-1 do not commute", *_not_symmetric(2, 3)]),
 ], ids=["symmetry", "H*D", "D^2", "D*D^-1"])
 def test_schur_ring_names_each_problem_of_a_changed_constant(monkeypatch, cand20, cell, problems):
-    real = certify._schur_structure
+    real = schur._schur_structure
     i, j = cell
     for t in range(4):
         def mutated(*args, t=t):
@@ -640,7 +640,7 @@ def test_schur_ring_names_each_problem_of_a_changed_constant(monkeypatch, cand20
             coords = tuple(tuple(tuple(c) for c in row) for row in table)
             return base, SchurStructure(coords), witnesses
 
-        monkeypatch.setattr(certify, "_schur_structure", mutated)
+        monkeypatch.setattr(schur, "_schur_structure", mutated)
         report, _ = check_schur_ring(cand20.group, cand20.subgroup, cand20.elements)
         assert not report.passed and report.witnesses["problems"] == problems, t
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rshds import algebra, certify, cli, screen
+from rshds import algebra, certify, cli, schur, screen
 from rshds.formats import read_hadamard, write_cayley
 from rshds.screen import cyclic_group, dihedral_group, direct_product, elementary_abelian_2_group
 
@@ -152,6 +152,7 @@ def test_certify_convolution_count(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(algebra, "convolve", counted)
     monkeypatch.setattr(certify, "convolve", counted)
+    monkeypatch.setattr(schur, "convolve", counted)
     assert cli.main(["certify", str(dset)]) == cli.EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
     assert len(calls) == 6
@@ -179,6 +180,7 @@ def test_certify_builds_the_schur_structure_once(
         return real(x, y)
 
     monkeypatch.setattr(certify, "convolve", counted)
+    monkeypatch.setattr(schur, "convolve", counted)
     assert cli.main(["certify", str(dset), "--json"]) == code
     out = capsys.readouterr().out
     assert sha16(out.encode()) == stdout_sha

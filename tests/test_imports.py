@@ -233,16 +233,18 @@ def test_package_import_binds_only_the_version():
 
 
 
-def _fresh_cli(directory: Path, argv: list) -> str:
-    """'<exit code> <lattice loaded?>' after ``rshds argv`` in ``directory``, in a new interpreter.
+def _fresh_cli(directory: Path, argv: list, module: str = "rshds.screen",
+               bodies: tuple = ("_subgroups_dividing", "_proved_table")) -> str:
+    """'<exit code> <module loaded?>' after ``rshds argv`` in ``directory``, in a new interpreter.
 
-    The lattice is loaded when ``rshds.screen`` is, or when any loaded rshds
-    module holds the subgroup walk or the table proof.
+    ``module`` is loaded when it is in ``sys.modules``, or when any loaded
+    rshds module holds one of the functions named in ``bodies``.  By default
+    that is the lattice: the subgroup walk or the table proof.
     """
     code = (f"import os, sys, rshds.cli; os.chdir({str(directory)!r}); "
             f"code = rshds.cli.main({argv!r}); "
-            "print(code, 'rshds.screen' in sys.modules or any("
-            "hasattr(m, '_subgroups_dividing') or hasattr(m, '_proved_table') "
+            f"print(code, {module!r} in sys.modules or any("
+            f"hasattr(m, b) for b in {bodies!r} "
             "for n, m in list(sys.modules.items()) if n.startswith('rshds.')))")
     return _fresh_output(code).splitlines()[-1]
 
@@ -263,6 +265,26 @@ def test_only_the_screen_commands_load_the_lattice(tmp_path):
         "screen gnk:3,1 8": "0 True",
     }
     assert {step: _fresh_cli(tmp_path, step.split()) for step in steps} == steps
+
+
+def test_only_the_schur_checks_load_the_schur_module(tmp_path):
+    # the Schur-ring, spectrum and Hadamard certificates compile only in a
+    # certify that runs one of them: construct, export-hadamard, thm81 and a
+    # certify of the other three checks never load rshds.schur.  The steps
+    # share one directory, so each reads what those before it wrote
+    steps = {
+        "construct gnk:3,1 --out g.json": "0 False",
+        "export-hadamard g.json --out g.had": "0 False",
+        "thm81 gnk:3,1 distinguished --out t.json": "0 False",
+        "certify g.json --checks dset,rshds,profile": "0 False",
+        "certify t.json --checks dset,profile": "0 False",
+        "certify g.json --checks hadamard": "0 True",
+        "certify g.json": "0 True",
+    }
+    found = {step: _fresh_cli(tmp_path, step.split(), "rshds.schur",
+                              ("_schur_structure", "_spectrum", "_hadamard"))
+             for step in steps}
+    assert found == steps
 
 
 def test_the_ladder_commands_load_no_argparse_or_gettext(tmp_path):
