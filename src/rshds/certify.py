@@ -25,17 +25,18 @@ G = D + D^-1 + H directly: D misses H, |D| = k and D meets D^-1 nowhere,
 and 2k + h = h^2 leaves no room for anything else.
 
 The bodies of ``check_schur_ring``, ``spectrum`` and ``check_hadamard``
-live in ``schur``, whose docstring holds how the three share one table of
-structure constants of {1, H-1, D, D^-1} and why evaluating in Z^4 is
-exact; each entry imports its body inside the call, and ``run_checks``
-imports ``schur`` only when one of the three is named.  So ``rshds
-construct``, ``export-hadamard``, ``thm81`` and ``certify --checks
-dset,rshds,profile`` never compile them.
+live in ``schur``, which each entry imports inside the call; its docstring
+holds how the three share one table of structure constants of
+{1, H-1, D, D^-1}, why evaluating in Z^4 is exact and which commands never
+load it.  ``run_checks`` runs every check through its public entry, and a
+memo that it opens in its thread (``_run``) builds the difference-equation
+report, the ``check_rshds`` report and the Schur structure once per call.
 """
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
+import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import convolve, from_set
@@ -107,11 +108,30 @@ def _degenerate_warnings(h: int) -> List[str]:
     return []
 
 
+_run = threading.local()  # _run.memo: a dict while run_checks runs in this thread
+
+
+def _once_per_run(build: Callable) -> Callable:
+    """``build``, run once per ``run_checks`` call in this thread on the same arguments."""
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        memo = getattr(_run, "memo", None)
+        if memo is None or kwargs:
+            return build(*args, **kwargs)
+        key = (build, *map(id, args))
+        if key not in memo:  # holding the arguments keeps their ids from reuse
+            memo[key] = build(*args), args
+        return memo[key][0]
+
+    return shared
+
+
 # ---------------------------------------------------------------------------
 # the difference-set equation
 # ---------------------------------------------------------------------------
 
 
+@_once_per_run
 def check_difference_set(group: FiniteGroup, elements: Sequence[int]) -> CertReport:
     """Certify D * star(D) = lambda*G + (k - lambda)*1 by exact convolution.
 
@@ -159,6 +179,7 @@ def _matching_params(v: int, k: int, lam: int) -> Optional[ParameterSet]:
 # ---------------------------------------------------------------------------
 
 
+@_once_per_run
 def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> CertReport:
     """Certify G = D + D^-1 + H disjointly, then the difference equation.
 
@@ -170,13 +191,6 @@ def check_rshds(group: FiniteGroup, sub: Subgroup, elements: Sequence[int]) -> C
     intersection meets but does not fill, or else m, with a warning.  An H
     of another group is a :class:`PreconditionError`.
     """
-    return _rshds(group, sub, elements, lambda: check_difference_set(group, elements))
-
-
-def _rshds(
-    group: FiniteGroup, sub: Subgroup, elements: Sequence[int], equation: Callable[[], CertReport]
-) -> CertReport:
-    """``check_rshds``, with the difference-equation report from ``equation()``."""
     if sub.parent is not group:
         raise PreconditionError("subgroup belongs to a different group")
     name = "rshds-structure"
@@ -211,7 +225,7 @@ def _rshds(
     witnesses["intersection_cosets"] = []
     witnesses["complement_cosets"] = [0]
     params = ParameterSet(h, m=0)
-    eq = equation()
+    eq = check_difference_set(group, elements)
     witnesses["difference_equation"] = eq.passed
     if not eq.passed:
         witnesses["difference_equation_witness"] = eq.witnesses
@@ -317,34 +331,30 @@ def run_checks(
 ) -> List[CertReport]:
     """The named checks of :data:`CHECK_ORDER`, in the order given.
 
-    The checks of one call share one difference-equation report, one
-    ``check_rshds`` report and one Schur structure, each built on first use
-    and dropped on return.  So a run of every check convolves D*D^-1 once
-    for dset and rshds together and the five class products once, not once
-    per check: 6 convolutions in all.
-    A check whose precondition fails reports under its name with a
-    ``precondition`` witness.
+    Each runs through its public entry, and until the call ends the entries
+    share one difference-equation report, one ``check_rshds`` report and one
+    Schur structure: a run of every check makes 6 convolutions, D*D^-1 and
+    the five class products.  A check whose precondition fails reports
+    under its name with a ``precondition`` witness.
     """
-    equation = lru_cache(maxsize=None)(lambda: check_difference_set(group, elements))
-    base = lru_cache(maxsize=None)(lambda: _rshds(group, sub, elements, equation))
     checks = {
-        "dset": equation,
-        "rshds": base,
+        "dset": lambda: check_difference_set(group, elements),
+        "rshds": lambda: check_rshds(group, sub, elements),
         "profile": lambda: coset_profile(group, sub, elements),
+        "schur": lambda: check_schur_ring(group, sub, elements)[0],
+        "spectrum": lambda: spectrum(group, sub, elements),
+        "hadamard": lambda: check_hadamard(group, sub, elements),
     }
-    if not checks.keys() >= set(names):  # schur, spectrum or hadamard is named
-        from .schur import _closed, _hadamard, _schur_ring, _schur_structure, _spectrum
-
-        found = lru_cache(maxsize=None)(lambda: _schur_structure(group, sub, elements, base()))
-        checks["schur"] = lambda: _schur_ring(*found())[0]
-        checks["spectrum"] = lambda: _spectrum(*_closed(found()))
-        checks["hadamard"] = lambda: _hadamard(*_closed(found()))
+    outer, _run.memo = getattr(_run, "memo", None), {}
     reports = []
-    for name in names:
-        try:
-            reports.append(checks[name]())
-        except PreconditionError as exc:
-            reports.append(CertReport(name, False, None, {"precondition": str(exc)}))
+    try:
+        for name in names:
+            try:
+                reports.append(checks[name]())
+            except PreconditionError as exc:
+                reports.append(CertReport(name, False, None, {"precondition": str(exc)}))
+    finally:
+        _run.memo = outer
     return reports
 
 

@@ -5,12 +5,13 @@ subgroup of that order, in ASCII digits) or ``gens=i,j,...``.  One
 certificate, the coset profile included, is ``certify DSET --checks NAME``.
 
 Exit codes: 0 all requested checks pass, 1 some check failed, 2 usage or
-file error, 3 search budget exceeded.  All output is deterministic: reruns
-produce byte-identical bytes.  The one exception is the line ``search``
-prints to stderr when it stops, which reports its nodes, leaves and wall
-time; nodes and leaves count the reduced walk of ``exhaustive_search`` (one
-first-coset choice per orbit of the central involutions of H), not the
-whole tree.
+file error, 3 search budget exceeded, 141 the reader of stdout closed it
+early (128 + SIGPIPE, what a shell shows for a tool that SIGPIPE killed).
+All output is deterministic: reruns produce byte-identical bytes.  The one
+exception is the line ``search`` prints to stderr when it stops, which
+reports its nodes, leaves and wall time; nodes and leaves count the reduced
+walk of ``exhaustive_search`` (one first-coset choice per orbit of the
+central involutions of H), not the whole tree.
 
 Each process runs one subcommand, and each subcommand imports the layers it
 uses: only ``construct``, ``thm81`` and ``search`` import ``constructions``
@@ -29,7 +30,11 @@ object the collector tracks, some twelve thousand after a ``certify``, at 1
 to 2 ms each; they skip frozen objects.  Nothing else of the exit changes:
 refcount teardown, atexit handlers, the flush of stdout and stderr and the
 exit code are as before.  ``main`` neither freezes nor exits, so in-process
-callers leave the collector as they found it.
+callers leave the collector as they found it.  A ``BrokenPipeError`` on
+stdout, which ``run`` flushes before it exits, ends the process with 141
+and no message: ``run`` points fd 1 at ``os.devnull`` so that the flush at
+shutdown cannot fail again.  Only ``run`` does, since in-process callers own
+their stdout.
 
 The command table ``_COMMANDS`` is the one parser, not argparse.  It reads a
 command line as argparse did but for unique option prefixes (``--js``), an
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
 import sys
 import time
@@ -63,6 +69,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 _AUTO_RE = re.compile(r"auto-([0-9]+)")
 _INDEX_RE = re.compile(r"[0-9]+")
@@ -401,6 +408,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader of stdout left; ``run`` exits with EXIT_PIPE
+        raise
     except (FormatError, GroupError, PreconditionError, OSError) as exc:
         # a ConstructionError is a GroupError
         print(f"error: {exc}", file=sys.stderr)
@@ -411,10 +420,18 @@ def run() -> NoReturn:
     """Run ``main()``, freeze the heap it leaves, and exit with its code.
 
     The freeze runs however ``main`` ends, a usage error's ``SystemExit``
-    included, so that no exit path pays the shutdown collections.
+    included, so that no exit path pays the shutdown collections.  stdout
+    is flushed here, not at shutdown, so that a reader that closed it early
+    ends the process with ``EXIT_PIPE`` and no message.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
     finally:
         gc.freeze()
     sys.exit(code)

@@ -5,33 +5,29 @@ This is the certificate code that only some commands run, kept apart from
 certify`` imports it, and so does ``certify --checks`` naming ``schur``,
 ``spectrum`` or ``hadamard``; ``construct``, ``export-hadamard``, ``thm81``
 and a ``certify`` of the dset, rshds and profile checks alone never do.
-The entries stay where callers find them: ``certify.check_schur_ring``,
-``certify.spectrum`` and ``certify.check_hadamard`` import their bodies
-(``_schur_ring``, ``_spectrum``, ``_hadamard``) from here inside the call,
-and ``certify.run_checks`` imports this module only when one of those
-three checks is named.  Their docstrings state what the bodies prove.
+``certify.check_schur_ring``, ``certify.spectrum`` and
+``certify.check_hadamard``, whose docstrings state what the bodies prove,
+import their bodies from here inside the call.
 
-The Schur-ring, spectrum and Hadamard checks share one table of structure
-constants of {1, H-1, D, D^-1}, read from five convolutions ((H-1)^2,
-(H-1)D, (H-1)D^-1, D*D, D^-1*D) and from the difference equation
-D*D^-1 = k + lam(G-1) that ``check_rshds`` certified; ``run_checks`` builds
-it once for all three and convolves D*D^-1 once for dset and rshds
-together, so a run of every check makes 6 convolutions.  Once the partition
-is certified, the four classes are disjoint, non-empty and cover G; once
-their span is certified closed, the map to class coordinates is an
-injective ring homomorphism onto Z^4 with that table as its product.  So
-an element of the span is zero exactly when its four coordinates are, a
-polynomial in D vanishes in the group algebra exactly when it vanishes in
-Z^4, and a trace is the group order times the coordinate on {1}.  The
-spectral and Hadamard identities are evaluated there, on 4-vectors of ints:
-exact, not sampled.
+The three checks share one table of structure constants of
+{1, H-1, D, D^-1}, read from five convolutions ((H-1)^2, (H-1)D,
+(H-1)D^-1, D*D, D^-1*D) and from the difference equation
+D*D^-1 = k + lam(G-1) that ``check_rshds`` certified; one ``run_checks``
+call builds it once.  Once the partition is certified, the four classes
+are disjoint, non-empty and cover G; once their span is certified closed,
+the map to class coordinates is an injective ring homomorphism onto Z^4
+with that table as its product.  So an element of the span is zero
+exactly when its four coordinates are, a polynomial in D vanishes in the
+group algebra exactly when it vanishes in Z^4, and a trace is the group
+order times the coordinate on {1}.  The spectral and Hadamard identities
+are evaluated there, on 4-vectors of ints: exact, not sampled.
 """
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, convolve, from_set
-from .certify import CertReport, PreconditionError, _degenerate_warnings, check_rshds
+from .certify import CertReport, PreconditionError, _degenerate_warnings, _once_per_run, check_rshds
 from .groups import IDENTITY, FiniteGroup, Subgroup
 
 # ---------------------------------------------------------------------------
@@ -77,19 +73,14 @@ def _star(x: Sequence[int]) -> Coords:
     return tuple(x[i] for i in _STAR)
 
 
+@_once_per_run
 def _schur_structure(
-    group: FiniteGroup,
-    sub: Subgroup,
-    elements: Sequence[int],
-    base: Optional[CertReport] = None,
+    group: FiniteGroup, sub: Subgroup, elements: Sequence[int]
 ) -> Tuple[CertReport, Optional[SchurStructure], Dict[str, object]]:
     """The partition report and the structure constants of {1, H-1, D, D^-1}.
 
-    ``base`` is the ``check_rshds`` report of the same set when the caller
-    has one already; otherwise it is computed here.
-
     Only (H-1)^2, (H-1)D, (H-1)D^-1, D*D and D^-1*D are convolved.  D*D^-1
-    is not: the passing ``base`` has certified D*D^-1 = k + lam(G-1)
+    is not: a passing ``check_rshds`` has certified D*D^-1 = k + lam(G-1)
     exactly, and G is the sum of the four classes, so its coordinates are
     (k, lam, lam, lam).  The unit row and column are the basis, and each
     product XY also fills the cell of its star, (XY)* = Y*X*, since star is
@@ -97,8 +88,7 @@ def _schur_structure(
     coordinate is a count, never negative.  If a class product does not
     close, the structure is None and the witness names the first in row order.
     """
-    if base is None:
-        base = check_rshds(group, sub, elements)
+    base = check_rshds(group, sub, elements)
     if not base.passed:
         raise PreconditionError(
             "candidate is not a certified m=0 relative skew Hadamard difference set"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
@@ -287,6 +289,77 @@ def test_a_subgroup_of_another_group_is_refused(cand20, members):
     assert [r.passed for r in reports] == [True, False, False, False, False, False]
     for report in reports[1:]:
         assert report.witnesses == {"precondition": "subgroup belongs to a different group"}
+
+
+def _count_convolutions(monkeypatch, calls):
+    """Append (thread id, module name) to ``calls`` for each convolution of certify and schur."""
+    for module in (certify, schur):
+        def counted(x, y, name=module.__name__, real=module.convolve):
+            calls.append((threading.get_ident(), name))
+            return real(x, y)
+
+        monkeypatch.setattr(module, "convolve", counted)
+
+
+def test_the_run_checks_memo_ends_with_the_call(monkeypatch, cand31):
+    # run_checks shares D*D^-1 and the five class products among its checks,
+    # and only until it returns: a later check_schur_ring on the same set
+    # certifies D*D^-1 in check_rshds and convolves the class products again
+    args = (cand31.group, cand31.subgroup, cand31.elements)
+    calls = []
+    _count_convolutions(monkeypatch, calls)
+    assert all(r.passed for r in certify.run_checks(*args, certify.CHECK_ORDER))
+    assert Counter(name for _, name in calls) == {"rshds.certify": 1, "rshds.schur": 5}
+    calls.clear()
+    assert check_schur_ring(*args)[0].passed
+    assert Counter(name for _, name in calls) == {"rshds.certify": 1, "rshds.schur": 5}
+
+
+def test_a_run_checks_that_raises_leaves_no_memo(monkeypatch, cand31):
+    # the class products fail after the dset and rshds reports went into the memo
+    args = (cand31.group, cand31.subgroup, cand31.elements)
+
+    def broken(x, y):
+        raise RuntimeError("convolve failed")
+
+    monkeypatch.setattr(schur, "convolve", broken)
+    with pytest.raises(RuntimeError, match="convolve failed"):
+        certify.run_checks(*args, certify.CHECK_ORDER)
+    assert getattr(certify._run, "memo", None) is None
+    calls = []
+    _count_convolutions(monkeypatch, calls)
+    assert check_rshds(*args).passed and len(calls) == 1
+
+
+def test_threads_running_run_checks_share_no_memo(monkeypatch, cand31, gnk4_candidates):
+    # each thread's memo is its own: both get the single-threaded reports, and
+    # neither's end drops the other's memo, so each run makes its 6 convolutions
+    cands = (gnk4_candidates[2], cand31)
+    expected = [certify.run_checks(c.group, c.subgroup, c.elements, certify.CHECK_ORDER)
+                for c in cands]
+    calls, results = [], {}
+    _count_convolutions(monkeypatch, calls)
+    barrier = threading.Barrier(len(cands))
+
+    def run(i, cand):
+        barrier.wait(timeout=30)
+        results[i] = (threading.get_ident(), certify.run_checks(
+            cand.group, cand.subgroup, cand.elements, certify.CHECK_ORDER))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=item) for item in enumerate(cands)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i][1] for i in range(len(cands))] == expected
+    per_thread = Counter(ident for ident, _ in calls)
+    assert [per_thread[results[i][0]] for i in range(len(cands))] == [6, 6]
 
 
 def test_a_passing_check_rshds_builds_no_coset_decomposition(monkeypatch, cand31):

@@ -97,3 +97,19 @@ def test_main_leaves_the_collector_unfrozen(sets, capsysbinary):
     with pytest.raises(SystemExit):
         cli.main(["certify"])
     assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", ["params 4", "search gnk:2,0 distinguished"])
+def test_a_closed_stdout_exits_141_with_no_error_line(tmp_path, argv):
+    # the read end is closed before the child writes: main() must not report
+    # the BrokenPipeError as a file error (exit 2), and run() must not let the
+    # flush at shutdown print "Exception ignored"; it exits as SIGPIPE would
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "rshds.cli", *argv.split()], cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141, err
+    assert b"error:" not in err and b"Exception" not in err and b"Traceback" not in err, err

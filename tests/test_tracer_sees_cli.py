@@ -12,6 +12,10 @@ without any error; this test fails instead.
 CLI process it loads after the wrappers went in and must take them from
 ``rshds.algebra``: otherwise ``algebra.convolve_calls`` would count one
 convolution of a default certify, not six.
+
+``certify.run_checks`` reaches each check through its public entry, the
+name the tracer wraps, so a traced certify records a span for every check
+it runs and the per-layer certify metrics see them.
 """
 from __future__ import annotations
 
@@ -21,7 +25,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rshds import cli
+# rshds.schur loads here, before any tracer goes in, so Tracer.remove restores its bindings
+from rshds import certify, cli, schur
+
+CHECKS = ("check_difference_set", "check_rshds", "coset_profile", "check_schur_ring", "spectrum",
+          "check_hadamard")
 
 
 def test_the_tracer_records_the_construct_and_certify_handlers(tmp_path, monkeypatch):
@@ -58,3 +66,22 @@ def test_the_tracer_counts_the_convolutions_of_the_schur_checks(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.splitlines()[-1] == "False 0 6"
+
+
+def test_the_tracer_records_every_check_of_a_default_certify(tmp_path, monkeypatch):
+    # the six checks share one difference-equation report, one rshds report
+    # and one Schur structure, so the wrapped entries still convolve 6 times
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    tracer_module = importlib.import_module("perfbench.tracer")
+    dset = str(tmp_path / "d.json")
+    assert cli.main(["construct", "gnk:3,1", "--out", dset]) == cli.EXIT_OK
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["certify", dset]) == cli.EXIT_OK
+    finally:
+        tracer.remove()
+    assert schur.check_rshds is certify.check_rshds
+    missing = {f"certify.{name}" for name in CHECKS} - {span[0] for span in tracer.spans}
+    assert not missing, sorted(missing)
+    assert tracer_module.summarize([tracer.snapshot()])["algebra.convolve_calls"] == 6
